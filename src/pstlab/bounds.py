@@ -19,16 +19,21 @@ from __future__ import annotations
 
 import logging
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .chain import ChainSpec, mirror_trace_h, mirror_trace_h2, traceless_shift
+from .chain import ChainSpec, _check_rows
 from .errors import NotAdmissible, PstLabError
-from .pst import _certify_with_spectrum
-from .synthesis import SpectrumSpec, canonical_chain, draw_multipliers, synthesize
+from .pst import MAX_RUN, _certify_rows, _certify_with_spectrum
+from .synthesis import (
+    SpectrumSpec,
+    _expand_rows,
+    _synthesize_rows,
+    canonical_chain,
+    draw_multipliers,
+    synthesize,
+)
 
 __all__ = [
     "BoundReport",
@@ -46,6 +51,7 @@ logger = logging.getLogger(__name__)
 RATIO_SLACK = 1e-9       # ratio >= 1 - RATIO_SLACK counts as satisfying the bound
 LAMBDA_MIN_SLACK = 1e-9  # slack on lambda_N <= -(N-1)pi/(2 t0), in units of width
 SUBSTITUTION_GAP_SLACK = 1e-9  # gap < -SUBSTITUTION_GAP_SLACK * (pi/t0)^2 counts as negative
+BLOCK_BYTES = 8 * 2**20  # working-set budget of one block of falsify_search samples
 
 SCAN_CSV_HEADER = "N,parity,J_max,t0,product,bound,ratio,lambda_min_ok,central_field"
 
@@ -145,6 +151,61 @@ class ProofAudit:
         }
 
 
+def _audit_rows(
+    diagonal: np.ndarray, couplings: np.ndarray, lam: np.ndarray, t0: np.ndarray
+) -> dict:
+    """The audit of stacked certified chains: fields (S, N) and (S, N-1),
+    their descending spectra (S, N) and transfer times (S,).
+
+    Returns one (S,) array per ProofAudit field other than `parity` (None
+    where the field does not apply to the parity), plus `j_max`, `product`
+    and `lambda_min_ok`.  The mirror traces of the traceless shift come from
+    the central entries (chain.mirror_trace_h / mirror_trace_h2).
+    """
+    n = lam.shape[1]
+    lam0 = lam - lam.mean(axis=1, keepdims=True)
+    u = math.pi / t0
+    j_max = couplings.max(axis=1)
+    product = j_max * t0
+    bound = bound_value(n)
+    width = lam0[:, 0] - lam0[:, -1]
+    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    tail = -(n - 1) * u / 2.0
+    rows = {
+        "j_max": j_max,
+        "product": product,
+        "ratio": product / bound,
+        "final_slack": product - bound,
+        "gap_floor_slack": (-np.diff(lam0, axis=1)).min(axis=1) - u,
+        "lambda_min_slack": tail - lam0[:, -1],
+        "lambda_min_ok": lam0[:, -1] <= tail + LAMBDA_MIN_SLACK * width,
+        "half_sum_slack": None,
+        "central_field": None,
+        "substitution_value": None,
+        "substitution_gap": None,
+    }
+    if n % 2 == 0:
+        center = couplings[:, n // 2 - 1]
+        matrix_side = center + center
+        eigen_side = (signs * lam0).sum(axis=1)
+        rows["half_sum_slack"] = matrix_side - (n / 2.0) * u
+    else:
+        c = (n - 1) // 2
+        center = couplings[:, c - 1]
+        central_field = diagonal[:, c] - diagonal.mean(axis=1)
+        matrix_side = central_field**2 + (center + couplings[:, c]) ** 2
+        eigen_side = (signs * lam0 * lam0).sum(axis=1)
+        substitution_value = lam0[:, -1] ** 2 - u * lam0[:, -1]
+        rows["central_field"] = central_field
+        rows["substitution_value"] = substitution_value
+        rows["substitution_gap"] = eigen_side - substitution_value
+    rows["identity_matrix_side"] = matrix_side
+    rows["identity_eigen_side"] = eigen_side
+    rows["identity_abs_err"] = np.abs(matrix_side - eigen_side)
+    rows["center_coupling_slack"] = j_max - center
+    return rows
+
+
 def audit_chain(chain: ChainSpec, **tolerances) -> tuple[BoundReport, ProofAudit]:
     """Certify, then measure every step of the parity-appropriate bound proof.
 
@@ -155,67 +216,26 @@ def audit_chain(chain: ChainSpec, **tolerances) -> tuple[BoundReport, ProofAudit
     cert, lam = _certify_with_spectrum(chain, **tolerances)
     if not cert.admissible:
         raise NotAdmissible(f"chain does not certify: {cert.failure}")
-    lam0 = lam - lam.mean()
-    shifted = traceless_shift(chain)
+    rows = _audit_rows(
+        chain.diagonal[None], chain.couplings[None], lam[None], np.array([cert.t0])
+    )
+    row = {key: None if value is None else value[0].item() for key, value in rows.items()}
     n = chain.n_sites
-    u = math.pi / cert.t0
-    j = chain.couplings
-    j_max = float(j.max())
-    product = j_max * cert.t0
-    bound = bound_value(n)
-    ratio = product / bound
-    gaps = -np.diff(lam0)
-    width = float(lam0[0] - lam0[-1])
-    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    lambda_min_slack = float(-(n - 1) * u / 2.0 - lam0[-1])
-    lambda_min_ok = bool(lam0[-1] <= -(n - 1) * u / 2.0 + LAMBDA_MIN_SLACK * width)
-
-    if n % 2 == 0:
-        k = n // 2
-        matrix_side = mirror_trace_h(shifted)
-        eigen_side = float(np.sum(signs * lam0))
-        half_sum_slack = matrix_side - (n / 2.0) * u
-        center = float(j[k - 1])
-        central_field = None
-        substitution_value = None
-        substitution_gap = None
-        parity = "even"
-    else:
-        c = (n - 1) // 2
-        matrix_side = mirror_trace_h2(shifted)
-        eigen_side = float(np.sum(signs * lam0 * lam0))
-        half_sum_slack = None
-        center = float(j[c - 1])
-        central_field = float(shifted.diagonal[c])
-        substitution_value = float(lam0[-1] ** 2 - u * lam0[-1])
-        substitution_gap = eigen_side - substitution_value
-        parity = "odd"
-
+    parity = "even" if n % 2 == 0 else "odd"
     report = BoundReport(
         n_sites=n,
         parity=parity,
-        j_max=j_max,
+        j_max=row["j_max"],
         t0=cert.t0,
-        product=product,
-        bound=bound,
-        ratio=ratio,
-        lambda_min_ok=lambda_min_ok,
-        central_field=central_field,
+        product=row["product"],
+        bound=bound_value(n),
+        ratio=row["ratio"],
+        lambda_min_ok=row["lambda_min_ok"],
+        central_field=row["central_field"],
     )
     audit = ProofAudit(
         parity=parity,
-        identity_matrix_side=matrix_side,
-        identity_eigen_side=eigen_side,
-        identity_abs_err=abs(matrix_side - eigen_side),
-        gap_floor_slack=float(gaps.min() - u),
-        lambda_min_slack=lambda_min_slack,
-        center_coupling_slack=j_max - center,
-        final_slack=product - bound,
-        ratio=ratio,
-        half_sum_slack=half_sum_slack,
-        central_field=central_field,
-        substitution_value=substitution_value,
-        substitution_gap=substitution_gap,
+        **{f.name: row[f.name] for f in fields(ProofAudit) if f.name != "parity"},
     )
     return report, audit
 
@@ -233,27 +253,19 @@ class ScanResult:
         return "\n".join(lines) + "\n"
 
 
-def saturation_scan(n_values, workers: int | None = None) -> ScanResult:
+def saturation_scan(n_values) -> ScanResult:
     """Audit the canonical chain for each N; failures are logged per row and
     collected, never aborting the scan."""
-    n_values = [int(n) for n in n_values]
-
-    def one(n: int):
+    reports, failures = [], []
+    for n in (int(n) for n in n_values):
         try:
             report, _ = audit_chain(canonical_chain(n))
-            return report, None
         except (PstLabError, ValueError) as exc:
             logger.warning("scan N=%d failed: %s", n, exc)
-            return None, (n, str(exc))
-
-    if workers is not None and workers > 1 and len(n_values) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one, n_values))
-    else:
-        outcomes = [one(n) for n in n_values]
-    reports = tuple(r for r, _ in outcomes if r is not None)
-    failures = tuple(f for _, f in outcomes if f is not None)
-    return ScanResult(reports=reports, failures=failures)
+            failures.append((n, str(exc)))
+        else:
+            reports.append(report)
+    return ScanResult(reports=tuple(reports), failures=tuple(failures))
 
 
 @dataclass(frozen=True)
@@ -308,8 +320,10 @@ class SearchReport:
         }
 
 
-def _witness_record(index: int, mult: np.ndarray, unit: float,
-                    chain: ChainSpec, report: BoundReport) -> dict:
+def _witness_record(index: int, mult: np.ndarray, unit: float, tolerances: dict) -> dict:
+    """The full record of one sample, rebuilt on its own."""
+    chain = synthesize(SpectrumSpec(unit=unit, multipliers=mult))
+    report, _ = audit_chain(chain, **tolerances)
     return {
         "index": index,
         "multipliers": mult.tolist(),
@@ -319,52 +333,37 @@ def _witness_record(index: int, mult: np.ndarray, unit: float,
     }
 
 
-@dataclass
-class _Partial:
-    ratios: np.ndarray            # per sample of the block; NaN where it failed
-    evaluated: int = 0
-    lambda_min_violations: int = 0
-    min_final_slack: float = math.inf
-    substitution_gap_negatives: int = 0
-    min_substitution_gap: float | None = None
-    violations: list = None
-    failures: list = None
-
-    def __post_init__(self):
-        self.violations = []
-        self.failures = []
+def _block_rows(n_sites: int) -> int:
+    """Samples per block, so that a block's working set stays under
+    BLOCK_BYTES: per sample about four (N, N) arrays (the Lanczos basis, the
+    end-weight differences and their logarithms, the dense eigensolve stack)
+    and the unit search's (MAX_RUN, N-1) candidate arrays."""
+    n = n_sites
+    return max(1, BLOCK_BYTES // (8 * (4 * n * n + 6 * MAX_RUN * n)))
 
 
-def _search_block(
-    mults: np.ndarray, indices: range, unit: float, tolerances: dict
-) -> _Partial:
-    part = _Partial(ratios=np.full(len(indices), np.nan))
-    for slot, i in enumerate(indices):
-        mult = mults[i]
-        try:
-            chain = synthesize(SpectrumSpec(unit=unit, multipliers=mult))
-            report, audit = audit_chain(chain, **tolerances)
-        except PstLabError as exc:
-            part.failures.append((i, str(exc)))
-            continue
-        part.evaluated += 1
-        part.ratios[slot] = report.ratio
-        if not report.lambda_min_ok:
-            part.lambda_min_violations += 1
-        part.min_final_slack = min(part.min_final_slack, audit.final_slack)
-        if audit.substitution_gap is not None:
-            if part.min_substitution_gap is None:
-                part.min_substitution_gap = audit.substitution_gap
-            else:
-                part.min_substitution_gap = min(
-                    part.min_substitution_gap, audit.substitution_gap
-                )
-            u = math.pi / report.t0
-            if audit.substitution_gap < -SUBSTITUTION_GAP_SLACK * u * u:
-                part.substitution_gap_negatives += 1
-        if report.ratio < 1.0 - RATIO_SLACK:
-            part.violations.append(_witness_record(i, mult, unit, chain, report))
-    return part
+def _audit_block(mults: np.ndarray, start: int, unit: float, tolerances: dict):
+    """Synthesize, certify and audit one block of multiplier rows.
+
+    Returns the sample indices that were audited, their transfer times, their
+    audit rows (see _audit_rows), and (index, message) for each sample that
+    failed, in sample order.
+    """
+    index = np.arange(start, start + len(mults))
+    diagonal, couplings, errors = _synthesize_rows(_expand_rows(unit, mults))
+    failed = {int(i): str(exc) for i, exc in zip(index, errors) if exc is not None}
+    kept = np.array([exc is None for exc in errors], dtype=bool)
+    index, diagonal, couplings = index[kept], diagonal[kept], couplings[kept]
+    _check_rows(diagonal, couplings)
+    cert = _certify_rows(diagonal, couplings, **tolerances)
+    for i, exc, verdict in zip(index, cert.errors, cert.failure):
+        if exc is not None:
+            failed[int(i)] = str(exc)
+        elif verdict is not None:
+            failed[int(i)] = f"chain does not certify: {verdict}"
+    ok = cert.admissible
+    audit = _audit_rows(diagonal[ok], couplings[ok], cert.eigenvalues[ok], cert.t0[ok])
+    return index[ok], cert.t0[ok], audit, sorted(failed.items())
 
 
 def falsify_search(
@@ -374,69 +373,65 @@ def falsify_search(
     seed: int,
     *,
     unit: float = 1.0,
-    workers: int | None = None,
     **tolerances,
 ) -> SearchReport:
     """Stress the bound on `samples` random admissible spectra.
 
     All multipliers are drawn in one batch from default_rng(seed), so the
-    corpus depends only on the seed; sharded execution merges by ordered
-    reduction and returns results byte-identical to the serial run for any
-    worker count.  The witness is chosen after the merge, from the ratios of
-    all samples: the lowest sample index whose ratio is within RATIO_SLACK of
-    the minimum.  A substitution gap counts as negative only below
-    -SUBSTITUTION_GAP_SLACK * (pi/t0)^2, so the count does not depend on the
-    sign of roundoff.
+    corpus depends only on the seed.  Samples are synthesized, certified and
+    audited in blocks whose working set stays under BLOCK_BYTES; every
+    sample's numbers are those of a batch of one.  A sample that fails is
+    recorded as (index, message) and the others go on.  The witness is chosen
+    from the ratios of all samples: the lowest sample index whose ratio is
+    within RATIO_SLACK of the minimum, rebuilt on its own.  A substitution
+    gap counts as negative only below -SUBSTITUTION_GAP_SLACK * (pi/t0)^2,
+    so the count does not depend on the sign of roundoff.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if n_sites < 2:
+        raise ValueError("n_sites must be >= 2")
+    if not (math.isfinite(unit) and unit > 0):
+        raise ValueError("unit must be finite and > 0")
     rng = np.random.default_rng(seed)
     mults = draw_multipliers(rng, n_sites, max_multiplier, count=samples)
 
-    if workers is None:
-        workers = max(int(os.environ.get("PSTLAB_THREADS", "1")), 1)
-    if workers > 1 and samples > 1:
-        block = (samples + workers - 1) // workers
-        ranges = [
-            range(lo, min(lo + block, samples))
-            for lo in range(0, samples, block)
-        ]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    lambda r: _search_block(mults, r, unit, tolerances), ranges
-                )
-            )
-    else:
-        parts = [_search_block(mults, range(samples), unit, tolerances)]
-
-    merged = _Partial(ratios=np.concatenate([p.ratios for p in parts]))
-    for part in parts:          # parts arrive in sample-index order
-        merged.evaluated += part.evaluated
-        merged.lambda_min_violations += part.lambda_min_violations
-        merged.min_final_slack = min(merged.min_final_slack, part.min_final_slack)
-        merged.substitution_gap_negatives += part.substitution_gap_negatives
-        if part.min_substitution_gap is not None:
-            if merged.min_substitution_gap is None:
-                merged.min_substitution_gap = part.min_substitution_gap
-            else:
-                merged.min_substitution_gap = min(
-                    merged.min_substitution_gap, part.min_substitution_gap
-                )
-        merged.violations.extend(part.violations)
-        merged.failures.extend(part.failures)
-
-    min_ratio, min_ratio_index, witness = math.inf, -1, {}
-    if merged.evaluated:
-        min_ratio = float(np.nanmin(merged.ratios))
-        min_ratio_index = int(
-            np.flatnonzero(merged.ratios <= min_ratio + RATIO_SLACK)[0]
+    ratios = np.full(samples, np.nan)
+    evaluated = lambda_min_violations = substitution_gap_negatives = 0
+    min_final_slack, min_substitution_gap = math.inf, None
+    failures = []
+    block = _block_rows(n_sites)
+    for start in range(0, samples, block):
+        index, t0, audit, failed = _audit_block(
+            mults[start : start + block], start, unit, tolerances
         )
-        # blocks keep only ratios, so rebuild the one chain the witness needs
-        mult = mults[min_ratio_index]
-        chain = synthesize(SpectrumSpec(unit=unit, multipliers=mult))
-        report, _ = audit_chain(chain, **tolerances)
-        witness = _witness_record(min_ratio_index, mult, unit, chain, report)
+        failures += failed
+        if not index.size:
+            continue
+        evaluated += index.size
+        ratios[index] = audit["ratio"]
+        lambda_min_violations += int((~audit["lambda_min_ok"]).sum())
+        min_final_slack = min(min_final_slack, float(audit["final_slack"].min()))
+        gap = audit["substitution_gap"]
+        if gap is not None:
+            u = math.pi / t0
+            substitution_gap_negatives += int(
+                (gap < -SUBSTITUTION_GAP_SLACK * u * u).sum()
+            )
+            low = float(gap.min())
+            min_substitution_gap = (
+                low if min_substitution_gap is None else min(min_substitution_gap, low)
+            )
+
+    violations = tuple(
+        _witness_record(int(i), mults[i], unit, tolerances)
+        for i in np.flatnonzero(ratios < 1.0 - RATIO_SLACK)
+    )
+    min_ratio, min_ratio_index, witness = math.inf, -1, {}
+    if evaluated:
+        min_ratio = float(np.nanmin(ratios))
+        min_ratio_index = int(np.flatnonzero(ratios <= min_ratio + RATIO_SLACK)[0])
+        witness = _witness_record(min_ratio_index, mults[min_ratio_index], unit, tolerances)
 
     return SearchReport(
         n_sites=n_sites,
@@ -444,14 +439,14 @@ def falsify_search(
         max_multiplier=max_multiplier,
         unit=unit,
         seed=seed,
-        evaluated=merged.evaluated,
+        evaluated=evaluated,
         min_ratio=min_ratio,
         min_ratio_index=min_ratio_index,
         witness=witness,
-        lambda_min_violations=merged.lambda_min_violations,
-        min_final_slack=merged.min_final_slack,
-        substitution_gap_negatives=merged.substitution_gap_negatives,
-        min_substitution_gap=merged.min_substitution_gap,
-        violations=tuple(merged.violations),
-        failures=tuple(merged.failures),
+        lambda_min_violations=lambda_min_violations,
+        min_final_slack=min_final_slack,
+        substitution_gap_negatives=substitution_gap_negatives,
+        min_substitution_gap=min_substitution_gap,
+        violations=violations,
+        failures=tuple(failures),
     )

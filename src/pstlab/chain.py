@@ -40,10 +40,18 @@ def _readonly_float_array(values, name: str) -> np.ndarray:
     arr = np.array(values, dtype=float, copy=True)
     if arr.ndim != 1:
         raise ValueError(f"field '{name}' must be one-dimensional")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"field '{name}' contains non-finite entries")
     arr.setflags(write=False)
     return arr
+
+
+def _check_rows(diagonal: np.ndarray, couplings: np.ndarray) -> None:
+    """The value checks of ChainSpec, on one chain's fields or on stacked
+    rows of them: every entry finite and every coupling > 0."""
+    for arr, name in ((diagonal, "B"), (couplings, "J")):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"field '{name}' contains non-finite entries")
+    if not (couplings > 0).all():
+        raise ValueError("field 'J' must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -63,8 +71,7 @@ class ChainSpec:
             raise ValueError(
                 f"field 'J' must have length N-1 (got {j.size}, N={b.size})"
             )
-        if not np.all(j > 0):
-            raise ValueError("field 'J' must be strictly positive")
+        _check_rows(b, j)
         object.__setattr__(self, "diagonal", b)
         object.__setattr__(self, "couplings", j)
 
@@ -133,19 +140,27 @@ class MirrorOperator:
         return s
 
 
+def _mirror_symmetric_rows(
+    diagonal: np.ndarray, couplings: np.ndarray, tol: float = 1e-10
+) -> np.ndarray:
+    """is_mirror_symmetric per row of stacked fields (S, N) and (S, N-1)."""
+    scale = np.maximum(np.abs(diagonal).max(axis=1), np.abs(couplings).max(axis=1))
+    asym = np.maximum(
+        np.abs(diagonal - diagonal[:, ::-1]).max(axis=1),
+        np.abs(couplings - couplings[:, ::-1]).max(axis=1),
+    )
+    return asym <= tol * np.maximum(scale, 1.0)
+
+
 def is_mirror_symmetric(chain: ChainSpec, tol: float = 1e-10) -> bool:
     """True when B and J are palindromes to a relative tolerance.
 
     The deviation is measured against max(|B|_inf, |J|_inf, 1), so exact
     zeros on the diagonal are compared absolutely against tol * (scale of J).
     """
-    b, j = chain.diagonal, chain.couplings
-    scale = max(np.abs(b).max(), np.abs(j).max(), 1.0)
-    asym = max(
-        np.abs(b - b[::-1]).max(),
-        np.abs(j - j[::-1]).max(),
+    return bool(
+        _mirror_symmetric_rows(chain.diagonal[None], chain.couplings[None], tol)[0]
     )
-    return bool(asym <= tol * scale)
 
 
 def traceless_shift(chain: ChainSpec) -> ChainSpec:

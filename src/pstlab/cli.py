@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -35,13 +34,6 @@ class _Parser(argparse.ArgumentParser):
     # admissible"; argparse's default usage-error exit would collide with it.
     def error(self, message):
         raise _UsageError(message)
-
-
-def _workers() -> int:
-    try:
-        return max(int(os.environ.get("PSTLAB_THREADS", "1")), 1)
-    except ValueError:
-        raise _UsageError("PSTLAB_THREADS must be an integer") from None
 
 
 def _load_json(path: str) -> dict:
@@ -204,7 +196,7 @@ def cmd_scan(args) -> int:
     n_values = _parse_range(args.n)
     if min(n_values) < 2:
         raise _UsageError("--n values must be >= 2")
-    result = bounds.saturation_scan(n_values, workers=_workers())
+    result = bounds.saturation_scan(n_values)
     for report in result.reports:
         print(f"scan N={report.n_sites}: ratio={report.ratio:.12g}", file=sys.stderr)
     for n, reason in result.failures:
@@ -228,9 +220,7 @@ def cmd_search(args) -> int:
         f"search N={n} samples={args.samples} cap={args.cap} seed={args.seed}",
         file=sys.stderr,
     )
-    report = bounds.falsify_search(
-        n, args.samples, args.cap, args.seed, workers=_workers()
-    )
+    report = bounds.falsify_search(n, args.samples, args.cap, args.seed)
     print(
         f"min ratio {report.min_ratio:.12g} at sample {report.min_ratio_index}; "
         f"{len(report.violations)} violation(s), "

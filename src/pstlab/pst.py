@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, is_mirror_symmetric
-from .eigensolve import classify_parity, decompose, eigenvalues_only
+from .chain import ChainSpec, _mirror_symmetric_rows, is_mirror_symmetric
+from .eigensolve import _eigenvalues_rows, classify_parity, decompose
 from .errors import MultiplierOverflow
 
 __all__ = [
@@ -37,6 +37,7 @@ GAP_REL_TOL = 1e-9       # |g_n - m_n u| <= tol * g_n per gap
 SYMMETRY_TOL = 1e-10
 PHASE_TOL = 1e-8         # |e^{-i lambda t0} - sigma e^{i phi}| acceptance
 MAX_MULTIPLIER = 999
+MAX_RUN = 32             # odd multipliers tried at once per row in the unit search
 
 
 @dataclass(frozen=True)
@@ -71,78 +72,151 @@ class PstCertificate:
         }
 
 
-def _principal_phase(x: float) -> float:
-    """Map x to (-pi, pi]."""
+def _principal_phase(x: np.ndarray) -> np.ndarray:
+    """Map x to (-pi, pi], elementwise."""
     y = (x + math.pi) % (2.0 * math.pi) - math.pi
-    return math.pi if y == -math.pi else y
+    return np.where(y == -math.pi, math.pi, y)
 
 
-def _minimal_unit(gaps: np.ndarray, cap: int, rel_tol: float):
-    """Largest u with all gaps odd multiples of u within rel_tol, as
-    (u, multipliers, max_residual); None if no such unit exists.  Raises
-    MultiplierOverflow when a candidate is consistent except that some
-    multiplier exceeds the cap."""
-    g_min = gaps.min()
-    overflow = False
-    for m in range(1, cap + 1, 2):
-        u = g_min / m
-        mult = np.rint(gaps / u).astype(np.int64)
-        resid = np.abs(gaps - mult * u)
-        ok = (mult >= 1) & (mult % 2 == 1) & (resid <= rel_tol * gaps)
-        if not ok.all():
+def _minimal_unit_rows(gaps: np.ndarray, cap: int, rel_tol: float):
+    """Per row of positive gaps (S, N-1): the largest u with all gaps odd
+    multiples of u within rel_tol, as (u, multipliers, max_residual,
+    overflow).  u is NaN where no unit fits; overflow marks the rows where a
+    candidate was consistent except that some multiplier exceeded the cap.
+
+    Candidates u = g_min/m go by ascending odd m, in runs of 1, 2, 4, ...,
+    MAX_RUN candidates; a row leaves the loop with its first valid unit, so
+    a row that validates early costs a few runs and one with no valid unit
+    costs about cap / (2 MAX_RUN) runs, not one pass per candidate.
+    """
+    s = gaps.shape[0]
+    unit = np.full(s, np.nan)
+    mult = np.zeros(gaps.shape, dtype=np.int64)
+    max_resid = np.full(s, np.nan)
+    overflow = np.zeros(s, dtype=bool)
+    odd = np.arange(1, cap + 1, 2)
+    active = np.arange(s)
+    g = gaps[:, None, :]                                      # (a, 1, N-1)
+    g_min, tol = g.min(axis=2), rel_tol * g
+    start, run = 0, 1
+    while active.size and start < odd.size:
+        u = g_min / odd[start : start + run]                  # (a, run)
+        q = np.rint(g / u[:, :, None])
+        resid = np.abs(g - q * u[:, :, None])
+        ok = ((q % 2 == 1) & (resid <= tol)).all(axis=2)
+        over = ok & (q > cap).any(axis=2)
+        overflow[active] |= over.any(axis=1)
+        valid = ok & ~over
+        done = valid.any(axis=1)
+        start, run = start + run, min(2 * run, MAX_RUN)
+        if not done.any():
             continue
-        if (mult > cap).any():
-            overflow = True
-            continue
-        return u, mult, float((resid / gaps).max())
-    if overflow:
-        raise MultiplierOverflow(
-            f"gaps are commensurate only with an odd multiplier beyond "
-            f"{cap}; raise the cap or treat the spectrum as incommensurate"
-        )
-    return None
+        first = valid.argmax(axis=1)[done]
+        rows = active[done]
+        unit[rows] = u[done, first]
+        mult[rows] = q[done, first]
+        max_resid[rows] = (resid[done, first] / g[done, 0]).max(axis=1)
+        if done.all():
+            break
+        keep = ~done
+        active, g, g_min, tol = active[keep], g[keep], g_min[keep], tol[keep]
+    return unit, mult, max_resid, overflow
 
 
-def _certify_with_spectrum(
-    chain: ChainSpec,
+@dataclass(frozen=True)
+class _CertifiedRows:
+    """certify per row of stacked chains.  A row is admissible where t0 is
+    not NaN; otherwise `failure` holds its verdict, or `errors` the
+    PstLabError that certify raises for it."""
+
+    eigenvalues: np.ndarray   # (S, N) descending; NaN where not solved
+    t0: np.ndarray            # (S,), NaN unless admissible
+    phi: np.ndarray           # (S,)
+    multipliers: np.ndarray   # (S, N-1) int64, zero unless admissible
+    max_residual: np.ndarray  # (S,)
+    failure: list             # "asymmetry" | "no-common-odd-unit" | None
+    errors: list              # EigensolveError | MultiplierOverflow | None
+
+    @property
+    def admissible(self) -> np.ndarray:
+        return ~np.isnan(self.t0)
+
+
+def _certify_rows(
+    diagonal: np.ndarray,
+    couplings: np.ndarray,
     *,
     gap_rel_tol: float = GAP_REL_TOL,
     symmetry_tol: float = SYMMETRY_TOL,
     phase_tol: float = PHASE_TOL,
     max_multiplier: int = MAX_MULTIPLIER,
-) -> tuple[PstCertificate, np.ndarray | None]:
-    """certify() plus the computed spectrum, so audits reuse the solve."""
+) -> _CertifiedRows:
+    """certify for stacked fields (S, N) and (S, N-1)."""
     if max_multiplier < 1 or max_multiplier % 2 == 0:
         raise ValueError("max_multiplier must be odd and >= 1")
-    if not is_mirror_symmetric(chain, tol=symmetry_tol):
-        return PstCertificate(admissible=False, failure="asymmetry"), None
-    lam = eigenvalues_only(chain)
-    gaps = -np.diff(lam)
-    found = _minimal_unit(gaps, max_multiplier, gap_rel_tol)
-    if found is None:
-        return (
-            PstCertificate(admissible=False, failure="no-common-odd-unit"),
-            lam,
-        )
-    u, mult, max_resid = found
-    t0 = math.pi / u
-    phi = _principal_phase(-lam[0] * t0)
+    s, n = diagonal.shape
+    lam = np.full((s, n), np.nan)
+    t0, phi, max_resid = np.full(s, np.nan), np.full(s, np.nan), np.full(s, np.nan)
+    mult = np.zeros((s, n - 1), dtype=np.int64)
+    failure, errors = [None] * s, [None] * s
+
+    symmetric = _mirror_symmetric_rows(diagonal, couplings, symmetry_tol)
+    for row in np.flatnonzero(~symmetric):
+        failure[row] = "asymmetry"
+    rows = np.flatnonzero(symmetric)
+    lam[rows], solve_errors = _eigenvalues_rows(diagonal[rows], couplings[rows])
+    for row, exc in zip(rows, solve_errors):
+        errors[row] = exc
+    rows = rows[[exc is None for exc in solve_errors]]
+
+    unit, found, resid, overflow = _minimal_unit_rows(
+        -np.diff(lam[rows], axis=1), max_multiplier, gap_rel_tol
+    )
+    fits = ~np.isnan(unit)
+    for row, over in zip(rows[~fits], overflow[~fits]):
+        if over:
+            errors[row] = MultiplierOverflow(
+                f"gaps are commensurate only with an odd multiplier beyond "
+                f"{max_multiplier}; raise the cap or treat the spectrum as incommensurate"
+            )
+        else:
+            failure[row] = "no-common-odd-unit"
+    rows, found, resid = rows[fits], found[fits], resid[fits]
+    times = math.pi / unit[fits]
+    spectra = lam[rows]
+    phases = _principal_phase(-spectra[:, 0] * times)
     # the unit must also reproduce the phase condition
     # e^{-i lambda_n t0} = (-1)^{n+1} e^{i phi}; residual accumulation across
     # gaps can break it even when each gap passes individually.
-    signs = np.where(np.arange(lam.size) % 2 == 0, 1.0, -1.0)
-    deviation = np.abs(np.exp(-1j * lam * t0) - signs * np.exp(1j * phi)).max()
-    if deviation > phase_tol:
-        return (
-            PstCertificate(admissible=False, failure="no-common-odd-unit"),
-            lam,
-        )
+    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    deviation = np.abs(
+        np.exp(-1j * spectra * times[:, None]) - signs * np.exp(1j * phases)[:, None]
+    ).max(axis=1)
+    for row in rows[deviation > phase_tol]:
+        failure[row] = "no-common-odd-unit"
+    ok = deviation <= phase_tol
+    rows = rows[ok]
+    t0[rows], phi[rows] = times[ok], phases[ok]
+    mult[rows], max_resid[rows] = found[ok], resid[ok]
+    return _CertifiedRows(lam, t0, phi, mult, max_resid, failure, errors)
+
+
+def _certify_with_spectrum(chain: ChainSpec, **tolerances):
+    """certify() plus the computed spectrum (None when the chain is not
+    mirror-symmetric), so audits reuse the solve."""
+    rows = _certify_rows(chain.diagonal[None], chain.couplings[None], **tolerances)
+    if rows.errors[0] is not None:
+        raise rows.errors[0]
+    failure = rows.failure[0]
+    lam = None if failure == "asymmetry" else rows.eigenvalues[0]
+    if failure is not None:
+        return PstCertificate(admissible=False, failure=failure), lam
     cert = PstCertificate(
         admissible=True,
-        t0=t0,
-        phi=phi,
-        multipliers=mult,
-        max_residual=max_resid,
+        t0=float(rows.t0[0]),
+        phi=float(rows.phi[0]),
+        multipliers=rows.multipliers[0],
+        max_residual=float(rows.max_residual[0]),
     )
     return cert, lam
 

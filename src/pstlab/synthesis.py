@@ -8,7 +8,8 @@ reciprocals of the characteristic-polynomial derivative magnitudes).  Running
 Lanczos on diag(lambda) with start vector (a_1, ..., a_N) then produces the
 chain's B as the alpha coefficients and J as the beta coefficients.  Products
 of gaps overflow fast, so the weights are accumulated in log space with a
-shared shift before exponentiation.
+shared shift before exponentiation.  The work runs on stacked spectra, one
+row per chain; `synthesize` is the batch of one.
 """
 from __future__ import annotations
 
@@ -89,10 +90,7 @@ class SpectrumSpec:
         form: cumulative gap sums, shifted to zero mean)."""
         if self.eigenvalues is not None:
             return self.eigenvalues.copy()
-        tails = np.concatenate(
-            [np.cumsum(self.multipliers[::-1])[::-1], [0]]
-        ).astype(float) * self.unit
-        return tails - tails.mean()
+        return _expand_rows(self.unit, self.multipliers[None])[0]
 
     @classmethod
     def from_dict(cls, data: dict) -> "SpectrumSpec":
@@ -116,13 +114,75 @@ class SpectrumSpec:
         return {"unit": self.unit, "multipliers": self.multipliers.tolist()}
 
 
+def _expand_rows(unit: float, multipliers: np.ndarray) -> np.ndarray:
+    """SpectrumSpec.expand for stacked multiplier rows (S, N-1): the
+    traceless spectra (S, N) with consecutive gaps multipliers * unit."""
+    s = multipliers.shape[0]
+    tails = np.concatenate(
+        [np.cumsum(multipliers[:, ::-1], axis=1)[:, ::-1], np.zeros((s, 1), np.int64)],
+        axis=1,
+    ).astype(float) * unit
+    return tails - tails.mean(axis=1, keepdims=True)
+
+
 def _end_weights(lam: np.ndarray) -> np.ndarray:
-    diff = lam[:, None] - lam[None, :]
-    np.fill_diagonal(diff, 1.0)
-    logw = -np.log(np.abs(diff)).sum(axis=1)
-    logw -= logw.max()
+    """End weights a_n^2 per row of descending spectra (S, N)."""
+    diff = lam[:, :, None] - lam[:, None, :]
+    sites = np.arange(lam.shape[1])
+    diff[:, sites, sites] = 1.0
+    logw = -np.log(np.abs(diff)).sum(axis=2)
+    logw -= logw.max(axis=1, keepdims=True)
     w = np.exp(logw)
-    return w / w.sum()
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def _synthesize_rows(lam: np.ndarray):
+    """synthesize for stacked descending spectra (S, N).
+
+    Returns (diagonal (S, N), couplings (S, N-1), errors): errors[r] is the
+    NumericalBreakdown of row r, or None; the fields of a broken row are
+    meaningless.  Every row runs the same arithmetic as a batch of one, so a
+    row's chain does not depend on the other rows of its batch.
+    """
+    s, n = lam.shape
+    if n > SAFE_SIZE:
+        warnings.warn(
+            f"synthesis at N={n} > {SAFE_SIZE} may lose accuracy in double precision",
+            stacklevel=3,
+        )
+    floor = BREAKDOWN_TOL * (lam[:, 0] - lam[:, -1])
+
+    # Lanczos on diag(lambda), full reorthogonalization (two passes) per step.
+    basis = np.zeros((s, n, n))
+    basis[:, 0] = np.sqrt(_end_weights(lam))
+    alpha = np.zeros((s, n))
+    beta = np.zeros((s, n - 1))
+    for k in range(n):
+        q = basis[:, k]
+        r = lam * q
+        alpha[:, k] = (q * r).sum(axis=1)
+        r -= alpha[:, k, None] * q
+        if k:
+            r -= beta[:, k - 1, None] * basis[:, k - 1]
+        done = basis[:, : k + 1]
+        row = r[:, None, :]
+        for _ in range(2):
+            row -= (row @ done.transpose(0, 2, 1)) @ done
+        if k < n - 1:
+            beta[:, k] = np.sqrt((r * r).sum(axis=1))
+            # a broken row divides by the floor instead; its fields are dropped
+            basis[:, k + 1] = r / np.maximum(beta[:, k], floor)[:, None]
+
+    errors = [None] * s
+    broken = beta <= floor[:, None]
+    for row in np.flatnonzero(broken.any(axis=1)):
+        k = int(broken[row].argmax())
+        errors[row] = NumericalBreakdown(
+            f"Lanczos off-diagonal {beta[row, k]:.3e} at step {k + 1} "
+            f"underflowed {BREAKDOWN_TOL:.1e} * width; spectrum too "
+            "close to degenerate"
+        )
+    return alpha, beta, errors
 
 
 def synthesize(spectrum: SpectrumSpec | np.ndarray) -> ChainSpec:
@@ -136,39 +196,10 @@ def synthesize(spectrum: SpectrumSpec | np.ndarray) -> ChainSpec:
     """
     if not isinstance(spectrum, SpectrumSpec):
         spectrum = SpectrumSpec(eigenvalues=spectrum)
-    lam = spectrum.expand()
-    n = lam.size
-    if n > SAFE_SIZE:
-        warnings.warn(
-            f"synthesis at N={n} > {SAFE_SIZE} may lose accuracy in double precision",
-            stacklevel=2,
-        )
-    width = lam[0] - lam[-1]
-    q = np.sqrt(_end_weights(lam))
-
-    # Lanczos on diag(lambda), full reorthogonalization (two passes) per step.
-    basis = np.zeros((n, n))
-    basis[0] = q
-    alpha = np.zeros(n)
-    beta = np.zeros(n - 1)
-    for k in range(n):
-        r = lam * basis[k]
-        alpha[k] = basis[k] @ r
-        r -= alpha[k] * basis[k]
-        if k:
-            r -= beta[k - 1] * basis[k - 1]
-        for _ in range(2):
-            r -= basis[: k + 1].T @ (basis[: k + 1] @ r)
-        if k < n - 1:
-            beta[k] = np.linalg.norm(r)
-            if beta[k] <= BREAKDOWN_TOL * width:
-                raise NumericalBreakdown(
-                    f"Lanczos off-diagonal {beta[k]:.3e} at step {k + 1} "
-                    f"underflowed {BREAKDOWN_TOL:.1e} * width; spectrum too "
-                    "close to degenerate"
-                )
-            basis[k + 1] = r / beta[k]
-    return ChainSpec(diagonal=alpha, couplings=beta)
+    diagonal, couplings, errors = _synthesize_rows(spectrum.expand()[None])
+    if errors[0] is not None:
+        raise errors[0]
+    return ChainSpec(diagonal=diagonal[0], couplings=couplings[0])
 
 
 def canonical_chain(n_sites: int, family: str = "equally-spaced") -> ChainSpec:

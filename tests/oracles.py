@@ -80,6 +80,36 @@ def exact_substitution_gap(multipliers) -> int:
     return alternating - scaled[-1] ** 2 + n * scaled[-1]
 
 
+def lanczos_chain(lam) -> tuple[np.ndarray, np.ndarray]:
+    """(B, J) of the mirror-symmetric chain with descending spectrum `lam`,
+    one spectrum at a time: end weights a_n^2 proportional to
+    1 / prod_{m != n} |lambda_n - lambda_m| (in log space), then Lanczos on
+    diag(lambda) from (a_1, ..., a_N) with two passes of full
+    reorthogonalization per step."""
+    lam = np.asarray(lam, dtype=float)
+    n = lam.size
+    diff = lam[:, None] - lam[None, :]
+    np.fill_diagonal(diff, 1.0)
+    logw = -np.log(np.abs(diff)).sum(axis=1)
+    w = np.exp(logw - logw.max())
+    basis = np.zeros((n, n))
+    basis[0] = np.sqrt(w / w.sum())
+    alpha = np.zeros(n)
+    beta = np.zeros(n - 1)
+    for k in range(n):
+        r = lam * basis[k]
+        alpha[k] = basis[k] @ r
+        r -= alpha[k] * basis[k]
+        if k:
+            r -= beta[k - 1] * basis[k - 1]
+        for _ in range(2):
+            r -= basis[: k + 1].T @ (basis[: k + 1] @ r)
+        if k < n - 1:
+            beta[k] = np.linalg.norm(r)
+            basis[k + 1] = r / beta[k]
+    return alpha, beta
+
+
 def expm_fidelity(diagonal, couplings, times) -> np.ndarray:
     """|<N| exp(-i h t) |1>| from the matrix exponential itself."""
     h = dense_hamiltonian(diagonal, couplings)

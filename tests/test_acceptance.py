@@ -115,7 +115,7 @@ def test_criterion_6_falsification_suite(falsify_reports):
     ok = min_ratio >= 1.0 - 1e-9 and n_violations == 0 and elapsed < 60.0
     report_line(6, ok, f"8x10^4 spectra (N=2..9, cap 9): min ratio "
                        f"{min_ratio:.15f}, {n_violations} violation(s), "
-                       f"{elapsed:.1f}s (limit 60s)")
+                       f"{elapsed:.2f}s (limit 60s)")
     assert min_ratio >= 1.0 - 1e-9
     assert n_violations == 0
     assert elapsed < 60.0

@@ -1,14 +1,15 @@
 """Speed-bound values, the per-step audit, the scan, and the falsifier."""
-import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import exact_substitution_gap
+from oracles import exact_substitution_gap, lanczos_chain
 
 import pstlab.bounds
+import pstlab.eigensolve
 from pstlab import (
     ChainSpec,
     MultiplierOverflow,
@@ -22,8 +23,13 @@ from pstlab import (
     saturation_scan,
     synthesize,
 )
-from pstlab.bounds import SCAN_CSV_HEADER
-from pstlab.synthesis import draw_multipliers
+from pstlab.bounds import (
+    BLOCK_BYTES,
+    SCAN_CSV_HEADER,
+    SUBSTITUTION_GAP_SLACK,
+    _audit_block,
+)
+from pstlab.synthesis import _expand_rows, _synthesize_rows, draw_multipliers
 
 
 class TestBoundValue:
@@ -131,11 +137,6 @@ class TestSaturationScan:
         for r in result.reports:
             assert r.ratio == pytest.approx(1.0, abs=1e-11)
 
-    def test_workers_do_not_change_the_table(self):
-        serial = saturation_scan(range(2, 10))
-        threaded = saturation_scan(range(2, 10), workers=4)
-        assert serial.to_csv() == threaded.to_csv()
-
     def test_csv_shape(self):
         text = saturation_scan([2, 3]).to_csv()
         lines = text.strip().split("\n")
@@ -164,13 +165,6 @@ class TestFalsifySearch:
             b.to_dict(), sort_keys=True
         )
 
-    def test_workers_preserve_the_report(self):
-        serial = falsify_search(5, 400, 9, seed=8, workers=1)
-        sharded = falsify_search(5, 400, 9, seed=8, workers=4)
-        assert json.dumps(serial.to_dict(), sort_keys=True) == json.dumps(
-            sharded.to_dict(), sort_keys=True
-        )
-
     def test_frozen_small_run(self):
         report = falsify_search(5, 500, 9, seed=3)
         assert report.evaluated == 500
@@ -188,33 +182,67 @@ class TestFalsifySearch:
         assert report.min_final_slack >= -1e-9
 
     def test_roundoff_gaps_are_not_negatives(self, monkeypatch):
-        real = pstlab.bounds.audit_chain
+        real = pstlab.bounds._audit_rows
         for scale, expected in ((-0.5e-9, 0), (-2e-9, 20)):
-            def pinned(chain, scale=scale, **kw):
-                report, audit = real(chain, **kw)
-                gap = scale * (math.pi / report.t0) ** 2
-                return report, dataclasses.replace(audit, substitution_gap=gap)
+            def pinned(diagonal, couplings, lam, t0, scale=scale):
+                rows = real(diagonal, couplings, lam, t0)
+                rows["substitution_gap"] = scale * (math.pi / t0) ** 2
+                return rows
 
-            monkeypatch.setattr(pstlab.bounds, "audit_chain", pinned)
+            monkeypatch.setattr(pstlab.bounds, "_audit_rows", pinned)
             report = falsify_search(3, 20, 5, seed=9)
             assert report.substitution_gap_negatives == expected
 
     def test_near_tied_witness_is_the_lowest_index(self, monkeypatch):
         # every two-site sample saturates; lower each ratio by far less than
         # RATIO_SLACK, most for the narrowest gap; sample 0 has the widest
-        real = pstlab.bounds.audit_chain
+        real = pstlab.bounds._audit_rows
 
-        def nudged(chain, **kw):
-            report, audit = real(chain, **kw)
-            ratio = report.ratio - 1e-12 * report.t0
-            return dataclasses.replace(report, ratio=ratio), audit
+        def nudged(diagonal, couplings, lam, t0):
+            rows = real(diagonal, couplings, lam, t0)
+            rows["ratio"] = rows["ratio"] - 1e-12 * t0
+            return rows
 
-        monkeypatch.setattr(pstlab.bounds, "audit_chain", nudged)
-        for workers in (1, 4):
-            report = falsify_search(2, 40, 9, seed=2, workers=workers)
-            assert report.min_ratio_index == 0
-            assert report.witness["index"] == 0
-            assert report.min_ratio < report.witness["report"]["ratio"]
+        monkeypatch.setattr(pstlab.bounds, "_audit_rows", nudged)
+        report = falsify_search(2, 40, 9, seed=2)
+        assert report.min_ratio_index == 0
+        assert report.witness["index"] == 0
+        assert report.min_ratio < report.witness["report"]["ratio"]
+
+    def test_failing_sample_is_isolated(self, monkeypatch):
+        # give the clean run's witness sample a tied eigenvalue pair in the
+        # block's eigensolve; that sample alone fails, the rest are unchanged
+        n, samples, cap, seed = 5, 60, 9, 4
+        mults = draw_multipliers(np.random.default_rng(seed), n, cap, count=samples)
+        bad = falsify_search(n, samples, cap, seed).min_ratio_index
+        real = pstlab.eigensolve._eigvalsh_rows
+
+        def tied(diagonal, couplings, errors):
+            lam = real(diagonal, couplings, errors)
+            if len(lam) == samples:
+                lam[bad, 1] = lam[bad, 0]
+            return lam
+
+        monkeypatch.setattr(pstlab.eigensolve, "_eigvalsh_rows", tied)
+        report = falsify_search(n, samples, cap, seed)
+        assert report.failures == ((bad, (
+            "degenerate or unordered eigenvalues from the solver; "
+            "a Jacobi matrix must have simple spectrum"
+        )),)
+        assert report.evaluated == samples - 1
+        assert report.min_ratio_index != bad
+        assert report.witness["index"] != bad
+
+        monkeypatch.setattr(pstlab.eigensolve, "_eigvalsh_rows", real)
+        monkeypatch.setattr(pstlab.bounds, "draw_multipliers",
+                            lambda *args, **kw: np.delete(mults, bad, axis=0))
+        rest = falsify_search(n, samples - 1, cap, seed)
+        for key in ("min_ratio", "lambda_min_violations", "min_final_slack",
+                    "substitution_gap_negatives", "min_substitution_gap",
+                    "violations"):
+            assert getattr(report, key) == getattr(rest, key), key
+        shifted = rest.min_ratio_index + (rest.min_ratio_index >= bad)
+        assert report.min_ratio_index == shifted
 
     def test_witness_is_reloadable(self):
         report = falsify_search(3, 50, 5, seed=1)
@@ -245,3 +273,51 @@ class TestFalsifySearch:
             assert key in d
         assert d["N"] == 3
         assert d["samples"] == 20
+
+
+class TestBatchedCore:
+    """The block path of falsify_search against one-sample references."""
+
+    def test_rows_match_the_per_sample_reference(self):
+        rng = np.random.default_rng(11)
+        count = 30
+        for n in range(2, 17):
+            mults = draw_multipliers(rng, n, 9, count=count)
+            tails = np.cumsum(rng.uniform(1.0, 100.0, (count, n - 1))[:, ::-1], axis=1)
+            raw = np.concatenate([tails[:, ::-1], np.zeros((count, 1))], axis=1)
+            raw *= rng.uniform(0.05, 5.0, (count, 1))
+            for lam in (_expand_rows(1.0, mults), raw):
+                diagonal, couplings, errors = _synthesize_rows(lam)
+                assert errors == [None] * count
+                for row in range(count):
+                    ref_b, ref_j = lanczos_chain(lam[row])
+                    tol = 1e-12 * (lam[row, 0] - lam[row, -1])
+                    assert np.abs(diagonal[row] - ref_b).max() <= tol
+                    assert np.abs(couplings[row] - ref_j).max() <= tol
+
+            index, t0, audit, failed = _audit_block(mults, 0, 1.0, {})
+            assert failed == [] and index.tolist() == list(range(count))
+            u = math.pi / t0
+            for row in range(count):
+                chain = synthesize(SpectrumSpec(unit=1.0, multipliers=mults[row]))
+                report, single = audit_chain(chain)
+                assert audit["ratio"][row] == pytest.approx(report.ratio, rel=1e-12, abs=0)
+                if n % 2 == 0:
+                    assert audit["substitution_gap"] is None
+                    continue
+                gap = audit["substitution_gap"][row]
+                assert abs(gap - single.substitution_gap) <= 1e-9 * u[row] ** 2
+                if abs(gap) > SUBSTITUTION_GAP_SLACK * u[row] ** 2:
+                    assert (gap < 0) == (exact_substitution_gap(mults[row]) < 0)
+
+    def test_block_working_set_stays_under_budget(self):
+        samples, n = 4000, 64
+        tracemalloc.start()
+        try:
+            falsify_search(n, samples, 9, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        draw_and_ratios = samples * (n - 1) * 8 + samples * 8
+        # a per-sample (N, N) basis for all samples alone would be 131 MB
+        assert peak - draw_and_ratios < BLOCK_BYTES
