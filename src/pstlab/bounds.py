@@ -369,7 +369,7 @@ def _audit_block(mults: np.ndarray, start: int, unit: float, tolerances: dict):
 def falsify_search(
     n_sites: int,
     samples: int,
-    max_multiplier: int,
+    cap: int,
     seed: int,
     *,
     unit: float = 1.0,
@@ -377,15 +377,18 @@ def falsify_search(
 ) -> SearchReport:
     """Stress the bound on `samples` random admissible spectra.
 
-    All multipliers are drawn in one batch from default_rng(seed), so the
-    corpus depends only on the seed.  Samples are synthesized, certified and
-    audited in blocks whose working set stays under BLOCK_BYTES; every
-    sample's numbers are those of a batch of one.  A sample that fails is
-    recorded as (index, message) and the others go on.  The witness is chosen
-    from the ratios of all samples: the lowest sample index whose ratio is
-    within RATIO_SLACK of the minimum, rebuilt on its own.  A substitution
-    gap counts as negative only below -SUBSTITUTION_GAP_SLACK * (pi/t0)^2,
-    so the count does not depend on the sign of roundoff.
+    All multipliers are drawn in one batch from default_rng(seed), odd and
+    up to `cap`, so the corpus depends only on the seed.  Keyword
+    tolerances go to certification as in certify(), max_multiplier (999)
+    among them; the report records the draw cap as `max_multiplier`.
+    Samples are synthesized, certified and audited in blocks whose working
+    set stays under BLOCK_BYTES; every sample's numbers are those of a batch
+    of one.  A sample that fails is recorded as (index, message) and the
+    others go on.  The witness is chosen from the ratios of all samples: the
+    lowest sample index whose ratio is within RATIO_SLACK of the minimum,
+    rebuilt on its own.  A substitution gap counts as negative only below
+    -SUBSTITUTION_GAP_SLACK * (pi/t0)^2, so the count does not depend on the
+    sign of roundoff.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -394,7 +397,7 @@ def falsify_search(
     if not (math.isfinite(unit) and unit > 0):
         raise ValueError("unit must be finite and > 0")
     rng = np.random.default_rng(seed)
-    mults = draw_multipliers(rng, n_sites, max_multiplier, count=samples)
+    mults = draw_multipliers(rng, n_sites, cap, count=samples)
 
     ratios = np.full(samples, np.nan)
     evaluated = lambda_min_violations = substitution_gap_negatives = 0
@@ -436,7 +439,7 @@ def falsify_search(
     return SearchReport(
         n_sites=n_sites,
         samples=samples,
-        max_multiplier=max_multiplier,
+        max_multiplier=cap,
         unit=unit,
         seed=seed,
         evaluated=evaluated,

@@ -11,6 +11,7 @@ flags and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -231,7 +232,10 @@ def cmd_search(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process: argparse keeps no state between
+    parse_args calls, and building the five subcommands costs about 1 ms."""
     parser = _Parser(prog="pstlab", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

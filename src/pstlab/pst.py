@@ -38,6 +38,7 @@ SYMMETRY_TOL = 1e-10
 PHASE_TOL = 1e-8         # |e^{-i lambda t0} - sigma e^{i phi}| acceptance
 MAX_MULTIPLIER = 999
 MAX_RUN = 32             # odd multipliers tried at once per row in the unit search
+FIDELITY_BYTES = 4 * 2**20  # working-set budget of one chunk of fidelity evaluations
 
 
 @dataclass(frozen=True)
@@ -288,7 +289,8 @@ def _transfer_terms(chain: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def evolve_fidelity(chain: ChainSpec, times) -> FidelityTrace:
-    """f(t) on the given grid, by spectral summation (no matrix exponential).
+    """f(t) on the given grid, by spectral summation (no matrix exponential),
+    in chunks whose working set stays under FIDELITY_BYTES.
 
     |sum c_n e^{-i lambda_n t}| <= sum |c_n| <= 1 by Cauchy-Schwarz, so the
     values land in [0, 1] up to roundoff.
@@ -297,41 +299,81 @@ def evolve_fidelity(chain: ChainSpec, times) -> FidelityTrace:
     if times.ndim != 1:
         raise ValueError("times must be one-dimensional")
     lam, coeff = _transfer_terms(chain)
-    fid = np.abs(np.exp(-1j * np.outer(times, lam)) @ coeff)
-    return FidelityTrace(times=times, fidelity=fid)
+    return FidelityTrace(times=times, fidelity=_fidelity(lam, coeff, times))
 
 
-def _refine_peak(fun, a: float, b: float) -> tuple[float, float]:
-    """Locate the maximum of fun on [a, b].
+def _chunk_rows(n: int) -> int:
+    """Times per chunk of a fidelity evaluation or grid scan that keeps it
+    under FIDELITY_BYTES: per time one complex phase row of n entries, plus
+    at most sixteen floats of scan and refinement bookkeeping."""
+    return max(1, FIDELITY_BYTES // (16 * (n + 8)))
+
+
+def _fidelity(lam: np.ndarray, coeff: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """|sum_n c_n e^{-i lambda_n t}| for each t in the 1-d array `times`.
+
+    Each time's sum runs over its own contiguous row, so its value does not
+    depend on how many times share the call or the chunk (a matrix-vector
+    product would let BLAS block the rows and move the last bit).
+    """
+    out = np.empty(times.size)
+    rows = _chunk_rows(lam.size)
+    phase = -1j * lam
+    buffer = np.empty((min(rows, times.size), lam.size), dtype=complex)
+    for start in range(0, times.size, rows):
+        t = times[start : start + rows]
+        z = buffer[: t.size]
+        np.multiply.outer(t, phase, out=z)
+        np.exp(z, out=z)
+        z *= coeff
+        out[start : start + rows] = np.abs(z.sum(axis=1))
+    return out
+
+
+def _refine_peaks(lam: np.ndarray, coeff: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Locate the maximum of f on each bracket [a_k, b_k], as (t, f(t)).
 
     Golden-section comparisons alone cannot place an extremum better than
     ~sqrt(eps / curvature) because the function is quadratically flat on top,
-    so the bracket is narrowed to ~1e-7 relative and finished with one
+    so each bracket is narrowed to ~1e-7 relative and finished with one
     parabolic vertex step at a stride where the quadratic signal still
     dominates roundoff; that lands within ~1e-10 relative of the true peak.
+    All brackets advance together, one evaluation of f per iteration for the
+    rows still narrowing; a row leaves once (b - a) <= 1e-7 b.
     """
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    t, ft, b_end = np.empty(a.size), np.empty(a.size), np.empty(a.size)
     x1 = b - inv_phi * (b - a)
     x2 = a + inv_phi * (b - a)
-    f1, f2 = fun(x1), fun(x2)
-    while (b - a) > 1e-7 * b:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv_phi * (b - a)
-            f2 = fun(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv_phi * (b - a)
-            f1 = fun(x1)
-    t, ft = (x1, f1) if f1 >= f2 else (x2, f2)
-    h = 1e-6 * b
-    f_lo, f_hi = fun(t - h), fun(t + h)
+    f1, f2 = _fidelity(lam, coeff, x1), _fidelity(lam, coeff, x2)
+    active = np.arange(a.size)
+    while active.size:
+        done = (b - a) <= 1e-7 * b
+        if done.any():
+            rows, left = active[done], f1[done] >= f2[done]
+            t[rows] = np.where(left, x1[done], x2[done])
+            ft[rows] = np.where(left, f1[done], f2[done])
+            b_end[rows] = b[done]
+            keep = ~done
+            active, a, b, x1, x2, f1, f2 = (
+                v[keep] for v in (active, a, b, x1, x2, f1, f2)
+            )
+            if not active.size:
+                break
+        right = f1 < f2
+        a, b = np.where(right, x1, a), np.where(right, b, x2)
+        x = np.where(right, a + inv_phi * (b - a), b - inv_phi * (b - a))
+        fx = _fidelity(lam, coeff, x)
+        x1, x2 = np.where(right, x2, x), np.where(right, x, x1)
+        f1, f2 = np.where(right, f2, fx), np.where(right, fx, f1)
+    h = 1e-6 * b_end
+    f_lo, f_hi = np.split(_fidelity(lam, coeff, np.concatenate((t - h, t + h))), 2)
     denom = f_lo - 2.0 * ft + f_hi
-    if denom < 0.0:
-        t_vertex = t + 0.5 * h * (f_lo - f_hi) / denom
-        f_vertex = fun(t_vertex)
-        if f_vertex >= ft:
-            return t_vertex, f_vertex
+    rows = np.flatnonzero(denom < 0.0)
+    vertex = t[rows] + 0.5 * h[rows] * (f_lo[rows] - f_hi[rows]) / denom[rows]
+    f_vertex = _fidelity(lam, coeff, vertex)
+    better = f_vertex >= ft[rows]
+    t[rows[better]], ft[rows[better]] = vertex[better], f_vertex[better]
     return t, ft
 
 
@@ -346,32 +388,41 @@ def first_perfect_time(
     peaks are never mistaken for hits and certified chains return t0 itself
     rather than a flank crossing.  Default horizon: 4 pi / (smallest gap),
     one full revival period of the slowest phase pair.
+
+    The grid is scanned in chunks whose working set stays under
+    FIDELITY_BYTES, each carrying one neighbouring sample on either side so
+    that it finds the same local maxima as the whole grid would.  The peaks
+    of a chunk are refined together (golden section, then one parabolic
+    step), and the scan stops at the first chunk with a peak that reaches
+    the threshold.
     """
     if not (0.0 < threshold <= 1.0):
         raise ValueError("threshold must be in (0, 1]")
     lam, coeff = _transfer_terms(chain)
     width = lam[0] - lam[-1]
     if horizon is None:
-        horizon = 4.0 * math.pi / float(-np.diff(lam).min())
+        horizon = 4.0 * math.pi / float((-np.diff(lam)).min())
     if horizon <= 0:
         raise ValueError("horizon must be > 0")
     step = math.pi / (8.0 * width)
     n_steps = max(int(math.ceil(horizon / step)), 2)
-    grid = np.linspace(horizon / n_steps, horizon, n_steps)
-    fid = np.abs(np.exp(-1j * np.outer(grid, lam)) @ coeff)
-
-    def f_at(t: float) -> float:
-        return float(np.abs(np.exp(-1j * lam * t) @ coeff))
-
-    is_peak = np.empty(grid.size, dtype=bool)
-    is_peak[0] = fid[0] >= fid[1]
-    is_peak[-1] = fid[-1] >= fid[-2]
-    if fid.size > 2:
-        is_peak[1:-1] = (fid[1:-1] >= fid[:-2]) & (fid[1:-1] >= fid[2:])
-    for i in np.flatnonzero(is_peak):
-        a = grid[i - 1] if i > 0 else grid[0] / 8.0
-        b = grid[i + 1] if i < grid.size - 1 else float(grid[-1])
-        t_peak, f_peak = _refine_peak(f_at, float(a), float(b))
-        if f_peak >= threshold:
-            return min(t_peak, horizon)
+    # the samples of np.linspace(horizon / n_steps, horizon, n_steps)
+    first = horizon / n_steps
+    spacing = (horizon - first) / (n_steps - 1)
+    rows = _chunk_rows(lam.size)
+    for start in range(0, n_steps, rows):
+        lo, hi = max(start - 1, 0), min(start + rows + 1, n_steps)
+        grid = np.arange(lo, hi, dtype=float) * spacing + first
+        if hi == n_steps:
+            grid[-1] = horizon
+        fid = np.concatenate(([-np.inf], _fidelity(lam, coeff, grid), [-np.inf]))
+        grid = np.concatenate(([grid[0] / 8.0], grid, [grid[-1]]))
+        mid = fid[1:-1]
+        peaks = np.flatnonzero((mid >= fid[:-2]) & (mid >= fid[2:]))
+        # the outer samples of an inner chunk belong to its neighbours
+        peaks = peaks[(peaks >= start - lo) & (peaks < start + rows - lo)]
+        t_peak, f_peak = _refine_peaks(lam, coeff, grid[peaks], grid[peaks + 2])
+        hits = np.flatnonzero(f_peak >= threshold)
+        if hits.size:
+            return min(float(t_peak[hits[0]]), horizon)
     return None

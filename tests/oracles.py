@@ -4,9 +4,11 @@ Everything here avoids the production code paths on purpose: Hamiltonians are
 materialized as dense arrays, eigenproblems go through numpy's dense
 symmetric solver instead of the tridiagonal one, time evolution goes through
 an explicit matrix exponential instead of spectral summation, and the mirror
-traces are literal antidiagonal sums.  Agreement between these routes and the
-package is evidence, not tautology, so nothing in this file may import
-pstlab.
+traces are literal antidiagonal sums.  The fidelity peak search is the
+whole-grid scan that refines one peak at a time, given the eigenvalues and
+end-amplitude coefficients.
+Agreement between these routes and the package is evidence, not tautology,
+so nothing in this file may import pstlab.
 """
 import math
 
@@ -118,6 +120,79 @@ def expm_fidelity(diagonal, couplings, times) -> np.ndarray:
         u = scipy.linalg.expm(-1j * h * float(t))
         out[k] = abs(u[-1, 0])
     return out
+
+
+def refine_peak(fun, a: float, b: float) -> tuple[float, float]:
+    """Locate the maximum of the scalar function fun on [a, b], one bracket
+    at a time: golden section down to (b - a) <= 1e-7 b, then one parabolic
+    vertex step at stride 1e-6 b, kept only if it does not lower f.  The
+    reference for the package's batched peak refinement."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - inv_phi * (b - a)
+    x2 = a + inv_phi * (b - a)
+    f1, f2 = fun(x1), fun(x2)
+    while (b - a) > 1e-7 * b:
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + inv_phi * (b - a)
+            f2 = fun(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - inv_phi * (b - a)
+            f1 = fun(x1)
+    t, ft = (x1, f1) if f1 >= f2 else (x2, f2)
+    h = 1e-6 * b
+    f_lo, f_hi = fun(t - h), fun(t + h)
+    denom = f_lo - 2.0 * ft + f_hi
+    if denom < 0.0:
+        t_vertex = t + 0.5 * h * (f_lo - f_hi) / denom
+        f_vertex = fun(t_vertex)
+        if f_vertex >= ft:
+            return t_vertex, f_vertex
+    return t, ft
+
+
+def peak_brackets(grid: np.ndarray, index: np.ndarray):
+    """The bracket (a, b) around each sample index of a time grid: its two
+    neighbours, with grid[0] / 8 left of the first sample and the last
+    sample itself right of the last."""
+    padded = np.concatenate(([grid[0] / 8.0], grid, [grid[-1]]))
+    return padded[index], padded[index + 2]
+
+
+def spectral_fidelity(lam, coeff):
+    """f(t) = |sum_n c_n e^{-i lambda_n t}| for a float t, or for a column
+    of times t[:, None].  The terms are formed and summed in the order the
+    package's chunked kernel uses, so the two agree to the last bit."""
+    phase = -1j * np.asarray(lam, dtype=float)
+
+    def fidelity(t):
+        z = np.exp(t * phase)
+        z *= coeff
+        return np.abs(z.sum(axis=-1))
+
+    return fidelity
+
+
+def first_peak_time(lam, coeff, threshold: float, horizon: float):
+    """The earliest refined fidelity peak reaching threshold on (0, horizon],
+    or None, by one whole-grid scan and one refine_peak per local maximum.
+    The grid is linspace(horizon / n, horizon, n) at step pi / (8 width)."""
+    fidelity = spectral_fidelity(lam, coeff)
+    width = lam[0] - lam[-1]
+    n_steps = max(int(math.ceil(horizon / (math.pi / (8.0 * width)))), 2)
+    grid = np.linspace(horizon / n_steps, horizon, n_steps)
+    fid = fidelity(grid[:, None])
+    is_peak = np.empty(grid.size, dtype=bool)
+    is_peak[0] = fid[0] >= fid[1]
+    is_peak[-1] = fid[-1] >= fid[-2]
+    is_peak[1:-1] = (fid[1:-1] >= fid[:-2]) & (fid[1:-1] >= fid[2:])
+    lo, hi = peak_brackets(grid, np.flatnonzero(is_peak))
+    for a, b in zip(lo, hi):
+        t_peak, f_peak = refine_peak(lambda t: float(fidelity(t)), float(a), float(b))
+        if f_peak >= threshold:
+            return min(t_peak, horizon)
+    return None
 
 
 def random_mirror_arrays(rng: np.random.Generator, n: int,

@@ -258,6 +258,17 @@ class TestFalsifySearch:
         report = falsify_search(2, 200, 9, seed=2)
         assert report.min_ratio == pytest.approx(1.0, abs=1e-12)
 
+    def test_certification_cap_is_a_tolerance(self):
+        # the draw cap is positional, so max_multiplier= reaches
+        # certification: at a cap of 1 the only candidate unit is the
+        # smallest gap, so unequal gaps overflow or find no unit
+        report = falsify_search(4, 12, 9, 3, max_multiplier=1)
+        assert report.max_multiplier == 9
+        assert report.evaluated + len(report.failures) == 12
+        messages = [message for _, message in report.failures]
+        assert any("odd multiplier beyond 1;" in m for m in messages)
+        assert all("beyond 1;" in m or "no-common-odd-unit" in m for m in messages)
+
     def test_validates_samples(self):
         with pytest.raises(ValueError, match="samples"):
             falsify_search(4, 0, 9, seed=0)

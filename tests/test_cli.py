@@ -204,6 +204,20 @@ class TestTopLevel:
         assert main(["frobnicate"]) == 1
         capsys.readouterr()
 
+    def test_consecutive_calls_parse_their_own_subcommand(self, tmp_path, capsys):
+        # one parser serves every call: a flag given to one call must not
+        # become the next call's value
+        lam = np.array([102.0, 101.0, 0.0])
+        path = write_json(tmp_path / "wide.json", synthesize(lam - lam.mean()).to_dict())
+        assert main(["analyze", "--input", path, "--cap", "99"]) == 2
+        assert "NOT ADMISSIBLE at cap 99" in capsys.readouterr().out
+        assert main(["evolve", "--input", path, "--t-max", "1", "--steps", "3"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("time,fidelity")
+        assert "# certificate t0 = " in out
+        assert main(["analyze", "--input", path]) == 0
+        assert "certificate: ADMISSIBLE" in capsys.readouterr().out
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

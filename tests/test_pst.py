@@ -1,12 +1,20 @@
 """Certification, fidelity evolution, and peak location."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import expm_fidelity, random_mirror_arrays
+from oracles import (
+    expm_fidelity,
+    first_peak_time,
+    peak_brackets,
+    random_mirror_arrays,
+    refine_peak,
+    spectral_fidelity,
+)
 
 from pstlab import (
     ChainSpec,
@@ -20,6 +28,7 @@ from pstlab import (
     gap_floor_check,
     synthesize,
 )
+from pstlab import pst
 
 HALF_PI = math.pi / 2.0
 
@@ -230,3 +239,115 @@ class TestFirstPerfectTime:
             first_perfect_time(canonical_chain(2), threshold=0.0)
         with pytest.raises(ValueError, match="horizon"):
             first_perfect_time(canonical_chain(2), horizon=-1.0)
+
+    def test_default_horizon_spans_the_smallest_gap(self):
+        # gaps (1, 5): a horizon set by the largest gap, 4 pi / 5, ends
+        # before t0 = pi
+        t = first_perfect_time(synthesize(SpectrumSpec(unit=1.0, multipliers=[1, 5])))
+        assert t == pytest.approx(math.pi, rel=1e-10)
+
+    def test_working_set_stays_under_budget(self):
+        # N = 20, widths 1, 99, ..., 99, 1: the default horizon 4 pi has
+        # 32 * 1685 = 53,920 samples, whose (T, N) complex phases alone
+        # would take 17 MB in one piece
+        chain = synthesize(SpectrumSpec(unit=1.0, multipliers=[1] + [99] * 17 + [1]))
+        times = np.linspace(0.0, 8.0 * math.pi, 200_000)
+        tracemalloc.start()
+        try:
+            t = first_perfect_time(chain)
+            _, scan_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            trace = evolve_fidelity(chain, times)
+            _, evolve_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert t == pytest.approx(math.pi, rel=1e-10)
+        assert scan_peak < pst.FIDELITY_BYTES
+        assert evolve_peak - trace.fidelity.nbytes < pst.FIDELITY_BYTES
+
+
+def _reference(chain, threshold, horizon):
+    """first_perfect_time by the whole-grid, one-peak-at-a-time oracle."""
+    lam, coeff = pst._transfer_terms(chain)
+    return first_peak_time(lam, coeff, threshold, horizon)
+
+
+def _certified_chains():
+    """One synthesized chain per N in 2..16, odd multipliers up to 9, with
+    its transfer time."""
+    rng = np.random.default_rng(24)
+    for n in range(2, 17):
+        mult = rng.integers(0, 5, size=n - 1) * 2 + 1
+        chain = synthesize(SpectrumSpec(unit=float(rng.uniform(0.5, 2.0)),
+                                        multipliers=mult))
+        yield chain, certify(chain).t0
+
+
+def _same_time(a, b):
+    return (a is None) == (b is None) and (
+        a is None or a == pytest.approx(b, rel=1e-10)
+    )
+
+
+class TestBatchedRefinement:
+    """The chunked scan and the batched refinement against the scalar
+    reference in oracles.py."""
+
+    def test_disordered_chains_match_the_reference(self, disorder_corpus):
+        for k, (_, cert, perturbed) in enumerate(disorder_corpus):
+            # criterion 7's threshold refines every peak and finds none;
+            # 0.9 stops at a peak below 1
+            for threshold in (1.0 - 1e-3, 0.9) if k % 5 == 0 else (1.0 - 1e-3,):
+                got = first_perfect_time(perturbed, threshold=threshold,
+                                         horizon=20.0 * cert.t0)
+                want = _reference(perturbed, threshold, 20.0 * cert.t0)
+                assert _same_time(got, want), (threshold, got, want)
+
+    def test_certified_chains_match_the_reference(self):
+        for chain, t0 in _certified_chains():
+            for threshold, horizon in ((1.0 - 1e-8, 3.0 * t0), (0.5, 0.9 * t0)):
+                # the second horizon ends on the rising flank, so the hit
+                # is the last grid sample's bracket
+                got = first_perfect_time(chain, threshold=threshold, horizon=horizon)
+                want = _reference(chain, threshold, horizon)
+                assert _same_time(got, want), (threshold, got, want)
+            assert first_perfect_time(chain, horizon=3.0 * t0) == pytest.approx(
+                t0, rel=1e-9)
+
+    def test_edge_brackets_match_the_reference(self):
+        # every sample's bracket, the first ([grid[0] / 8, grid[1]]) and the
+        # last ([grid[-2], grid[-1]]) included, peak or not
+        for chain, t0 in _certified_chains():
+            lam, coeff = pst._transfer_terms(chain)
+            grid = np.linspace(t0 / 40.0, 1.3 * t0, 40)
+            a, b = peak_brackets(grid, np.arange(grid.size))
+            t, ft = pst._refine_peaks(lam, coeff, a, b)
+            fidelity = spectral_fidelity(lam, coeff)
+            fun = lambda x: float(fidelity(x))
+            for k in range(grid.size):
+                want_t, want_f = refine_peak(fun, float(a[k]), float(b[k]))
+                assert t[k] == pytest.approx(want_t, rel=1e-10)
+                assert ft[k] == pytest.approx(want_f, rel=1e-10)
+
+    def test_chunk_boundaries_do_not_move_the_answer(self, disorder_corpus, monkeypatch):
+        # a chunk boundary on every sample around the peak at t0 (index 31
+        # of 48), then many chunks on longer grids
+        chain = canonical_chain(5)
+        t0 = certify(chain).t0
+        one_chunk = first_perfect_time(chain, horizon=1.5 * t0)
+        for rows in range(2, 36):
+            monkeypatch.setattr(pst, "_chunk_rows", lambda n: rows)
+            assert first_perfect_time(chain, horizon=1.5 * t0) == one_chunk
+        cases = [(c, 1.0 - 1e-8, 3.0 * t0) for c, t0 in _certified_chains()]
+        cases += [(p, 0.9, 20.0 * cert.t0) for _, cert, p in disorder_corpus[:4]]
+        times = np.linspace(0.0, 50.0, 5000)
+        monkeypatch.undo()
+        whole = [first_perfect_time(c, threshold=f, horizon=h) for c, f, h in cases]
+        traces = [evolve_fidelity(c, times).fidelity for c, _, _ in cases]
+        monkeypatch.setattr(pst, "FIDELITY_BYTES", 64 * 2**10)
+        chunked = [first_perfect_time(c, threshold=f, horizon=h) for c, f, h in cases]
+        assert all(_same_time(x, y) for x, y in zip(chunked, whole))
+        assert any(x is not None for x in whole[-4:])
+        for (c, _, _), trace in zip(cases, traces):
+            np.testing.assert_allclose(evolve_fidelity(c, times).fidelity, trace,
+                                       rtol=0, atol=1e-15)
