@@ -20,21 +20,18 @@ from .bounds import (
 )
 from .chain import (
     ChainSpec,
-    MirrorOperator,
     TraceReport,
     eigen_side_traces,
     is_mirror_symmetric,
     mirror_trace_h,
     mirror_trace_h2,
     trace_report,
-    traceless_shift,
 )
 from .eigensolve import (
     SpectralData,
     classify_parity,
     decompose,
     eigenvalues_only,
-    end_amplitudes,
 )
 from .errors import (
     EigensolveError,
@@ -50,12 +47,10 @@ from .pst import (
     certify,
     evolve_fidelity,
     first_perfect_time,
-    gap_floor_check,
 )
 from .synthesis import (
     SpectrumSpec,
     canonical_chain,
-    random_admissible_spectrum,
     synthesize,
 )
 
@@ -66,7 +61,6 @@ __all__ = [
     "ChainSpec",
     "EigensolveError",
     "FidelityTrace",
-    "MirrorOperator",
     "MultiplierOverflow",
     "NotAdmissible",
     "NumericalBreakdown",
@@ -87,17 +81,13 @@ __all__ = [
     "decompose",
     "eigen_side_traces",
     "eigenvalues_only",
-    "end_amplitudes",
     "evolve_fidelity",
     "falsify_search",
     "first_perfect_time",
-    "gap_floor_check",
     "is_mirror_symmetric",
     "mirror_trace_h",
     "mirror_trace_h2",
-    "random_admissible_spectrum",
     "saturation_scan",
     "synthesize",
     "trace_report",
-    "traceless_shift",
 ]

@@ -23,9 +23,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .chain import ChainSpec, _check_rows
-from .errors import NotAdmissible, PstLabError
-from .pst import MAX_RUN, _certify_rows, _certify_with_spectrum
+from .chain import ChainSpec, _alternating_signs, _check_rows, _Record
+from .errors import MultiplierOverflow, NotAdmissible, PstLabError
+from .pst import MAX_RUN, _certify_chain, _certify_rows
 from .synthesis import (
     SpectrumSpec,
     _expand_rows,
@@ -70,8 +70,10 @@ def bound_value(n_sites: int, t0: float = 1.0) -> float:
 
 
 @dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Record):
     """How a certified chain sits against its speed bound."""
+
+    _KEYS = {"n_sites": "N", "j_max": "J_max"}
 
     n_sites: int
     parity: str              # "even" | "odd"
@@ -83,19 +85,6 @@ class BoundReport:
     lambda_min_ok: bool      # lambda_N <= -(N-1)pi/(2 t0) + 1e-9 * width
     central_field: float | None   # traceless B_c, odd N only
 
-    def to_dict(self) -> dict:
-        return {
-            "N": self.n_sites,
-            "parity": self.parity,
-            "J_max": self.j_max,
-            "t0": self.t0,
-            "product": self.product,
-            "bound": self.bound,
-            "ratio": self.ratio,
-            "lambda_min_ok": self.lambda_min_ok,
-            "central_field": self.central_field,
-        }
-
     def csv_row(self) -> str:
         cf = "" if self.central_field is None else f"{self.central_field:.12g}"
         return (
@@ -106,7 +95,7 @@ class BoundReport:
 
 
 @dataclass(frozen=True)
-class ProofAudit:
+class ProofAudit(_Record):
     """Per-step record of the bound derivation on one certified chain, on the
     traceless shift.
 
@@ -133,23 +122,6 @@ class ProofAudit:
     substitution_value: float | None = None  # odd N: lambda_N^2 - (pi/t0) lambda_N
     substitution_gap: float | None = None    # odd N: eigen side - substitution value
 
-    def to_dict(self) -> dict:
-        return {
-            "parity": self.parity,
-            "identity_matrix_side": self.identity_matrix_side,
-            "identity_eigen_side": self.identity_eigen_side,
-            "identity_abs_err": self.identity_abs_err,
-            "gap_floor_slack": self.gap_floor_slack,
-            "lambda_min_slack": self.lambda_min_slack,
-            "center_coupling_slack": self.center_coupling_slack,
-            "final_slack": self.final_slack,
-            "ratio": self.ratio,
-            "half_sum_slack": self.half_sum_slack,
-            "central_field": self.central_field,
-            "substitution_value": self.substitution_value,
-            "substitution_gap": self.substitution_gap,
-        }
-
 
 def _audit_rows(
     diagonal: np.ndarray, couplings: np.ndarray, lam: np.ndarray, t0: np.ndarray
@@ -169,7 +141,7 @@ def _audit_rows(
     product = j_max * t0
     bound = bound_value(n)
     width = lam0[:, 0] - lam0[:, -1]
-    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    signs = _alternating_signs(n)
     tail = -(n - 1) * u / 2.0
     rows = {
         "j_max": j_max,
@@ -213,12 +185,20 @@ def audit_chain(chain: ChainSpec, **tolerances) -> tuple[BoundReport, ProofAudit
     propagates from certify.  The audit works on the traceless shift (the
     derivations assume sum lambda = 0); gaps, t0 and J_max are shift-invariant.
     """
-    cert, lam = _certify_with_spectrum(chain, **tolerances)
+    cert, lam = _certify_chain(chain, **tolerances)
+    if isinstance(cert, MultiplierOverflow):
+        raise cert
     if not cert.admissible:
         raise NotAdmissible(f"chain does not certify: {cert.failure}")
-    rows = _audit_rows(
-        chain.diagonal[None], chain.couplings[None], lam[None], np.array([cert.t0])
-    )
+    return _audit_spectrum(chain, lam, cert.t0)
+
+
+def _audit_spectrum(
+    chain: ChainSpec, lam: np.ndarray, t0: float
+) -> tuple[BoundReport, ProofAudit]:
+    """The audit of one certified chain, given its descending spectrum and
+    transfer time as certification solved them."""
+    rows = _audit_rows(chain.diagonal[None], chain.couplings[None], lam[None], np.array([t0]))
     row = {key: None if value is None else value[0].item() for key, value in rows.items()}
     n = chain.n_sites
     parity = "even" if n % 2 == 0 else "odd"
@@ -226,7 +206,7 @@ def audit_chain(chain: ChainSpec, **tolerances) -> tuple[BoundReport, ProofAudit
         n_sites=n,
         parity=parity,
         j_max=row["j_max"],
-        t0=cert.t0,
+        t0=t0,
         product=row["product"],
         bound=bound_value(n),
         ratio=row["ratio"],
@@ -269,7 +249,7 @@ def saturation_scan(n_values) -> ScanResult:
 
 
 @dataclass(frozen=True)
-class SearchReport:
+class SearchReport(_Record):
     """Falsification-search outcome over random admissible spectra.
 
     `min_ratio` is the smallest audited ratio.  The witness and
@@ -283,6 +263,8 @@ class SearchReport:
     scale u = pi/t0); gaps that are zero up to roundoff are not counted.
     That is a reportable finding about the derivation, not about the bound.
     """
+
+    _KEYS = {"n_sites": "N"}
 
     n_sites: int
     samples: int
@@ -299,25 +281,6 @@ class SearchReport:
     min_substitution_gap: float | None
     violations: tuple[dict, ...]
     failures: tuple[tuple[int, str], ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "N": self.n_sites,
-            "samples": self.samples,
-            "max_multiplier": self.max_multiplier,
-            "unit": self.unit,
-            "seed": self.seed,
-            "evaluated": self.evaluated,
-            "min_ratio": self.min_ratio,
-            "min_ratio_index": self.min_ratio_index,
-            "witness": self.witness,
-            "lambda_min_violations": self.lambda_min_violations,
-            "min_final_slack": self.min_final_slack,
-            "substitution_gap_negatives": self.substitution_gap_negatives,
-            "min_substitution_gap": self.min_substitution_gap,
-            "violations": list(self.violations),
-            "failures": [list(f) for f in self.failures],
-        }
 
 
 def _witness_record(index: int, mult: np.ndarray, unit: float, tolerances: dict) -> dict:

@@ -1,10 +1,11 @@
-"""Chain Hamiltonians, the mirror operator, and mirror traces.
+"""Chain Hamiltonians, mirror symmetry, and mirror traces.
 
 A chain of N sites is the real symmetric tridiagonal operator h with on-site
 fields B_1..B_N on the diagonal and strictly positive couplings J_1..J_{N-1}
 on the off-diagonals.  The mirror operator S is the antidiagonal permutation
 (site n <-> site N+1-n); a chain is mirror-symmetric when S h S = h, i.e.
-B_n = B_{N+1-n} and J_n = J_{N-n}.
+B_n = B_{N+1-n} and J_n = J_{N-n}.  Its eigenvectors then alternate in
+parity under S, sigma_n = (-1)^{n+1} in descending order.
 
 Tr(S M) is the sum of M's antidiagonal, called the mirror trace here.  For a
 tridiagonal h the antidiagonal meets the band only at the center, so Tr(S h)
@@ -15,7 +16,7 @@ routes to the same number are the backbone of the speed audits in
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -25,10 +26,8 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ChainSpec",
-    "MirrorOperator",
     "TraceReport",
     "is_mirror_symmetric",
-    "traceless_shift",
     "mirror_trace_h",
     "mirror_trace_h2",
     "eigen_side_traces",
@@ -42,6 +41,32 @@ def _readonly_float_array(values, name: str) -> np.ndarray:
         raise ValueError(f"field '{name}' must be one-dimensional")
     arr.setflags(write=False)
     return arr
+
+
+def _alternating_signs(n: int) -> np.ndarray:
+    """The mirror parity pattern (-1)^{n+1}, n = 1..N, as integers."""
+    return np.where(np.arange(n) % 2 == 0, 1, -1)
+
+
+def _json_value(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    return value
+
+
+class _Record:
+    """to_dict for the report dataclasses: one key per field, named as the
+    field unless `_KEYS` renames it; arrays and tuples become lists."""
+
+    _KEYS = {}
+
+    def to_dict(self) -> dict:
+        return {
+            self._KEYS.get(f.name, f.name): _json_value(getattr(self, f.name))
+            for f in fields(self)
+        }
 
 
 def _check_rows(diagonal: np.ndarray, couplings: np.ndarray) -> None:
@@ -111,34 +136,6 @@ class ChainSpec:
             "J": self.couplings.tolist(),
         }
 
-    def dense(self) -> np.ndarray:
-        """The chain as a dense matrix (for inspection; nothing in the
-        production path materializes this)."""
-        h = np.diag(self.diagonal)
-        h += np.diag(self.couplings, 1) + np.diag(self.couplings, -1)
-        return h
-
-
-@dataclass(frozen=True)
-class MirrorOperator:
-    """The antidiagonal permutation S on n sites; S^2 = 1, S = S^T."""
-
-    n_sites: int
-
-    def __post_init__(self):
-        if self.n_sites < 1:
-            raise ValueError("n_sites must be >= 1")
-
-    def apply(self, x) -> np.ndarray:
-        """S @ x for a vector or matrix (reverses the site axis)."""
-        return np.flip(np.asarray(x), axis=0)
-
-    def matrix(self) -> np.ndarray:
-        n = self.n_sites
-        s = np.zeros((n, n))
-        s[np.arange(n), n - 1 - np.arange(n)] = 1.0
-        return s
-
 
 def _mirror_symmetric_rows(
     diagonal: np.ndarray, couplings: np.ndarray, tol: float = 1e-10
@@ -160,18 +157,6 @@ def is_mirror_symmetric(chain: ChainSpec, tol: float = 1e-10) -> bool:
     """
     return bool(
         _mirror_symmetric_rows(chain.diagonal[None], chain.couplings[None], tol)[0]
-    )
-
-
-def traceless_shift(chain: ChainSpec) -> ChainSpec:
-    """The same chain with mean(B) subtracted from the diagonal.
-
-    Couplings are shared bit-identically; the spectrum shifts rigidly by
-    -mean(B), so gaps, t0 and J_max are untouched.
-    """
-    return ChainSpec(
-        diagonal=chain.diagonal - chain.diagonal.mean(),
-        couplings=chain.couplings,
     )
 
 

@@ -19,11 +19,13 @@ import sys
 import numpy as np
 
 from . import bounds, pst, synthesis
-from .chain import ChainSpec, is_mirror_symmetric
+from .chain import ChainSpec
 from .eigensolve import eigenvalues_only
 from .errors import MultiplierOverflow, PstLabError
 
 __all__ = ["main", "entrypoint"]
+
+MAX_STEPS = 10**6  # evolve grid points; each costs about 160 B of arrays and CSV
 
 
 class _UsageError(Exception):
@@ -66,6 +68,28 @@ def _dump_json(path: str | None, data: dict) -> None:
     _write_text(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
+def _checked(kind, accept, rule: str):
+    """An argparse `type`: parse with `kind`, then accept the values for
+    which `accept` is true; anything else is a usage error stating `rule`."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+
+    return parse
+
+
+_odd_cap = _checked(int, lambda m: m >= 1 and m % 2 == 1, "an odd integer >= 1")
+_tolerance = _checked(float, lambda x: math.isfinite(x) and x >= 0.0, "finite and >= 0")
+_t_max = _checked(float, lambda x: math.isfinite(x) and x > 0.0, "finite and > 0")
+_steps = _checked(int, lambda n: 2 <= n <= MAX_STEPS, f"an integer in 2..{MAX_STEPS}")
+
+
 def _parse_range(text: str) -> list[int]:
     """'A..B' (inclusive) or a single integer."""
     parts = text.split("..")
@@ -84,28 +108,22 @@ def _parse_range(text: str) -> list[int]:
 
 def cmd_analyze(args) -> int:
     chain = _load_chain(args.input)
-    lam = eigenvalues_only(chain)
-    symmetric = is_mirror_symmetric(chain, tol=args.tol)
+    cert, lam = pst._certify_chain(chain, symmetry_tol=args.tol, max_multiplier=args.cap)
+    # certification solves every chain except an asymmetric one
+    symmetric = lam is not None
+    if not symmetric:
+        lam = eigenvalues_only(chain)
     print(f"chain: N={chain.n_sites}, J_max={chain.j_max:.12g}")
     print(f"mirror-symmetric: {'yes' if symmetric else 'no'}")
     print("spectrum:", " ".join(f"{x:.12g}" for x in lam))
-
-    overflow = None
-    try:
-        cert = pst.certify(
-            chain, symmetry_tol=args.tol, max_multiplier=args.cap
-        )
-    except MultiplierOverflow as exc:
-        overflow = str(exc)
-        cert = None
 
     result: dict = {
         "chain": chain.to_dict(),
         "mirror_symmetric": symmetric,
         "spectrum": lam.tolist(),
     }
-    if overflow is not None:
-        print(f"certificate: NOT ADMISSIBLE at cap {args.cap} ({overflow})")
+    if isinstance(cert, MultiplierOverflow):
+        print(f"certificate: NOT ADMISSIBLE at cap {args.cap} ({cert})")
         result["certificate"] = {"admissible": False, "failure": "multiplier-overflow"}
         _finish_analyze(args, result)
         return 2
@@ -120,11 +138,9 @@ def cmd_analyze(args) -> int:
     print(f"  phi = {cert.phi:.12g}")
     print("  multipliers =", " ".join(str(m) for m in cert.multipliers))
     print(f"  max gap residual = {cert.max_residual:.3e}")
-    fid = pst.evolve_fidelity(chain, [cert.t0]).fidelity[0]
+    fid = pst._fidelity(*pst._transfer_terms(chain, lam), np.array([cert.t0]))[0]
     print(f"fidelity at t0: {fid:.12g}")
-    report, audit = bounds.audit_chain(
-        chain, symmetry_tol=args.tol, max_multiplier=args.cap
-    )
+    report, audit = bounds._audit_spectrum(chain, lam, cert.t0)
     print(
         f"bound: parity={report.parity} bound={report.bound:.12g} "
         f"product={report.product:.12g} ratio={report.ratio:.12g} "
@@ -174,21 +190,16 @@ def cmd_synth(args) -> int:
 
 def cmd_evolve(args) -> int:
     chain = _load_chain(args.input)
-    if args.t_max <= 0:
-        raise _UsageError("--t-max must be > 0")
-    if args.steps < 2:
-        raise _UsageError("--steps must be >= 2")
     times = np.linspace(0.0, args.t_max, args.steps)
-    trace = pst.evolve_fidelity(chain, times)
-    try:
-        cert = pst.certify(chain, max_multiplier=args.cap)
-        footer = (
-            f"certificate t0 = {cert.t0:.12g}"
-            if cert.admissible
-            else f"no certificate: {cert.failure}"
-        )
-    except MultiplierOverflow:
+    cert, lam = pst._certify_chain(chain, max_multiplier=args.cap)
+    fidelity = pst._fidelity(*pst._transfer_terms(chain, lam), times)
+    trace = pst.FidelityTrace(times=times, fidelity=fidelity)
+    if isinstance(cert, MultiplierOverflow):
         footer = "no certificate: multiplier-overflow"
+    elif cert.admissible:
+        footer = f"certificate t0 = {cert.t0:.12g}"
+    else:
+        footer = f"no certificate: {cert.failure}"
     _write_text(args.output, trace.to_csv(footer=footer))
     return 0
 
@@ -215,8 +226,6 @@ def cmd_search(args) -> int:
         raise _UsageError("--n must be >= 2")
     if args.samples < 1:
         raise _UsageError("--samples must be >= 1")
-    if args.cap < 1 or args.cap % 2 == 0:
-        raise _UsageError("--cap must be odd and >= 1")
     print(
         f"search N={n} samples={args.samples} cap={args.cap} seed={args.seed}",
         file=sys.stderr,
@@ -242,9 +251,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("analyze", help="certify and speed-audit a chain JSON")
     p.add_argument("--input", required=True, help="chain JSON file")
     p.add_argument("--output", help="write the full report as JSON")
-    p.add_argument("--tol", type=float, default=pst.SYMMETRY_TOL,
+    p.add_argument("--tol", type=_tolerance, default=pst.SYMMETRY_TOL,
                    help="mirror-symmetry tolerance")
-    p.add_argument("--cap", type=int, default=pst.MAX_MULTIPLIER,
+    p.add_argument("--cap", type=_odd_cap, default=pst.MAX_MULTIPLIER,
                    help="odd multiplier cap")
     p.set_defaults(func=cmd_analyze)
 
@@ -257,9 +266,10 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("evolve", help="fidelity trace as CSV")
     p.add_argument("--input", required=True, help="chain JSON file")
-    p.add_argument("--t-max", type=float, required=True, help="end of the time grid")
-    p.add_argument("--steps", type=int, default=201, help="grid points (incl. 0)")
-    p.add_argument("--cap", type=int, default=pst.MAX_MULTIPLIER)
+    p.add_argument("--t-max", type=_t_max, required=True, help="end of the time grid")
+    p.add_argument("--steps", type=_steps, default=201,
+                   help=f"grid points (incl. 0), at most {MAX_STEPS}")
+    p.add_argument("--cap", type=_odd_cap, default=pst.MAX_MULTIPLIER)
     p.add_argument("--output", help="CSV file (default stdout)")
     p.set_defaults(func=cmd_evolve)
 
@@ -271,7 +281,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("search", help="falsification search as JSON")
     p.add_argument("--n", required=True, help="number of sites")
     p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--cap", type=int, default=9, help="odd multiplier cap")
+    p.add_argument("--cap", type=_odd_cap, default=9, help="odd multiplier cap")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", help="report JSON file (default stdout)")
     p.set_defaults(func=cmd_search)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .chain import ChainSpec, is_mirror_symmetric
+from .chain import ChainSpec, _alternating_signs, is_mirror_symmetric
 from .errors import EigensolveError, ParityViolation
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "decompose",
     "eigenvalues_only",
     "classify_parity",
-    "end_amplitudes",
 ]
 
 RESIDUAL_TOL = 1e-10     # ||h v - lambda v|| per column, relative to ||h||
@@ -51,10 +50,6 @@ class SpectralData:
             raise EigensolveError("eigenvalues are not strictly descending")
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "eigenvectors", vec)
-
-    @property
-    def n_sites(self) -> int:
-        return self.eigenvalues.size
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -168,6 +163,10 @@ def classify_parity(
     projection is the identity.  Raises ParityViolation for vectors with no
     dominant parity, for purified bases that fail re-validation (asymmetric
     input, or a solver failure), and for breaks in the alternating pattern.
+
+    Transfer fidelity takes the pattern as given and its weights from the
+    spectrum (pstlab.pst); only near-degenerate spectra come here for them.
+    Otherwise this is the check that the pattern holds.
     """
     vec = _fix_signs(spectral.eigenvectors)
     mirrored = vec[::-1, :]
@@ -201,7 +200,7 @@ def classify_parity(
             f"{gram_err:.3e}, eigenpair residual {resid.max() / scale:.3e} "
             f"at tol {tol:.1e})"
         )
-    expected = np.where(np.arange(signs.size) % 2 == 0, 1, -1)
+    expected = _alternating_signs(signs.size)
     if np.any(signs != expected):
         i = int(np.argmax(signs != expected))
         raise ParityViolation(
@@ -209,13 +208,3 @@ def classify_parity(
             f"got {signs[i]:+d}"
         )
     return replace(spectral, eigenvectors=pure, parity_signs=signs)
-
-
-def end_amplitudes(spectral: SpectralData) -> np.ndarray:
-    """First components a_n = <1|lambda_n> of the sign-fixed eigenvectors.
-
-    For a Jacobi matrix these are strictly positive and sum-of-squares one;
-    they drive both the transfer fidelity and the reconstruction weights in
-    :mod:`pstlab.synthesis`.
-    """
-    return np.array(spectral.eigenvectors[0, :], copy=True)

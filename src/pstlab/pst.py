@@ -11,7 +11,12 @@ validates is the minimal t0.
 Fidelity against time is
 f(t) = |<N| e^{-i h t} |1>| = |sum_n <N|lambda_n><lambda_n|1> e^{-i lambda_n t}|,
 which for mirror-symmetric chains is the parity-weighted end-amplitude sum
-sum_n sigma_n a_n^2 e^{-i lambda_n t}.
+sum_n sigma_n a_n^2 e^{-i lambda_n t}, fixed by the spectrum alone:
+sigma_n = (-1)^{n+1} and a_n^2 proportional to
+1 / prod_{m != n} |lambda_n - lambda_m| (de Boor & Golub 1978).  So one
+eigenvalue solve serves a symmetric chain's certificate, fidelity and audit.
+Asymmetric chains, and spectra too close to degenerate for those weights,
+are decomposed instead.
 """
 from __future__ import annotations
 
@@ -20,15 +25,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, _mirror_symmetric_rows, is_mirror_symmetric
-from .eigensolve import _eigenvalues_rows, classify_parity, decompose
+from .chain import (
+    ChainSpec,
+    _alternating_signs,
+    _mirror_symmetric_rows,
+    _Record,
+    is_mirror_symmetric,
+)
+from .eigensolve import _eigenvalues_rows, classify_parity, decompose, eigenvalues_only
 from .errors import MultiplierOverflow
+from .synthesis import _end_weights
 
 __all__ = [
     "PstCertificate",
     "FidelityTrace",
     "certify",
-    "gap_floor_check",
     "evolve_fidelity",
     "first_perfect_time",
 ]
@@ -39,10 +50,11 @@ PHASE_TOL = 1e-8         # |e^{-i lambda t0} - sigma e^{i phi}| acceptance
 MAX_MULTIPLIER = 999
 MAX_RUN = 32             # odd multipliers tried at once per row in the unit search
 FIDELITY_BYTES = 4 * 2**20  # working-set budget of one chunk of fidelity evaluations
+WEIGHT_TOL = 1e-11       # error bound up to which fidelity weights come from the spectrum
 
 
 @dataclass(frozen=True)
-class PstCertificate:
+class PstCertificate(_Record):
     """Certification outcome.  When admissible: minimal transfer time t0, the
     transfer phase phi in (-pi, pi], the odd gap multipliers, and the worst
     relative gap residual |g_n - m_n u| / g_n.  When not: `failure` is
@@ -59,18 +71,6 @@ class PstCertificate:
     def unit(self) -> float | None:
         """The gap unit pi/t0."""
         return None if self.t0 is None else math.pi / self.t0
-
-    def to_dict(self) -> dict:
-        return {
-            "admissible": self.admissible,
-            "t0": self.t0,
-            "phi": self.phi,
-            "multipliers": None
-            if self.multipliers is None
-            else self.multipliers.tolist(),
-            "max_residual": self.max_residual,
-            "failure": self.failure,
-        }
 
 
 def _principal_phase(x: np.ndarray) -> np.ndarray:
@@ -189,7 +189,7 @@ def _certify_rows(
     # the unit must also reproduce the phase condition
     # e^{-i lambda_n t0} = (-1)^{n+1} e^{i phi}; residual accumulation across
     # gaps can break it even when each gap passes individually.
-    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    signs = _alternating_signs(n)
     deviation = np.abs(
         np.exp(-1j * spectra * times[:, None]) - signs * np.exp(1j * phases)[:, None]
     ).max(axis=1)
@@ -202,14 +202,18 @@ def _certify_rows(
     return _CertifiedRows(lam, t0, phi, mult, max_resid, failure, errors)
 
 
-def _certify_with_spectrum(chain: ChainSpec, **tolerances):
-    """certify() plus the computed spectrum (None when the chain is not
-    mirror-symmetric), so audits reuse the solve."""
+def _certify_chain(chain: ChainSpec, **tolerances):
+    """certify on one chain, as (certificate, spectrum): the spectrum it
+    solved, or None for an asymmetric chain, which is not solved.  A chain
+    commensurate only beyond the cap gives its MultiplierOverflow in place
+    of the certificate; other errors raise."""
     rows = _certify_rows(chain.diagonal[None], chain.couplings[None], **tolerances)
-    if rows.errors[0] is not None:
-        raise rows.errors[0]
-    failure = rows.failure[0]
+    error, failure = rows.errors[0], rows.failure[0]
     lam = None if failure == "asymmetry" else rows.eigenvalues[0]
+    if isinstance(error, MultiplierOverflow):
+        return error, lam
+    if error is not None:
+        raise error
     if failure is not None:
         return PstCertificate(admissible=False, failure=failure), lam
     cert = PstCertificate(
@@ -229,21 +233,10 @@ def certify(chain: ChainSpec, **tolerances) -> PstCertificate:
     (1e-8), max_multiplier (999, odd).  Raises MultiplierOverflow for spectra
     that are commensurate only beyond the multiplier cap.
     """
-    cert, _ = _certify_with_spectrum(chain, **tolerances)
+    cert, _ = _certify_chain(chain, **tolerances)
+    if isinstance(cert, MultiplierOverflow):
+        raise cert
     return cert
-
-
-def gap_floor_check(spectral, t0: float, rel_slack: float = 1e-9) -> bool:
-    """True when every consecutive gap is >= (pi/t0) * (1 - rel_slack).
-
-    Accepts SpectralData or a raw descending eigenvalue array.  Any PST chain
-    with transfer time t0 must pass: gaps are odd multiples of pi/t0, and the
-    smallest odd multiple is 1.
-    """
-    lam = getattr(spectral, "eigenvalues", spectral)
-    lam = np.asarray(lam, dtype=float)
-    gaps = -np.diff(lam)
-    return bool(np.all(gaps >= (math.pi / t0) * (1.0 - rel_slack)))
 
 
 @dataclass(frozen=True)
@@ -275,17 +268,33 @@ class FidelityTrace:
         return "\n".join(lines) + "\n"
 
 
-def _transfer_terms(chain: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(eigenvalues, <N|n><n|1> coefficients); the parity route when the
-    chain is mirror-symmetric, the direct eigenvector product otherwise."""
+def _spectral_coefficients(lam: np.ndarray) -> np.ndarray | None:
+    """sigma_n a_n^2 from a mirror-symmetric chain's descending spectrum, or
+    None where they may be off by more than WEIGHT_TOL.  With eigenvalue
+    errors d = eps max|lambda|, no coefficient moves by more than
+    4 d sum_n a_n^2 S_n, S_n = sum_{m != n} 1/|lambda_n - lambda_m|, to first
+    order; a near-degenerate pair makes that large."""
+    weights = _end_weights(lam[None])[0]
+    distance = np.abs(lam[:, None] - lam[None, :])
+    np.fill_diagonal(distance, np.inf)
+    spread = (weights * (1.0 / distance).sum(axis=1)).sum()
+    if 4.0 * np.finfo(float).eps * np.abs(lam).max() * spread > WEIGHT_TOL:
+        return None
+    return _alternating_signs(lam.size) * weights
+
+
+def _transfer_terms(chain: ChainSpec, lam: np.ndarray | None = None):
+    """(eigenvalues, <N|n><n|1> coefficients): from the spectrum (`lam` if
+    already solved) for a mirror-symmetric chain, else from eigenvectors."""
+    if is_mirror_symmetric(chain, SYMMETRY_TOL):
+        lam = eigenvalues_only(chain) if lam is None else lam
+        coeff = _spectral_coefficients(lam)
+        if coeff is not None:
+            return lam, coeff
+        spectral = classify_parity(decompose(chain), chain)
+        return spectral.eigenvalues, spectral.parity_signs * spectral.eigenvectors[0] ** 2
     spectral = decompose(chain)
-    if is_mirror_symmetric(chain):
-        spectral = classify_parity(spectral, chain)
-        amps = spectral.eigenvectors[0, :]
-        coeff = spectral.parity_signs * amps * amps
-    else:
-        coeff = spectral.eigenvectors[-1, :] * spectral.eigenvectors[0, :]
-    return spectral.eigenvalues, coeff
+    return spectral.eigenvalues, spectral.eigenvectors[-1] * spectral.eigenvectors[0]
 
 
 def evolve_fidelity(chain: ChainSpec, times) -> FidelityTrace:

@@ -25,7 +25,6 @@ __all__ = [
     "SpectrumSpec",
     "synthesize",
     "canonical_chain",
-    "random_admissible_spectrum",
 ]
 
 BREAKDOWN_TOL = 1e-13    # Lanczos beta underflow, relative to spectral width
@@ -202,11 +201,9 @@ def synthesize(spectrum: SpectrumSpec | np.ndarray) -> ChainSpec:
     return ChainSpec(diagonal=diagonal[0], couplings=couplings[0])
 
 
-def canonical_chain(n_sites: int, family: str = "equally-spaced") -> ChainSpec:
+def canonical_chain(n_sites: int) -> ChainSpec:
     """The B = 0, J_n = sqrt(n (N-n)) chain: spectrum equally spaced with gap
     2 (so t0 = pi/2), and the speed bounds hold with equality."""
-    if family != "equally-spaced":
-        raise ValueError(f"unknown chain family {family!r}")
     if n_sites < 2:
         raise ValueError("n_sites must be >= 2")
     k = np.arange(1, n_sites, dtype=float)
@@ -226,15 +223,3 @@ def draw_multipliers(
     size = (n_sites - 1,) if count is None else (count, n_sites - 1)
     return rng.integers(0, (max_multiplier + 1) // 2, size=size) * 2 + 1
 
-
-def random_admissible_spectrum(
-    n_sites: int, max_multiplier: int, *, unit: float = 1.0, seed: int = 0
-) -> SpectrumSpec:
-    """A structured admissible spectrum with multipliers drawn uniformly from
-    the odd integers up to max_multiplier; deterministic per seed."""
-    if n_sites < 2:
-        raise ValueError("n_sites must be >= 2")
-    rng = np.random.default_rng(seed)
-    return SpectrumSpec(
-        unit=unit, multipliers=draw_multipliers(rng, n_sites, max_multiplier)
-    )

@@ -6,7 +6,8 @@ symmetric solver instead of the tridiagonal one, time evolution goes through
 an explicit matrix exponential instead of spectral summation, and the mirror
 traces are literal antidiagonal sums.  The fidelity peak search is the
 whole-grid scan that refines one peak at a time, given the eigenvalues and
-end-amplitude coefficients.
+end-amplitude coefficients; the reference coefficients come from
+eigenvectors.
 Agreement between these routes and the package is evidence, not tautology,
 so nothing in this file may import pstlab.
 """
@@ -23,12 +24,6 @@ def dense_hamiltonian(diagonal, couplings) -> np.ndarray:
     h += np.diag(j, 1)
     h += np.diag(j, -1)
     return h
-
-
-def mirror_matrix(n: int) -> np.ndarray:
-    s = np.zeros((n, n))
-    s[np.arange(n), n - 1 - np.arange(n)] = 1.0
-    return s
 
 
 def antidiagonal_sum(matrix: np.ndarray) -> float:
@@ -110,6 +105,17 @@ def lanczos_chain(lam) -> tuple[np.ndarray, np.ndarray]:
             beta[k] = np.linalg.norm(r)
             basis[k + 1] = r / beta[k]
     return alpha, beta
+
+
+def eigenvector_transfer_terms(eigenvalues, eigenvectors, parity_signs=None):
+    """(eigenvalues, <N|n><n|1>) from a full eigendecomposition (columns
+    sign-fixed): sigma_n a_n^2 from the mirror parity signs sigma_n and the
+    first components a_n when the signs are given, else the product of the
+    last and first components."""
+    vec = np.asarray(eigenvectors, dtype=float)
+    if parity_signs is None:
+        return np.asarray(eigenvalues, dtype=float), vec[-1] * vec[0]
+    return np.asarray(eigenvalues, dtype=float), parity_signs * vec[0] * vec[0]
 
 
 def expm_fidelity(diagonal, couplings, times) -> np.ndarray:

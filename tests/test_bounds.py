@@ -19,6 +19,7 @@ from pstlab import (
     audit_chain,
     bound_value,
     canonical_chain,
+    certify,
     falsify_search,
     saturation_scan,
     synthesize,
@@ -127,6 +128,32 @@ class TestAuditChain:
         assert row.split(",")[0] == "4"
         assert row.split(",")[-1] == ""  # empty central-field column
         assert len(row.split(",")) == len(SCAN_CSV_HEADER.split(","))
+
+
+    def test_json_keys_in_order(self):
+        # the analyze report and stdout list these keys in this order
+        report, audit = audit_chain(canonical_chain(5))
+        assert list(report.to_dict()) == [
+            "N", "parity", "J_max", "t0", "product", "bound", "ratio",
+            "lambda_min_ok", "central_field",
+        ]
+        assert list(audit.to_dict()) == [
+            "parity", "identity_matrix_side", "identity_eigen_side",
+            "identity_abs_err", "gap_floor_slack", "lambda_min_slack",
+            "center_coupling_slack", "final_slack", "ratio", "half_sum_slack",
+            "central_field", "substitution_value", "substitution_gap",
+        ]
+        assert list(certify(canonical_chain(5)).to_dict()) == [
+            "admissible", "t0", "phi", "multipliers", "max_residual", "failure",
+        ]
+        search = falsify_search(3, 4, 5, seed=1).to_dict()
+        assert list(search) == [
+            "N", "samples", "max_multiplier", "unit", "seed", "evaluated",
+            "min_ratio", "min_ratio_index", "witness", "lambda_min_violations",
+            "min_final_slack", "substitution_gap_negatives",
+            "min_substitution_gap", "violations", "failures",
+        ]
+        assert json.loads(json.dumps(search)) == search
 
 
 class TestSaturationScan:

@@ -1,4 +1,4 @@
-"""Chain construction, the mirror operator, and the mirror-trace identities."""
+"""Chain construction, mirror symmetry, and the mirror-trace identities."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,20 +9,17 @@ from oracles import (
     antidiagonal_sum,
     dense_decompose,
     dense_hamiltonian,
-    mirror_matrix,
     random_mirror_arrays,
 )
 
 from pstlab import (
     ChainSpec,
-    MirrorOperator,
     SpectralData,
     eigen_side_traces,
     is_mirror_symmetric,
     mirror_trace_h,
     mirror_trace_h2,
     trace_report,
-    traceless_shift,
 )
 
 
@@ -92,33 +89,6 @@ class TestChainSpec:
         with pytest.raises(ValueError, match="object"):
             ChainSpec.from_dict([1, 2, 3])
 
-    def test_dense_matches_oracle(self):
-        c = ChainSpec(diagonal=[1.0, 2.0, 3.0], couplings=[4.0, 5.0])
-        np.testing.assert_array_equal(
-            c.dense(), dense_hamiltonian([1.0, 2.0, 3.0], [4.0, 5.0])
-        )
-
-
-class TestMirrorOperator:
-    def test_matrix_is_antidiagonal_involution(self):
-        s = MirrorOperator(5)
-        m = s.matrix()
-        np.testing.assert_array_equal(m, mirror_matrix(5))
-        np.testing.assert_array_equal(m @ m, np.eye(5))
-        np.testing.assert_array_equal(m, m.T)
-
-    def test_apply_matches_matrix(self):
-        s = MirrorOperator(4)
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=4)
-        np.testing.assert_array_equal(s.apply(x), s.matrix() @ x)
-        m = rng.normal(size=(4, 3))
-        np.testing.assert_array_equal(s.apply(m), s.matrix() @ m)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            MirrorOperator(0)
-
 
 class TestMirrorSymmetry:
     def test_palindromes_are_symmetric(self):
@@ -135,22 +105,6 @@ class TestMirrorSymmetry:
         assert is_mirror_symmetric(c)
         c = ChainSpec(diagonal=[1000.0, 0.0, 1000.0 + 1e-4], couplings=[1.0, 1.0])
         assert not is_mirror_symmetric(c)
-
-
-class TestTracelessShift:
-    def test_zero_mean_and_identical_couplings(self):
-        c = ChainSpec(diagonal=[1.0, 5.0, 3.0], couplings=[1.0, 2.0])
-        shifted = traceless_shift(c)
-        assert abs(shifted.diagonal.sum()) < 1e-12
-        np.testing.assert_array_equal(shifted.couplings, c.couplings)
-
-    def test_spectrum_shifts_rigidly(self):
-        c = ChainSpec(diagonal=[1.0, 5.0, 3.0], couplings=[1.0, 2.0])
-        lam, _ = dense_decompose(c.diagonal, c.couplings)
-        shifted = traceless_shift(c)
-        lam_shifted, _ = dense_decompose(shifted.diagonal, shifted.couplings)
-        np.testing.assert_allclose(lam_shifted, lam - c.diagonal.mean(),
-                                   atol=1e-12)
 
 
 class TestMirrorTraces:

@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from pstlab import canonical_chain, synthesize
-from pstlab.cli import main
+import pstlab.cli
+import pstlab.eigensolve
+import pstlab.pst
+from pstlab import SpectrumSpec, canonical_chain, synthesize
+from pstlab.cli import MAX_STEPS, main
 
 
 def write_json(path, data):
@@ -146,6 +149,98 @@ class TestEvolve:
         assert main(["evolve", "--input", chain, "--t-max", "1",
                      "--steps", "1"]) == 1
         capsys.readouterr()
+
+
+class TestFlagValidation:
+    """Out-of-range flags are usage errors (exit 1), rejected while the
+    arguments are parsed, before the command reads its input."""
+
+    @pytest.fixture(autouse=True)
+    def _no_command_body(self, monkeypatch):
+        def refuse(path):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr(pstlab.cli, "_load_chain", refuse)
+
+    def _usage_error(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument")
+        return err
+
+    def test_analyze_even_cap(self, canonical4, capsys):
+        err = self._usage_error(["analyze", "--input", canonical4, "--cap", "4"], capsys)
+        assert "--cap: must be an odd integer >= 1, got '4'" in err
+
+    def test_evolve_even_cap(self, canonical4, capsys):
+        err = self._usage_error(["evolve", "--input", canonical4, "--t-max", "1",
+                                 "--cap", "4"], capsys)
+        assert "--cap" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-10", "x"])
+    def test_analyze_tolerance(self, canonical4, tol, capsys):
+        err = self._usage_error(["analyze", "--input", canonical4, f"--tol={tol}"], capsys)
+        assert "--tol: must be finite and >= 0" in err
+
+    @pytest.mark.parametrize("t_max", ["nan", "inf", "-1"])
+    def test_evolve_horizon(self, canonical4, t_max, capsys):
+        err = self._usage_error(["evolve", "--input", canonical4, f"--t-max={t_max}"], capsys)
+        assert "--t-max: must be finite and > 0" in err
+
+    def test_evolve_steps_cap(self, canonical4, capsys):
+        err = self._usage_error(["evolve", "--input", canonical4, "--t-max", "1",
+                                 "--steps", str(MAX_STEPS + 1)], capsys)
+        assert f"--steps: must be an integer in 2..{MAX_STEPS}" in err
+
+
+class TestOneSolvePerCommand:
+    """analyze and evolve solve each chain once, whatever the verdict:
+    eigenvalue rows handed to the solver plus full decompositions.  Rows,
+    not calls, are counted: certification calls the solver on an empty
+    stack for an asymmetric chain."""
+
+    CHAINS = {  # verdict: (chain, what analyze prints for it)
+        "admissible": (lambda: synthesize(SpectrumSpec(unit=1.0, multipliers=[1, 3, 5, 3, 1] * 4)),
+                       "certificate: ADMISSIBLE"),
+        "asymmetry": (lambda: synthesize(SpectrumSpec(unit=1.0, multipliers=[1, 3, 1])),
+                      "NOT ADMISSIBLE (asymmetry)"),
+        "no-common-odd-unit": (lambda: synthesize(np.array([1.0, 0.0, -math.sqrt(2.0)])),
+                               "NOT ADMISSIBLE (no-common-odd-unit)"),
+        "multiplier-overflow": (lambda: synthesize(SpectrumSpec(unit=1.0, multipliers=[1, 1001, 1])),
+                                "NOT ADMISSIBLE at cap 999"),
+    }
+
+    @pytest.fixture()
+    def solves(self, monkeypatch):
+        count = {"rows": 0, "decompose": 0}
+        rows, decompose = pstlab.eigensolve._eigvalsh_rows, pstlab.pst.decompose
+
+        def counted_rows(diagonal, couplings, errors):
+            count["rows"] += diagonal.shape[0]
+            return rows(diagonal, couplings, errors)
+
+        def counted_decompose(chain):
+            count["decompose"] += 1
+            return decompose(chain)
+
+        monkeypatch.setattr(pstlab.eigensolve, "_eigvalsh_rows", counted_rows)
+        monkeypatch.setattr(pstlab.pst, "decompose", counted_decompose)
+        return count
+
+    @pytest.mark.parametrize("verdict", list(CHAINS))
+    def test_each_command_solves_once(self, verdict, solves, tmp_path, capsys):
+        build, printed = self.CHAINS[verdict]
+        data = build().to_dict()
+        if verdict == "asymmetry":
+            data["B"][0] += 0.01
+        path = write_json(tmp_path / "chain.json", data)
+        assert main(["analyze", "--input", path]) == (0 if verdict == "admissible" else 2)
+        assert printed in capsys.readouterr().out
+        assert solves["rows"] + solves["decompose"] == 1, solves
+        solves.update(rows=0, decompose=0)
+        assert main(["evolve", "--input", path, "--t-max", "3"]) == 0
+        capsys.readouterr()
+        assert solves["rows"] + solves["decompose"] == 1, solves
 
 
 class TestScan:

@@ -15,7 +15,6 @@ from pstlab import (
     classify_parity,
     decompose,
     eigenvalues_only,
-    end_amplitudes,
 )
 
 
@@ -139,13 +138,6 @@ class TestEndAmplitudes:
         rng = np.random.default_rng(17)
         for _ in range(10):
             c = random_chain(rng, int(rng.integers(2, 20)))
-            a = end_amplitudes(decompose(c))
+            a = decompose(c).eigenvectors[0]
             assert np.all(a > 0)
             assert np.sum(a * a) == pytest.approx(1.0, abs=1e-12)
-
-    def test_returns_a_copy(self):
-        c = canonical_chain(4)
-        spectral = decompose(c)
-        a = end_amplitudes(spectral)
-        a[0] = 99.0
-        assert spectral.eigenvectors[0, 0] != 99.0

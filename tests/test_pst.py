@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    eigenvector_transfer_terms,
     expm_fidelity,
     first_peak_time,
     peak_brackets,
@@ -23,9 +24,10 @@ from pstlab import (
     SpectrumSpec,
     canonical_chain,
     certify,
+    classify_parity,
+    decompose,
     evolve_fidelity,
     first_perfect_time,
-    gap_floor_check,
     synthesize,
 )
 from pstlab import pst
@@ -118,20 +120,6 @@ class TestCertify:
         assert d["t0"] == pytest.approx(HALF_PI)
         assert d["multipliers"] == [1]
         assert d["failure"] is None
-
-
-class TestGapFloor:
-    def test_canonical_chain_at_t0(self):
-        spectral = np.array([2.0, 0.0, -2.0])
-        assert gap_floor_check(spectral, HALF_PI)
-        # a faster claimed transfer time would need larger gaps
-        assert not gap_floor_check(spectral, 0.9 * HALF_PI)
-
-    def test_accepts_spectral_data(self):
-        from pstlab import decompose
-
-        c = canonical_chain(4)
-        assert gap_floor_check(decompose(c), HALF_PI)
 
 
 class TestFidelityTrace:
@@ -351,3 +339,78 @@ class TestBatchedRefinement:
         for (c, _, _), trace in zip(cases, traces):
             np.testing.assert_allclose(evolve_fidelity(c, times).fidelity, trace,
                                        rtol=0, atol=1e-15)
+
+
+def _eigenvector_terms(chain):
+    """The transfer terms by the eigenvector route: decompose, then the
+    classified parity signs for a mirror-symmetric chain."""
+    spectral = decompose(chain)
+    if pst.is_mirror_symmetric(chain, pst.SYMMETRY_TOL):
+        spectral = classify_parity(spectral, chain)
+    return eigenvector_transfer_terms(
+        spectral.eigenvalues, spectral.eigenvectors, spectral.parity_signs
+    )
+
+
+def _nearly_symmetric(chain):
+    """The chain with its first field moved by half the symmetry tolerance,
+    at the scale is_mirror_symmetric measures against."""
+    scale = max(np.abs(chain.diagonal).max(), chain.couplings.max(), 1.0)
+    b = chain.diagonal.copy()
+    b[0] += 0.5 * pst.SYMMETRY_TOL * scale
+    nearly = ChainSpec(diagonal=b, couplings=chain.couplings)
+    assert nearly.diagonal[0] != nearly.diagonal[-1]
+    assert pst.is_mirror_symmetric(nearly)
+    return nearly
+
+
+class TestSpectralRoute:
+    """Symmetric chains take their fidelity weights from the spectrum alone;
+    the eigenvector route (decompose + classify_parity) is the reference."""
+
+    def test_coefficients_match_the_eigenvector_route(self, mirror_corpus):
+        spectral = 0
+        for chain in mirror_corpus:
+            lam, coeff = pst._transfer_terms(chain)
+            spectral += pst._spectral_coefficients(lam) is not None
+            ref_lam, ref_coeff = _eigenvector_terms(chain)
+            np.testing.assert_allclose(lam, ref_lam, rtol=0,
+                                       atol=1e-12 * np.abs(ref_lam).max())
+            np.testing.assert_allclose(coeff, ref_coeff, rtol=0, atol=1e-12)
+        # 100 of the 200 at this seed; the others hold near-degenerate pairs
+        assert spectral >= 50
+
+    def test_near_degenerate_pair_is_decomposed(self):
+        # a weak central coupling splits mirror pairs by about 1e-9: the
+        # spectral weights miss by 6e-8, past WEIGHT_TOL, so the chain
+        # takes the eigenvector route
+        chain = ChainSpec(diagonal=np.zeros(8), couplings=[1.0, 2.0, 1.0, 1e-9, 1.0, 2.0, 1.0])
+        lam = pst.eigenvalues_only(chain)
+        ref_lam, ref_coeff = _eigenvector_terms(chain)
+        raw = pst._alternating_signs(lam.size) * pst._end_weights(lam[None])[0]
+        assert np.abs(raw - ref_coeff).max() > 1e-8
+        assert pst._spectral_coefficients(lam) is None
+        np.testing.assert_array_equal(pst._transfer_terms(chain)[1], ref_coeff)
+        times = [0.5, 3.0, 10.0]
+        np.testing.assert_allclose(evolve_fidelity(chain, times).fidelity,
+                                   expm_fidelity(chain.diagonal, chain.couplings, times),
+                                   rtol=0, atol=1e-12)
+
+    def test_given_spectrum_is_not_solved_again(self, monkeypatch):
+        chain = canonical_chain(6)
+        lam = pst.eigenvalues_only(chain)
+        monkeypatch.setattr(pst, "eigenvalues_only", None)
+        monkeypatch.setattr(pst, "decompose", None)
+        got_lam, coeff = pst._transfer_terms(chain, lam)
+        assert got_lam is lam
+        np.testing.assert_allclose(coeff, _eigenvector_terms(chain)[1], atol=1e-14)
+
+    def test_transfer_times_match_the_eigenvector_route(self, disorder_corpus):
+        chains = [(chain, cert.t0) for chain, cert, _ in disorder_corpus]
+        chains += [(_nearly_symmetric(chain), t0) for chain, t0 in chains]
+        for chain, t0 in chains:
+            assert pst._spectral_coefficients(pst.eigenvalues_only(chain)) is not None
+            got = first_perfect_time(chain, horizon=2.0 * t0)
+            want = first_peak_time(*_eigenvector_terms(chain), 1.0 - 1e-8, 2.0 * t0)
+            assert want is not None
+            assert got == pytest.approx(want, rel=1e-10)

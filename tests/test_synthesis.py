@@ -14,7 +14,6 @@ from pstlab import (
     canonical_chain,
     decompose,
     is_mirror_symmetric,
-    random_admissible_spectrum,
     synthesize,
 )
 from pstlab.synthesis import draw_multipliers
@@ -154,10 +153,6 @@ class TestCanonicalChain:
             np.testing.assert_allclose(lam, np.arange(n - 1, -n, -2, dtype=float),
                                        atol=1e-12)
 
-    def test_rejects_unknown_family(self):
-        with pytest.raises(ValueError, match="family"):
-            canonical_chain(4, family="geometric")
-
     def test_rejects_single_site(self):
         with pytest.raises(ValueError):
             canonical_chain(1)
@@ -177,10 +172,3 @@ class TestRandomSpectra:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="odd"):
             draw_multipliers(rng, 4, 8)
-
-    def test_random_admissible_spectrum_deterministic(self):
-        a = random_admissible_spectrum(6, 9, seed=42)
-        b = random_admissible_spectrum(6, 9, seed=42)
-        np.testing.assert_array_equal(a.multipliers, b.multipliers)
-        assert a.unit == b.unit == 1.0
-        assert np.all(a.multipliers % 2 == 1)
