@@ -362,9 +362,8 @@ def falsify_search(
     rng = np.random.default_rng(seed)
     mults = draw_multipliers(rng, n_sites, cap, count=samples)
 
-    ratios = np.full(samples, np.nan)
-    evaluated = lambda_min_violations = substitution_gap_negatives = 0
-    min_final_slack, min_substitution_gap = math.inf, None
+    ratios, final_slack, gaps, u2 = (np.full(samples, np.nan) for _ in range(4))
+    lambda_min_bad = np.zeros(samples, dtype=bool)
     failures = []
     block = _block_rows(n_sites)
     for start in range(0, samples, block):
@@ -372,22 +371,13 @@ def falsify_search(
             mults[start : start + block], start, unit, tolerances
         )
         failures += failed
-        if not index.size:
-            continue
-        evaluated += index.size
-        ratios[index] = audit["ratio"]
-        lambda_min_violations += int((~audit["lambda_min_ok"]).sum())
-        min_final_slack = min(min_final_slack, float(audit["final_slack"].min()))
-        gap = audit["substitution_gap"]
-        if gap is not None:
-            u = math.pi / t0
-            substitution_gap_negatives += int(
-                (gap < -SUBSTITUTION_GAP_SLACK * u * u).sum()
-            )
-            low = float(gap.min())
-            min_substitution_gap = (
-                low if min_substitution_gap is None else min(min_substitution_gap, low)
-            )
+        ratios[index], final_slack[index] = audit["ratio"], audit["final_slack"]
+        lambda_min_bad[index] = ~audit["lambda_min_ok"]
+        if audit["substitution_gap"] is not None:
+            gaps[index] = audit["substitution_gap"]
+        u2[index] = (math.pi / t0) ** 2
+    audited, odd = ~np.isnan(u2), ~np.isnan(gaps)
+    evaluated = int(audited.sum())
 
     violations = tuple(
         _witness_record(int(i), mults[i], unit, tolerances)
@@ -409,10 +399,12 @@ def falsify_search(
         min_ratio=min_ratio,
         min_ratio_index=min_ratio_index,
         witness=witness,
-        lambda_min_violations=lambda_min_violations,
-        min_final_slack=min_final_slack,
-        substitution_gap_negatives=substitution_gap_negatives,
-        min_substitution_gap=min_substitution_gap,
+        lambda_min_violations=int(lambda_min_bad.sum()),
+        min_final_slack=float(final_slack[audited].min()) if evaluated else math.inf,
+        substitution_gap_negatives=int(
+            (gaps[odd] < -SUBSTITUTION_GAP_SLACK * u2[odd]).sum()
+        ),
+        min_substitution_gap=float(gaps[odd].min()) if odd.any() else None,
         violations=violations,
         failures=tuple(failures),
     )

@@ -312,20 +312,22 @@ def evolve_fidelity(chain: ChainSpec, times) -> FidelityTrace:
 
 
 def _chunk_rows(n: int) -> int:
-    """Times per chunk of a fidelity evaluation or grid scan that keeps it
-    under FIDELITY_BYTES: per time one complex phase row of n entries, plus
-    at most sixteen floats of scan and refinement bookkeeping."""
+    """Times per chunk of a spectral sum or grid scan that keeps it under
+    FIDELITY_BYTES: per time one complex phase row of n entries, plus at most
+    sixteen floats of sums and scan and refinement bookkeeping."""
     return max(1, FIDELITY_BYTES // (16 * (n + 8)))
 
 
-def _fidelity(lam: np.ndarray, coeff: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """|sum_n c_n e^{-i lambda_n t}| for each t in the 1-d array `times`.
-
-    Each time's sum runs over its own contiguous row, so its value does not
-    depend on how many times share the call or the chunk (a matrix-vector
-    product would let BLAS block the rows and move the last bit).
+def _phase_sums(lam, coeff, times, order, reduce, out):
+    """Fill `out` (last axis over the 1-d array `times`) chunk by chunk with
+    reduce(z, z', ..., z^(order)), the time derivatives of the transfer
+    amplitude z(t) = sum_n c_n e^{-i lambda_n t}: one exp per time, summed
+    against the coefficient rows c, -i lambda c, -lambda^2 c, ... as
+    successive products of one (rows, N) buffer.  Each time's sums run over
+    its own contiguous row, so a value does not depend on how many times
+    share the call or the chunk (a matrix-vector product would let BLAS
+    block the rows and move the last bit).
     """
-    out = np.empty(times.size)
     rows = _chunk_rows(lam.size)
     phase = -1j * lam
     buffer = np.empty((min(rows, times.size), lam.size), dtype=complex)
@@ -335,54 +337,55 @@ def _fidelity(lam: np.ndarray, coeff: np.ndarray, times: np.ndarray) -> np.ndarr
         np.multiply.outer(t, phase, out=z)
         np.exp(z, out=z)
         z *= coeff
-        out[start : start + rows] = np.abs(z.sum(axis=1))
+        sums = [z.sum(axis=1)]
+        for _ in range(order):
+            z *= phase
+            sums.append(z.sum(axis=1))
+        out[..., start : start + rows] = reduce(*sums)
     return out
 
 
-def _refine_peaks(lam: np.ndarray, coeff: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Locate the maximum of f on each bracket [a_k, b_k], as (t, f(t)).
+def _fidelity(lam: np.ndarray, coeff: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """|sum_n c_n e^{-i lambda_n t}| for each t in the 1-d array `times`."""
+    return _phase_sums(lam, coeff, times, 0, np.abs, np.empty(times.size))
 
-    Golden-section comparisons alone cannot place an extremum better than
-    ~sqrt(eps / curvature) because the function is quadratically flat on top,
-    so each bracket is narrowed to ~1e-7 relative and finished with one
-    parabolic vertex step at a stride where the quadratic signal still
-    dominates roundoff; that lands within ~1e-10 relative of the true peak.
-    All brackets advance together, one evaluation of f per iteration for the
-    rows still narrowing; a row leaves once (b - a) <= 1e-7 b.
+
+def _slope(z, dz):
+    """h = Re(conj(z) z') = (f^2)'/2, which has the sign of f's slope."""
+    return (z.conj() * dz).real
+
+
+def _newton_terms(z, dz, d2z):
+    """(h, h', f), with h' = |z'|^2 + Re(conj(z) z'')."""
+    return _slope(z, dz), np.abs(dz) ** 2 + _slope(z, d2z), np.abs(z)
+
+
+def _refine_peaks(lam: np.ndarray, coeff: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Locate the maximum of f on each bracket [a_k, b_k] across which the
+    slope h falls from > 0 to <= 0, as (t, f(t)): the root of h, by Newton's
+    method with the analytic h', all brackets together from their midpoints.
+    Each evaluation narrows its bracket by the sign of h, and a row bisects
+    wherever h' >= 0 or the Newton point would leave the bracket.  A row
+    stops when its Newton correction or its bracket is within 4 eps of the
+    bracket's initial right end, so a peak lands within a few ulps of the
+    root; where h is only roundoff, as next to t = 0, bisection ends the row
+    within about 50 steps.
     """
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    t, ft, b_end = np.empty(a.size), np.empty(a.size), np.empty(a.size)
-    x1 = b - inv_phi * (b - a)
-    x2 = a + inv_phi * (b - a)
-    f1, f2 = _fidelity(lam, coeff, x1), _fidelity(lam, coeff, x2)
+    t, ft = np.empty(a.size), np.empty(a.size)
+    tol = 4.0 * np.finfo(float).eps * b
+    x = 0.5 * (a + b)
     active = np.arange(a.size)
     while active.size:
-        done = (b - a) <= 1e-7 * b
-        if done.any():
-            rows, left = active[done], f1[done] >= f2[done]
-            t[rows] = np.where(left, x1[done], x2[done])
-            ft[rows] = np.where(left, f1[done], f2[done])
-            b_end[rows] = b[done]
-            keep = ~done
-            active, a, b, x1, x2, f1, f2 = (
-                v[keep] for v in (active, a, b, x1, x2, f1, f2)
-            )
-            if not active.size:
-                break
-        right = f1 < f2
-        a, b = np.where(right, x1, a), np.where(right, b, x2)
-        x = np.where(right, a + inv_phi * (b - a), b - inv_phi * (b - a))
-        fx = _fidelity(lam, coeff, x)
-        x1, x2 = np.where(right, x2, x), np.where(right, x, x1)
-        f1, f2 = np.where(right, f2, fx), np.where(right, fx, f1)
-    h = 1e-6 * b_end
-    f_lo, f_hi = np.split(_fidelity(lam, coeff, np.concatenate((t - h, t + h))), 2)
-    denom = f_lo - 2.0 * ft + f_hi
-    rows = np.flatnonzero(denom < 0.0)
-    vertex = t[rows] + 0.5 * h[rows] * (f_lo[rows] - f_hi[rows]) / denom[rows]
-    f_vertex = _fidelity(lam, coeff, vertex)
-    better = f_vertex >= ft[rows]
-    t[rows[better]], ft[rows[better]] = vertex[better], f_vertex[better]
+        h, dh, f = _phase_sums(lam, coeff, x, 2, _newton_terms, np.empty((3, x.size)))
+        rising = h > 0.0
+        a, b = np.where(rising, x, a), np.where(rising, b, x)
+        step = np.divide(h, dh, out=np.full(x.size, np.inf), where=dh < 0.0)
+        done = (np.abs(step) <= tol) | (b - a <= tol)
+        t[active[done]], ft[active[done]] = x[done], f[done]
+        newton = x - step
+        x = np.where((newton > a) & (newton < b), newton, 0.5 * (a + b))
+        keep = ~done
+        active, a, b, x, tol = (v[keep] for v in (active, a, b, x, tol))
     return t, ft
 
 
@@ -391,19 +394,21 @@ def first_perfect_time(
 ) -> float | None:
     """Time of the earliest fidelity peak reaching `threshold`, or None.
 
-    Scans (0, horizon] at step pi/(8 * spectral width) -- at least 16 samples
-    per period of the fastest phase -- then refines every local maximum to
-    ~1e-10 relative before comparing against the threshold, so near-miss
-    peaks are never mistaken for hits and certified chains return t0 itself
-    rather than a flank crossing.  Default horizon: 4 pi / (smallest gap),
-    one full revival period of the slowest phase pair.
+    Samples the slope h = Re(conj(z) z') = (f^2)'/2 of the fidelity on
+    (0, horizon] at step pi/(8 * spectral width) -- at least 16 samples per
+    period of the fastest phase -- and takes every fall of h from > 0 to <= 0
+    between consecutive samples as a peak's bracket.  f(0) = 0, so h counts
+    as rising at t = 0, and a fidelity still rising at the horizon peaks
+    there.  Every peak is refined to the root of h (see _refine_peaks) before
+    it is compared with the threshold, so near-miss peaks are never mistaken
+    for hits and certified chains return t0 itself rather than a flank
+    crossing.  Default horizon: 4 pi / (smallest gap), one full revival
+    period of the slowest phase pair.
 
     The grid is scanned in chunks whose working set stays under
-    FIDELITY_BYTES, each carrying one neighbouring sample on either side so
-    that it finds the same local maxima as the whole grid would.  The peaks
-    of a chunk are refined together (golden section, then one parabolic
-    step), and the scan stops at the first chunk with a peak that reaches
-    the threshold.
+    FIDELITY_BYTES; only the last sample's time and slope sign carry into
+    the next chunk.  The peaks of a chunk are refined together, and the scan
+    stops at the first chunk with a peak that reaches the threshold.
     """
     if not (0.0 < threshold <= 1.0):
         raise ValueError("threshold must be in (0, 1]")
@@ -411,27 +416,27 @@ def first_perfect_time(
     width = lam[0] - lam[-1]
     if horizon is None:
         horizon = 4.0 * math.pi / float((-np.diff(lam)).min())
-    if horizon <= 0:
-        raise ValueError("horizon must be > 0")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError("horizon must be finite and > 0")
     step = math.pi / (8.0 * width)
     n_steps = max(int(math.ceil(horizon / step)), 2)
     # the samples of np.linspace(horizon / n_steps, horizon, n_steps)
     first = horizon / n_steps
     spacing = (horizon - first) / (n_steps - 1)
     rows = _chunk_rows(lam.size)
+    t_last, rising = 0.0, True
     for start in range(0, n_steps, rows):
-        lo, hi = max(start - 1, 0), min(start + rows + 1, n_steps)
-        grid = np.arange(lo, hi, dtype=float) * spacing + first
-        if hi == n_steps:
+        grid = np.arange(start, min(start + rows, n_steps), dtype=float) * spacing + first
+        if start + rows >= n_steps:
             grid[-1] = horizon
-        fid = np.concatenate(([-np.inf], _fidelity(lam, coeff, grid), [-np.inf]))
-        grid = np.concatenate(([grid[0] / 8.0], grid, [grid[-1]]))
-        mid = fid[1:-1]
-        peaks = np.flatnonzero((mid >= fid[:-2]) & (mid >= fid[2:]))
-        # the outer samples of an inner chunk belong to its neighbours
-        peaks = peaks[(peaks >= start - lo) & (peaks < start + rows - lo)]
-        t_peak, f_peak = _refine_peaks(lam, coeff, grid[peaks], grid[peaks + 2])
+        up = _phase_sums(lam, coeff, grid, 1, _slope, np.empty(grid.size)) > 0.0
+        falls = np.flatnonzero(np.concatenate(([rising], up[:-1])) & ~up)
+        left = np.where(falls > 0, grid[falls - 1], t_last)
+        t_peak, f_peak = _refine_peaks(lam, coeff, left, grid[falls])
         hits = np.flatnonzero(f_peak >= threshold)
         if hits.size:
-            return min(float(t_peak[hits[0]]), horizon)
+            return float(t_peak[hits[0]])
+        t_last, rising = grid[-1], up[-1]
+    if rising and _fidelity(lam, coeff, np.array([horizon]))[0] >= threshold:
+        return horizon
     return None

@@ -4,8 +4,10 @@ Everything here avoids the production code paths on purpose: Hamiltonians are
 materialized as dense arrays, eigenproblems go through numpy's dense
 symmetric solver instead of the tridiagonal one, time evolution goes through
 an explicit matrix exponential instead of spectral summation, and the mirror
-traces are literal antidiagonal sums.  The fidelity peak search is the
-whole-grid scan that refines one peak at a time, given the eigenvalues and
+traces are literal antidiagonal sums.  The fidelity peak search is one
+unchunked scan of the whole grid for sign changes of the slope
+h = Re(conj(z) z'), each bracket solved by scipy's brentq, a different root
+finder from the package's Newton iteration, given the eigenvalues and
 end-amplitude coefficients; the reference coefficients come from
 eigenvectors.
 Agreement between these routes and the package is evidence, not tautology,
@@ -15,6 +17,7 @@ import math
 
 import numpy as np
 import scipy.linalg
+import scipy.optimize
 
 
 def dense_hamiltonian(diagonal, couplings) -> np.ndarray:
@@ -128,44 +131,6 @@ def expm_fidelity(diagonal, couplings, times) -> np.ndarray:
     return out
 
 
-def refine_peak(fun, a: float, b: float) -> tuple[float, float]:
-    """Locate the maximum of the scalar function fun on [a, b], one bracket
-    at a time: golden section down to (b - a) <= 1e-7 b, then one parabolic
-    vertex step at stride 1e-6 b, kept only if it does not lower f.  The
-    reference for the package's batched peak refinement."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - inv_phi * (b - a)
-    x2 = a + inv_phi * (b - a)
-    f1, f2 = fun(x1), fun(x2)
-    while (b - a) > 1e-7 * b:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv_phi * (b - a)
-            f2 = fun(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv_phi * (b - a)
-            f1 = fun(x1)
-    t, ft = (x1, f1) if f1 >= f2 else (x2, f2)
-    h = 1e-6 * b
-    f_lo, f_hi = fun(t - h), fun(t + h)
-    denom = f_lo - 2.0 * ft + f_hi
-    if denom < 0.0:
-        t_vertex = t + 0.5 * h * (f_lo - f_hi) / denom
-        f_vertex = fun(t_vertex)
-        if f_vertex >= ft:
-            return t_vertex, f_vertex
-    return t, ft
-
-
-def peak_brackets(grid: np.ndarray, index: np.ndarray):
-    """The bracket (a, b) around each sample index of a time grid: its two
-    neighbours, with grid[0] / 8 left of the first sample and the last
-    sample itself right of the last."""
-    padded = np.concatenate(([grid[0] / 8.0], grid, [grid[-1]]))
-    return padded[index], padded[index + 2]
-
-
 def spectral_fidelity(lam, coeff):
     """f(t) = |sum_n c_n e^{-i lambda_n t}| for a float t, or for a column
     of times t[:, None].  The terms are formed and summed in the order the
@@ -180,24 +145,53 @@ def spectral_fidelity(lam, coeff):
     return fidelity
 
 
+def spectral_slope(lam, coeff):
+    """h(t) = Re(conj(z) z') = (f^2)'/2, with z = sum_n c_n e^{-i lambda_n t}
+    and z' = sum_n (-i lambda_n) c_n e^{-i lambda_n t}, for a float t or a
+    column of times t[:, None]."""
+    phase = -1j * np.asarray(lam, dtype=float)
+
+    def slope(t):
+        terms = np.exp(t * phase) * coeff
+        return np.real(np.conj(terms.sum(axis=-1)) * (terms * phase).sum(axis=-1))
+
+    return slope
+
+
+def slope_brackets(slope, grid: np.ndarray):
+    """(a, b) for every fall of the slope from > 0 to <= 0 between
+    consecutive samples of a time grid, the slope counted as rising at
+    t = 0 (f(0) = 0), so (0, grid[0]) is a bracket if grid[0] is past a
+    peak."""
+    rising = np.concatenate(([True], slope(grid[:, None]) > 0.0))
+    falls = np.flatnonzero(rising[:-1] & ~rising[1:])
+    return np.concatenate(([0.0], grid))[falls], grid[falls]
+
+
+def slope_root(slope, a: float, b: float) -> float:
+    """The root of the slope on a bracket from slope_brackets, by Brent's
+    method, to 4 eps of b; t = 0 counts as rising."""
+    eps = np.finfo(float).eps
+    return scipy.optimize.brentq(lambda t: float(slope(t)) if t > 0.0 else 1.0,
+                                 a, b, xtol=4.0 * eps * b, rtol=4.0 * eps)
+
+
 def first_peak_time(lam, coeff, threshold: float, horizon: float):
-    """The earliest refined fidelity peak reaching threshold on (0, horizon],
-    or None, by one whole-grid scan and one refine_peak per local maximum.
-    The grid is linspace(horizon / n, horizon, n) at step pi / (8 width)."""
+    """The earliest fidelity peak reaching threshold on (0, horizon], or
+    None: one whole-grid scan for the slope's falls, one slope_root per
+    bracket, and the horizon itself if f is still rising there.  The grid is
+    linspace(horizon / n, horizon, n) at step pi / (8 width)."""
     fidelity = spectral_fidelity(lam, coeff)
+    slope = spectral_slope(lam, coeff)
     width = lam[0] - lam[-1]
     n_steps = max(int(math.ceil(horizon / (math.pi / (8.0 * width)))), 2)
     grid = np.linspace(horizon / n_steps, horizon, n_steps)
-    fid = fidelity(grid[:, None])
-    is_peak = np.empty(grid.size, dtype=bool)
-    is_peak[0] = fid[0] >= fid[1]
-    is_peak[-1] = fid[-1] >= fid[-2]
-    is_peak[1:-1] = (fid[1:-1] >= fid[:-2]) & (fid[1:-1] >= fid[2:])
-    lo, hi = peak_brackets(grid, np.flatnonzero(is_peak))
-    for a, b in zip(lo, hi):
-        t_peak, f_peak = refine_peak(lambda t: float(fidelity(t)), float(a), float(b))
-        if f_peak >= threshold:
-            return min(t_peak, horizon)
+    for a, b in zip(*slope_brackets(slope, grid)):
+        t_peak = slope_root(slope, float(a), float(b))
+        if fidelity(t_peak) >= threshold:
+            return t_peak
+    if slope(horizon) > 0.0 and fidelity(horizon) >= threshold:
+        return horizon
     return None
 
 

@@ -11,10 +11,11 @@ from oracles import (
     eigenvector_transfer_terms,
     expm_fidelity,
     first_peak_time,
-    peak_brackets,
     random_mirror_arrays,
-    refine_peak,
+    slope_brackets,
+    slope_root,
     spectral_fidelity,
+    spectral_slope,
 )
 
 from pstlab import (
@@ -227,6 +228,9 @@ class TestFirstPerfectTime:
             first_perfect_time(canonical_chain(2), threshold=0.0)
         with pytest.raises(ValueError, match="horizon"):
             first_perfect_time(canonical_chain(2), horizon=-1.0)
+        for horizon in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                first_perfect_time(canonical_chain(2), horizon=horizon)
 
     def test_default_horizon_spans_the_smallest_gap(self):
         # gaps (1, 5): a horizon set by the largest gap, 4 pi / 5, ends
@@ -255,7 +259,7 @@ class TestFirstPerfectTime:
 
 
 def _reference(chain, threshold, horizon):
-    """first_perfect_time by the whole-grid, one-peak-at-a-time oracle."""
+    """first_perfect_time by the whole-grid, brentq-per-bracket oracle."""
     lam, coeff = pst._transfer_terms(chain)
     return first_peak_time(lam, coeff, threshold, horizon)
 
@@ -295,7 +299,8 @@ class TestBatchedRefinement:
         for chain, t0 in _certified_chains():
             for threshold, horizon in ((1.0 - 1e-8, 3.0 * t0), (0.5, 0.9 * t0)):
                 # the second horizon ends on the rising flank, so the hit
-                # is the last grid sample's bracket
+                # is the horizon itself, or an earlier peak above 0.5 (the
+                # fourth chain's near 0.829, see TestPeakRegressions)
                 got = first_perfect_time(chain, threshold=threshold, horizon=horizon)
                 want = _reference(chain, threshold, horizon)
                 assert _same_time(got, want), (threshold, got, want)
@@ -303,19 +308,19 @@ class TestBatchedRefinement:
                 t0, rel=1e-9)
 
     def test_edge_brackets_match_the_reference(self):
-        # every sample's bracket, the first ([grid[0] / 8, grid[1]]) and the
-        # last ([grid[-2], grid[-1]]) included, peak or not
+        # every fall of the slope on a 40-sample grid, plus [0, t1] for a
+        # grid whose first sample t1 is the first fall's right end
         for chain, t0 in _certified_chains():
             lam, coeff = pst._transfer_terms(chain)
-            grid = np.linspace(t0 / 40.0, 1.3 * t0, 40)
-            a, b = peak_brackets(grid, np.arange(grid.size))
+            slope = spectral_slope(lam, coeff)
+            a, b = slope_brackets(slope, np.linspace(t0 / 40.0, 1.3 * t0, 40))
+            a, b = np.append(a, 0.0), np.append(b, b[0])
             t, ft = pst._refine_peaks(lam, coeff, a, b)
             fidelity = spectral_fidelity(lam, coeff)
-            fun = lambda x: float(fidelity(x))
-            for k in range(grid.size):
-                want_t, want_f = refine_peak(fun, float(a[k]), float(b[k]))
+            for k in range(a.size):
+                want_t = slope_root(slope, float(a[k]), float(b[k]))
                 assert t[k] == pytest.approx(want_t, rel=1e-10)
-                assert ft[k] == pytest.approx(want_f, rel=1e-10)
+                assert ft[k] == pytest.approx(float(fidelity(want_t)), rel=1e-10)
 
     def test_chunk_boundaries_do_not_move_the_answer(self, disorder_corpus, monkeypatch):
         # a chunk boundary on every sample around the peak at t0 (index 31
@@ -339,6 +344,49 @@ class TestBatchedRefinement:
         for (c, _, _), trace in zip(cases, traces):
             np.testing.assert_allclose(evolve_fidelity(c, times).fidelity, trace,
                                        rtol=0, atol=1e-15)
+
+
+class TestPeakRegressions:
+    """Peaks the scan by three-sample maxima and the golden-section
+    refinement got wrong."""
+
+    def test_shoulder_peak_between_samples_is_found(self):
+        # N = 5, multipliers (5, 9, 3, 1): f peaks at 0.8290 (f = 0.646338)
+        # and dips at 0.8377 (f = 0.646331), both between samples of the
+        # 0.0135 grid, whose values rise monotonically there; a
+        # three-sample test saw no peak and returned the horizon, 1.01056
+        chain, t0 = list(_certified_chains())[3]
+        np.testing.assert_array_equal(certify(chain).multipliers, [5, 9, 3, 1])
+        t = first_perfect_time(chain, threshold=0.5, horizon=0.9 * t0)
+        assert t < 1.0105
+        f_lo, f, f_hi = expm_fidelity(chain.diagonal, chain.couplings,
+                                      [t - 1e-3, t, t + 1e-3])
+        assert f >= 0.5
+        assert f > f_lo and f > f_hi
+
+    def test_sub_unit_peaks_land_on_the_root_of_the_slope(self, disorder_corpus):
+        # the golden-section refinement missed these by 5.0e-13 and 1.1e-11
+        mpmath = pytest.importorskip("mpmath")
+        for k in (26, 33):
+            _, cert, chain = disorder_corpus[k]
+            t = first_perfect_time(chain, threshold=0.9, horizon=20.0 * cert.t0)
+            n = chain.diagonal.size
+            with mpmath.workdps(40):
+                h = mpmath.zeros(n)
+                for i in range(n):
+                    h[i, i] = chain.diagonal[i]
+                for i in range(n - 1):
+                    h[i, i + 1] = h[i + 1, i] = chain.couplings[i]
+                lam, vec = mpmath.eigsy(h)
+                coeff = [vec[n - 1, m] * vec[0, m] for m in range(n)]
+
+                def slope(x):
+                    terms = [c * mpmath.expj(-e * x) for c, e in zip(coeff, lam)]
+                    dz = sum(-1j * e * term for e, term in zip(lam, terms))
+                    return mpmath.re(mpmath.conj(sum(terms)) * dz)
+
+                root = mpmath.findroot(slope, mpmath.mpf(t))
+                assert abs(t - root) <= 1e-13 * root, (k, t, root)
 
 
 def _eigenvector_terms(chain):
