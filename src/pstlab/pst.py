@@ -251,7 +251,7 @@ class FidelityTrace:
         f = np.asarray(self.fidelity, dtype=float)
         if t.shape != f.shape or t.ndim != 1:
             raise ValueError("times and fidelity must be matching 1-d arrays")
-        if f.size and (f.min() < 0.0 or f.max() > 1.0 + 1e-12):
+        if f.size and not (f.min() >= 0.0 and f.max() <= 1.0 + 1e-12):
             raise ValueError("fidelity outside [0, 1 + 1e-12]")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "fidelity", f)
@@ -305,43 +305,47 @@ def evolve_fidelity(chain: ChainSpec, times) -> FidelityTrace:
     values land in [0, 1] up to roundoff.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    if times.ndim != 1:
-        raise ValueError("times must be one-dimensional")
+    if times.ndim != 1 or not np.isfinite(times).all():
+        raise ValueError("times must be one-dimensional and finite")
     lam, coeff = _transfer_terms(chain)
     return FidelityTrace(times=times, fidelity=_fidelity(lam, coeff, times))
 
 
 def _chunk_rows(n: int) -> int:
     """Times per chunk of a spectral sum or grid scan that keeps it under
-    FIDELITY_BYTES: per time one complex phase row of n entries, plus at most
-    sixteen floats of sums and scan and refinement bookkeeping."""
+    FIDELITY_BYTES: per time one complex row of n phases (block bases and
+    offsets included), plus at most sixteen floats of sums, h, f^2 and bookkeeping."""
     return max(1, FIDELITY_BYTES // (16 * (n + 8)))
 
 
-def _phase_sums(lam, coeff, times, order, reduce, out):
-    """Fill `out` (last axis over the 1-d array `times`) chunk by chunk with
-    reduce(z, z', ..., z^(order)), the time derivatives of the transfer
-    amplitude z(t) = sum_n c_n e^{-i lambda_n t}: one exp per time, summed
+def _phase_sums(lam, coeff, starts, order, reduce, out, offsets=np.zeros(1)):
+    """Fill `out` (last axis over the times starts[q] + offsets[r], q-major)
+    chunk by chunk with reduce(z, z', ..., z^(order)), the time derivatives
+    of the transfer amplitude z(t) = sum_n c_n e^{-i lambda_n t}: (Q + B) N
+    exps for Q starts and B offsets, as e^{-i lambda (s + d)} factors, summed
     against the coefficient rows c, -i lambda c, -lambda^2 c, ... as
-    successive products of one (rows, N) buffer.  Each time's sums run over
-    its own contiguous row, so a value does not depend on how many times
-    share the call or the chunk (a matrix-vector product would let BLAS
-    block the rows and move the last bit).
+    successive products of one (Q B, N) buffer.  The default offset's phase
+    is exactly 1 + 0j.  Each time's sums run over its own row, so a value
+    does not depend on how many times share the call or the chunk (a
+    matrix-vector product would let BLAS block the rows and move the last
+    bit).
     """
-    rows = _chunk_rows(lam.size)
     phase = -1j * lam
-    buffer = np.empty((min(rows, times.size), lam.size), dtype=complex)
-    for start in range(0, times.size, rows):
-        t = times[start : start + rows]
-        z = buffer[: t.size]
-        np.multiply.outer(t, phase, out=z)
-        np.exp(z, out=z)
-        z *= coeff
+    shift = np.exp(np.multiply.outer(offsets, phase))
+    per = max(1, (_chunk_rows(lam.size) - offsets.size) // (offsets.size + 1))
+    bases = np.empty((min(per, starts.size), lam.size), dtype=complex)
+    buffer = np.empty((bases.shape[0], offsets.size, lam.size), dtype=complex)
+    for start in range(0, starts.size, per):
+        s = starts[start : start + per]
+        base = np.multiply.outer(s, phase, out=bases[: s.size])
+        np.exp(base, out=base)
+        base *= coeff
+        z = np.multiply(base[:, None], shift, out=buffer[: s.size]).reshape(-1, lam.size)
         sums = [z.sum(axis=1)]
         for _ in range(order):
             z *= phase
             sums.append(z.sum(axis=1))
-        out[..., start : start + rows] = reduce(*sums)
+        out[..., start * offsets.size : (start + s.size) * offsets.size] = reduce(*sums)
     return out
 
 
@@ -360,21 +364,37 @@ def _newton_terms(z, dz, d2z):
     return _slope(z, dz), np.abs(dz) ** 2 + _slope(z, d2z), np.abs(z)
 
 
+def _peak_ceilings(lam, coeff, a, b, f2_a, f2_b):
+    """Bounds on f^2 at a peak t* in each bracket [a, b], from f^2 at its
+    ends: h(t*) = 0, so f^2(t*) <= max(f^2(a), f^2(b)) + M (b - a)^2 / 8 for
+    M >= |(f^2)''| = 2 |h'|, bounded through |z|, |z'|, |z''| on the centred
+    spectrum (a shift moves no f).  The slack 64 N eps (1 + b max|lambda|)
+    covers the rounding of f^2 (sum |c| <= 1) in the phases and the sums."""
+    mag, centred = np.abs(coeff), np.abs(lam - 0.5 * (lam[0] + lam[-1]))
+    curvature = 2.0 * ((mag @ centred) ** 2 + mag.sum() * (mag @ centred**2))
+    slack = 64.0 * lam.size * np.finfo(float).eps * (1.0 + b * np.abs(lam).max())
+    return np.maximum(f2_a, f2_b) + curvature * (b - a) ** 2 / 8.0 + slack
+
+
 def _refine_peaks(lam: np.ndarray, coeff: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Locate the maximum of f on each bracket [a_k, b_k] across which the
     slope h falls from > 0 to <= 0, as (t, f(t)): the root of h, by Newton's
     method with the analytic h', all brackets together from their midpoints.
-    Each evaluation narrows its bracket by the sign of h, and a row bisects
-    wherever h' >= 0 or the Newton point would leave the bracket.  A row
-    stops when its Newton correction or its bracket is within 4 eps of the
-    bracket's initial right end, so a peak lands within a few ulps of the
-    root; where h is only roundoff, as next to t = 0, bisection ends the row
-    within about 50 steps.
+    A row whose end (not t = 0, where h and h' are roundoff) has h' < 0 and
+    |h / h'| < 4 eps b ends there first: the Newton point would keep leaving
+    that root.  Each evaluation narrows its bracket by the sign of h, and a
+    row bisects wherever h' >= 0 or the Newton point would leave the bracket.
+    A row stops when its Newton correction or its bracket is within 4 eps of
+    the bracket's initial right end, so a peak lands within a few ulps of
+    the root.
     """
-    t, ft = np.empty(a.size), np.empty(a.size)
     tol = 4.0 * np.finfo(float).eps * b
-    x = 0.5 * (a + b)
-    active = np.arange(a.size)
+    ends = np.concatenate((b, a))
+    h, dh, f = _phase_sums(lam, coeff, ends, 2, _newton_terms, np.empty((3, ends.size)))
+    root = ((np.abs(h) < -dh * np.tile(tol, 2)) & (ends > 0.0)).reshape(2, -1)
+    t, ft = np.where(root[0], b, a), np.where(root[0], *f.reshape(2, -1))  # b if a root
+    active = np.flatnonzero(~root.any(axis=0))
+    a, b, x, tol = (v[active] for v in (a, b, 0.5 * (a + b), tol))
     while active.size:
         h, dh, f = _phase_sums(lam, coeff, x, 2, _newton_terms, np.empty((3, x.size)))
         rising = h > 0.0
@@ -399,16 +419,18 @@ def first_perfect_time(
     period of the fastest phase -- and takes every fall of h from > 0 to <= 0
     between consecutive samples as a peak's bracket.  f(0) = 0, so h counts
     as rising at t = 0, and a fidelity still rising at the horizon peaks
-    there.  Every peak is refined to the root of h (see _refine_peaks) before
-    it is compared with the threshold, so near-miss peaks are never mistaken
-    for hits and certified chains return t0 itself rather than a flank
-    crossing.  Default horizon: 4 pi / (smallest gap), one full revival
-    period of the slowest phase pair.
+    there.  A bracket whose ceiling on f^2 (see _peak_ceilings) is below
+    threshold^2 cannot hold a hit and is skipped; every other peak is refined
+    to the root of h (see _refine_peaks) before it is compared with the
+    threshold, so near-miss peaks are never mistaken for hits and certified
+    chains return t0 itself rather than a flank crossing.  Default horizon:
+    4 pi / (smallest gap), one full revival period of the slowest phase pair.
 
-    The grid is scanned in chunks whose working set stays under
-    FIDELITY_BYTES; only the last sample's time and slope sign carry into
-    the next chunk.  The peaks of a chunk are refined together, and the scan
-    stops at the first chunk with a peak that reaches the threshold.
+    The grid is scanned in chunks of whole blocks of B samples, a start plus
+    B offsets (see _phase_sums) aligned to the sample index so that no value
+    depends on the chunking, under FIDELITY_BYTES; only the last sample's
+    time, h and f^2 carry over.  A chunk's peaks are refined together, and
+    the scan stops at the first chunk with a peak that reaches the threshold.
     """
     if not (0.0 < threshold <= 1.0):
         raise ValueError("threshold must be in (0, 1]")
@@ -423,20 +445,28 @@ def first_perfect_time(
     # the samples of np.linspace(horizon / n_steps, horizon, n_steps)
     first = horizon / n_steps
     spacing = (horizon - first) / (n_steps - 1)
-    rows = _chunk_rows(lam.size)
-    t_last, rising = 0.0, True
-    for start in range(0, n_steps, rows):
-        grid = np.arange(start, min(start + rows, n_steps), dtype=float) * spacing + first
-        if start + rows >= n_steps:
-            grid[-1] = horizon
-        up = _phase_sums(lam, coeff, grid, 1, _slope, np.empty(grid.size)) > 0.0
-        falls = np.flatnonzero(np.concatenate(([rising], up[:-1])) & ~up)
-        left = np.where(falls > 0, grid[falls - 1], t_last)
-        t_peak, f_peak = _refine_peaks(lam, coeff, left, grid[falls])
-        hits = np.flatnonzero(f_peak >= threshold)
-        if hits.size:
-            return float(t_peak[hits[0]])
-        t_last, rising = grid[-1], up[-1]
-    if rising and _fidelity(lam, coeff, np.array([horizon]))[0] >= threshold:
+    # a chunk of Q blocks of B samples takes (Q + B) N exps, fewest near B = Q
+    block = math.isqrt(_chunk_rows(lam.size))
+    span = max(1, (_chunk_rows(lam.size) - block) // (block + 1)) * block
+    scan = np.empty((3, 1 + span))  # t, h, f^2; column 0 is the sample before the chunk
+    scan[:, 0] = 0.0, 1.0, 0.0  # f(0) = 0, and h counts as rising there
+    for start in range(0, n_steps, span):
+        t, h, f2 = scan[:, : 1 + min(span, n_steps - start)]
+        t[1:] = np.arange(start, start + t.size - 1) * spacing + first
+        if start + span >= n_steps:
+            t[-1] = horizon
+        _phase_sums(lam, coeff, t[1::block], 1, lambda z, dz: (_slope(z, dz), np.abs(z) ** 2),
+                    scan[1:, 1:], np.arange(block) * spacing)
+        up = h > 0.0
+        falls = np.flatnonzero(up[:-1] & ~up[1:])
+        a, b = t[falls], t[falls + 1]
+        reach = _peak_ceilings(lam, coeff, a, b, f2[falls], f2[falls + 1]) >= threshold**2
+        scan[:, 0] = scan[:, t.size - 1]
+        if reach.any():
+            t_peak, f_peak = _refine_peaks(lam, coeff, a[reach], b[reach])
+            hits = np.flatnonzero(f_peak >= threshold)
+            if hits.size:
+                return float(t_peak[hits[0]])
+    if h[-1] > 0.0 and f2[-1] >= threshold**2:
         return horizon
     return None

@@ -133,6 +133,8 @@ class TestFidelityTrace:
             FidelityTrace(times=np.array([0.0]), fidelity=np.array([1.1]))
         with pytest.raises(ValueError, match="fidelity"):
             FidelityTrace(times=np.array([0.0]), fidelity=np.array([-0.1]))
+        with pytest.raises(ValueError, match="fidelity"):
+            FidelityTrace(times=np.array([0.0, 1.0]), fidelity=np.array([0.5, np.nan]))
 
     def test_csv_format(self):
         trace = FidelityTrace(times=np.array([0.0, 0.5]),
@@ -184,6 +186,22 @@ class TestEvolveFidelity:
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError, match="one-dimensional"):
             evolve_fidelity(canonical_chain(2), np.zeros((2, 2)))
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                evolve_fidelity(canonical_chain(2), [0.5, bad])
+
+    def test_matches_the_one_exp_per_time_sum_bit_for_bit(self):
+        # the kernel factors e^{-i lambda t} over blocks of the scan grid;
+        # at its default offset 0 the factor is exactly 1 + 0j
+        rng = np.random.default_rng(25)
+        times = np.linspace(0.0, 30.0, 3001)
+        chains = [canonical_chain(7), next(_certified_chains())[0],
+                  ChainSpec(diagonal=rng.uniform(-1.0, 1.0, 6),
+                            couplings=rng.uniform(0.5, 2.0, 5))]
+        for chain in chains:
+            lam, coeff = pst._transfer_terms(chain)
+            want = spectral_fidelity(lam, coeff)(times[:, None])
+            assert np.array_equal(evolve_fidelity(chain, times).fidelity, want)
 
     def test_certified_chains_reach_unity(self):
         rng = np.random.default_rng(23)
@@ -322,6 +340,29 @@ class TestBatchedRefinement:
                 assert t[k] == pytest.approx(want_t, rel=1e-10)
                 assert ft[k] == pytest.approx(float(fidelity(want_t)), rel=1e-10)
 
+    def test_peak_ceilings_bound_every_peak(self, disorder_corpus):
+        # every fall of h on the scan's grid, its peak by the oracle root:
+        # f^2 there stays under the ceiling made from f^2 at the ends, so a
+        # bracket pruned at a threshold holds no peak that reaches it
+        cases = [(chain, 3.0 * t0) for chain, t0 in _certified_chains()]
+        cases += [(chain, 20.0 * cert.t0) for _, cert, chain in disorder_corpus]
+        pruned = dict.fromkeys((0.5, 0.9, 1.0 - 1e-3), 0)
+        for chain, horizon in cases:
+            lam, coeff = pst._transfer_terms(chain)
+            slope, fidelity = spectral_slope(lam, coeff), spectral_fidelity(lam, coeff)
+            n_steps = math.ceil(horizon / (math.pi / (8.0 * (lam[0] - lam[-1]))))
+            a, b = slope_brackets(slope, np.linspace(horizon / n_steps, horizon, n_steps))
+            peak = np.array([slope_root(slope, x, y) for x, y in zip(a, b)])
+            f_peak = fidelity(peak[:, None])
+            ceiling = pst._peak_ceilings(lam, coeff, a, b, fidelity(a[:, None]) ** 2,
+                                         fidelity(b[:, None]) ** 2)
+            assert (f_peak**2 <= ceiling).all()
+            for threshold in pruned:
+                skip = ceiling < threshold**2
+                assert (f_peak[skip] < threshold).all()
+                pruned[threshold] += skip.sum()
+        assert all(pruned.values())
+
     def test_chunk_boundaries_do_not_move_the_answer(self, disorder_corpus, monkeypatch):
         # a chunk boundary on every sample around the peak at t0 (index 31
         # of 48), then many chunks on longer grids
@@ -348,7 +389,24 @@ class TestBatchedRefinement:
 
 class TestPeakRegressions:
     """Peaks the scan by three-sample maxima and the golden-section
-    refinement got wrong."""
+    refinement got wrong, and peaks the refinement was slow to end."""
+
+    def test_peak_on_a_grid_sample_ends_at_once(self, monkeypatch):
+        # horizon 2 t0 = pi puts t0 on sample 31 of 64, a bracket's end: the
+        # Newton point kept leaving the open bracket, and bisection took 45
+        # passes of the order-2 kernel to close it to 4 eps
+        chain = canonical_chain(5)
+        t0 = certify(chain).t0
+        orders = []
+        kernel = pst._phase_sums
+
+        def counted(lam, coeff, starts, order, *args):
+            orders.append(order)
+            return kernel(lam, coeff, starts, order, *args)
+
+        monkeypatch.setattr(pst, "_phase_sums", counted)
+        assert first_perfect_time(chain, horizon=2.0 * t0) == pytest.approx(t0, rel=1e-15)
+        assert orders.count(2) <= 2
 
     def test_shoulder_peak_between_samples_is_found(self):
         # N = 5, multipliers (5, 9, 3, 1): f peaks at 0.8290 (f = 0.646338)
