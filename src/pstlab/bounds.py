@@ -25,7 +25,7 @@ import numpy as np
 
 from .chain import ChainSpec, _alternating_signs, _check_rows, _Record
 from .errors import MultiplierOverflow, NotAdmissible, PstLabError
-from .pst import MAX_RUN, _certify_chain, _certify_rows
+from .pst import _certify_chain, _certify_rows
 from .synthesis import (
     SpectrumSpec,
     _expand_rows,
@@ -300,9 +300,9 @@ def _block_rows(n_sites: int) -> int:
     """Samples per block, so that a block's working set stays under
     BLOCK_BYTES: per sample about four (N, N) arrays (the Lanczos basis, the
     end-weight differences and their logarithms, the dense eigensolve stack)
-    and the unit search's (MAX_RUN, N-1) candidate arrays."""
+    and the unit search's sixteen or so (N-1) rows."""
     n = n_sites
-    return max(1, BLOCK_BYTES // (8 * (4 * n * n + 6 * MAX_RUN * n)))
+    return max(1, BLOCK_BYTES // (8 * (4 * n * n + 16 * n)))
 
 
 def _audit_block(mults: np.ndarray, start: int, unit: float, tolerances: dict):

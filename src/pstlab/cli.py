@@ -84,7 +84,8 @@ def _checked(kind, accept, rule: str):
     return parse
 
 
-_odd_cap = _checked(int, lambda m: m >= 1 and m % 2 == 1, "an odd integer >= 1")
+_odd_int = _checked(int, lambda m: m >= 1 and m % 2 == 1, "an odd integer >= 1")
+_odd_cap = _checked(_odd_int, lambda m: m <= pst.MAX_CAP, f"at most {pst.MAX_CAP}")
 _tolerance = _checked(float, lambda x: math.isfinite(x) and x >= 0.0, "finite and >= 0")
 _t_max = _checked(float, lambda x: math.isfinite(x) and x > 0.0, "finite and > 0")
 _steps = _checked(int, lambda n: 2 <= n <= MAX_STEPS, f"an integer in 2..{MAX_STEPS}")
@@ -293,13 +294,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except PstLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (_UsageError, PstLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

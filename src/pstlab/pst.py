@@ -3,10 +3,9 @@
 A chain transfers site 1 to site N perfectly at time t0 iff it is
 mirror-symmetric and consecutive eigenvalue gaps are odd multiples of a
 common unit u = pi/t0.  Certification therefore reduces to finding the
-largest unit dividing all gaps with odd quotients: any valid unit divides the
-minimal gap with an odd quotient m, so enumerating u = g_min/m for odd m
-ascending visits every candidate from the largest down, and the first that
-validates is the minimal t0.
+largest unit dividing all gaps with odd quotients, u = g_min/m for the
+least odd m, the lcm of the reduced denominators of the ratios g/g_min;
+continued fractions give it in O(N log cap) operations.
 
 Fidelity against time is
 f(t) = |<N| e^{-i h t} |1>| = |sum_n <N|lambda_n><lambda_n|1> e^{-i lambda_n t}|,
@@ -48,7 +47,7 @@ GAP_REL_TOL = 1e-9       # |g_n - m_n u| <= tol * g_n per gap
 SYMMETRY_TOL = 1e-10
 PHASE_TOL = 1e-8         # |e^{-i lambda t0} - sigma e^{i phi}| acceptance
 MAX_MULTIPLIER = 999
-MAX_RUN = 32             # odd multipliers tried at once per row in the unit search
+MAX_CAP = 2**31 - 1      # so caps, denominators, multipliers are exact floats, lcm steps int64
 FIDELITY_BYTES = 4 * 2**20  # working-set budget of one chunk of fidelity evaluations
 WEIGHT_TOL = 1e-11       # error bound up to which fidelity weights come from the spectrum
 
@@ -82,45 +81,50 @@ def _principal_phase(x: np.ndarray) -> np.ndarray:
 def _minimal_unit_rows(gaps: np.ndarray, cap: int, rel_tol: float):
     """Per row of positive gaps (S, N-1): the largest u with all gaps odd
     multiples of u within rel_tol, as (u, multipliers, max_residual,
-    overflow).  u is NaN where no unit fits; overflow marks the rows where a
-    candidate was consistent except that some multiplier exceeded the cap.
+    overflow).  u is NaN where no unit fits; overflow marks the rows without
+    one where a unit passed except that some multiplier exceeded the cap.
 
-    Candidates u = g_min/m go by ascending odd m, in runs of 1, 2, 4, ...,
-    MAX_RUN candidates; a row leaves the loop with its first valid unit, so
-    a row that validates early costs a few runs and one with no valid unit
-    costs about cap / (2 MAX_RUN) runs, not one pass per candidate.
+    Each ratio g/g_min runs through its continued-fraction convergents p/q
+    to the first within rel_tol of it or to q > cap, and u = g_min/m for m
+    the lcm of a row's q, kept only if m is odd, <= cap and a multiple of
+    each q (np.lcm wraps silently) and every gap passes the per-gap test.
+    README, "Numerical notes", says when this m is the least odd m that
+    passes; a wrong convergent can lose a unit but never certify a bad one.
     """
-    s = gaps.shape[0]
-    unit = np.full(s, np.nan)
-    mult = np.zeros(gaps.shape, dtype=np.int64)
-    max_resid = np.full(s, np.nan)
-    overflow = np.zeros(s, dtype=bool)
-    odd = np.arange(1, cap + 1, 2)
-    active = np.arange(s)
-    g = gaps[:, None, :]                                      # (a, 1, N-1)
-    g_min, tol = g.min(axis=2), rel_tol * g
-    start, run = 0, 1
-    while active.size and start < odd.size:
-        u = g_min / odd[start : start + run]                  # (a, run)
-        q = np.rint(g / u[:, :, None])
-        resid = np.abs(g - q * u[:, :, None])
-        ok = ((q % 2 == 1) & (resid <= tol)).all(axis=2)
-        over = ok & (q > cap).any(axis=2)
-        overflow[active] |= over.any(axis=1)
-        valid = ok & ~over
-        done = valid.any(axis=1)
-        start, run = start + run, min(2 * run, MAX_RUN)
-        if not done.any():
-            continue
-        first = valid.argmax(axis=1)[done]
-        rows = active[done]
-        unit[rows] = u[done, first]
-        mult[rows] = q[done, first]
-        max_resid[rows] = (resid[done, first] / g[done, 0]).max(axis=1)
-        if done.all():
-            break
-        keep = ~done
-        active, g, g_min, tol = active[keep], g[keep], g_min[keep], tol[keep]
+    g_min = gaps.min(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = gaps / g_min
+        reach = rel_tol * ratio
+        p = np.floor(ratio)
+        frac = ratio - p
+        p_prev, q, q_prev = 1.0, 1.0, 0.0
+        den = np.zeros_like(ratio)  # an entry's denominator once found
+        open_ = np.isfinite(ratio)
+        while True:
+            found = open_ & (np.abs(ratio - p / q) <= reach)
+            np.copyto(den, q, where=found)
+            open_ ^= found
+            if not open_.any():
+                break
+            x = 1.0 / frac  # inf once an expansion ends: q turns inf and closes
+            a = np.floor(x)
+            frac = x - a
+            p, p_prev = a * p + p_prev, p
+            q, q_prev = a * q + q_prev, q
+            open_ &= q <= cap
+        den = den.astype(np.int64)
+        m = np.lcm.reduce(den, axis=1)  # 0 where an entry found none
+        fits = (m > 0) & (m <= cap) & (m % 2 == 1)
+        fits &= (m[:, None] % np.maximum(den, 1) == 0).all(axis=1)
+        u = g_min / np.where(fits, m, 1)[:, None]
+        k = np.rint(gaps / u)
+        resid = np.abs(gaps - k * u)
+        fits &= ((k % 2 == 1) & (resid <= rel_tol * gaps)).all(axis=1)
+        overflow = fits & (k > cap).any(axis=1)
+        fits &= ~overflow
+        unit = np.where(fits, u[:, 0], np.nan)
+        mult = np.where(fits[:, None], k, 0.0).astype(np.int64)
+        max_resid = np.where(fits, (resid / gaps).max(axis=1), np.nan)
     return unit, mult, max_resid, overflow
 
 
@@ -153,8 +157,8 @@ def _certify_rows(
     max_multiplier: int = MAX_MULTIPLIER,
 ) -> _CertifiedRows:
     """certify for stacked fields (S, N) and (S, N-1)."""
-    if max_multiplier < 1 or max_multiplier % 2 == 0:
-        raise ValueError("max_multiplier must be odd and >= 1")
+    if not (1 <= max_multiplier <= MAX_CAP and max_multiplier % 2 == 1):
+        raise ValueError(f"max_multiplier must be odd and in 1..{MAX_CAP}")
     s, n = diagonal.shape
     lam = np.full((s, n), np.nan)
     t0, phi, max_resid = np.full(s, np.nan), np.full(s, np.nan), np.full(s, np.nan)
@@ -174,14 +178,13 @@ def _certify_rows(
         -np.diff(lam[rows], axis=1), max_multiplier, gap_rel_tol
     )
     fits = ~np.isnan(unit)
-    for row, over in zip(rows[~fits], overflow[~fits]):
-        if over:
-            errors[row] = MultiplierOverflow(
-                f"gaps are commensurate only with an odd multiplier beyond "
-                f"{max_multiplier}; raise the cap or treat the spectrum as incommensurate"
-            )
-        else:
-            failure[row] = "no-common-odd-unit"
+    for row in rows[overflow]:
+        errors[row] = MultiplierOverflow(
+            f"gaps are commensurate only with an odd multiplier beyond "
+            f"{max_multiplier}; raise the cap or treat the spectrum as incommensurate"
+        )
+    for row in rows[~fits & ~overflow]:
+        failure[row] = "no-common-odd-unit"
     rows, found, resid = rows[fits], found[fits], resid[fits]
     times = math.pi / unit[fits]
     spectra = lam[rows]
@@ -230,8 +233,9 @@ def certify(chain: ChainSpec, **tolerances) -> PstCertificate:
     """Decide PST admissibility and report the minimal transfer time.
 
     Keyword tolerances: gap_rel_tol (1e-9), symmetry_tol (1e-10), phase_tol
-    (1e-8), max_multiplier (999, odd).  Raises MultiplierOverflow for spectra
-    that are commensurate only beyond the multiplier cap.
+    (1e-8), max_multiplier (999, odd and at most MAX_CAP = 2^31 - 1, else
+    ValueError).  Raises MultiplierOverflow for spectra that are commensurate
+    only beyond the multiplier cap.
     """
     cert, _ = _certify_chain(chain, **tolerances)
     if isinstance(cert, MultiplierOverflow):

@@ -4,7 +4,8 @@ Everything here avoids the production code paths on purpose: Hamiltonians are
 materialized as dense arrays, eigenproblems go through numpy's dense
 symmetric solver instead of the tridiagonal one, time evolution goes through
 an explicit matrix exponential instead of spectral summation, and the mirror
-traces are literal antidiagonal sums.  The fidelity peak search is one
+traces are literal antidiagonal sums.  The minimal odd unit is found by
+trying every odd multiplier in turn.  The fidelity peak search is one
 unchunked scan of the whole grid for sign changes of the slope
 h = Re(conj(z) z'), each bracket solved by scipy's brentq, a different root
 finder from the package's Newton iteration, given the eigenvalues and
@@ -78,6 +79,29 @@ def exact_substitution_gap(multipliers) -> int:
         x * x if i % 2 == 0 else -x * x for i, x in enumerate(scaled)
     )
     return alternating - scaled[-1] ** 2 + n * scaled[-1]
+
+
+def minimal_odd_unit(gaps, cap: int, rel_tol: float):
+    """(u, multipliers, max_residual, overflow) for one row of positive gaps,
+    by trying u = g_min/m for m = 1, 3, ..., cap in turn: the first u under
+    which every gap g is an odd multiple k of u with |g - k u| <= rel_tol * g
+    and k <= cap.  u and max_residual are NaN and the multipliers zero if
+    none is; overflow is whether a candidate before it passed but for a
+    multiplier above cap."""
+    g = np.asarray(gaps, dtype=float)
+    g_min = g.min()
+    overflow = False
+    for m in range(1, cap + 1, 2):
+        u = g_min / m
+        k = np.rint(g / u)
+        resid = np.abs(g - k * u)
+        if not ((k % 2 == 1).all() and (resid <= rel_tol * g).all()):
+            continue
+        if (k > cap).any():
+            overflow = True
+            continue
+        return u, k.astype(np.int64), float((resid / g).max()), overflow
+    return math.nan, np.zeros(g.size, dtype=np.int64), math.nan, overflow
 
 
 def lanczos_chain(lam) -> tuple[np.ndarray, np.ndarray]:

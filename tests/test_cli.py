@@ -177,6 +177,14 @@ class TestFlagValidation:
                                  "--cap", "4"], capsys)
         assert "--cap" in err
 
+    @pytest.mark.parametrize("command", ["analyze --input {}", "evolve --input {} --t-max 1",
+                                         "search --n 4 --samples 3"],
+                             ids=["analyze", "evolve", "search"])
+    def test_cap_beyond_limit(self, canonical4, command, capsys):
+        huge = "1000000000000000000000000000001"
+        err = self._usage_error(command.format(canonical4).split() + ["--cap", huge], capsys)
+        assert f"--cap: must be at most {pstlab.pst.MAX_CAP}, got '{huge}'" in err
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-10", "x"])
     def test_analyze_tolerance(self, canonical4, tol, capsys):
         err = self._usage_error(["analyze", "--input", canonical4, f"--tol={tol}"], capsys)

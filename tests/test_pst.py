@@ -11,6 +11,7 @@ from oracles import (
     eigenvector_transfer_terms,
     expm_fidelity,
     first_peak_time,
+    minimal_odd_unit,
     random_mirror_arrays,
     slope_brackets,
     slope_root,
@@ -88,6 +89,8 @@ class TestCertify:
     def test_rejects_even_cap(self):
         with pytest.raises(ValueError, match="odd"):
             certify(canonical_chain(3), max_multiplier=10)
+        with pytest.raises(ValueError, match=str(pst.MAX_CAP)):
+            certify(canonical_chain(3), max_multiplier=10**30 + 1)
 
     def test_accumulated_phase_is_enforced(self):
         # each gap individually passes the 1e-9 relative test, but the
@@ -121,6 +124,94 @@ class TestCertify:
         assert d["t0"] == pytest.approx(HALF_PI)
         assert d["multipliers"] == [1]
         assert d["failure"] is None
+
+
+@st.composite
+def unit_search_rows(draw):
+    """(gaps (S, N-1), cap).  A row's smallest multiplier is an odd base,
+    composite for some rows so that its ratios reduce to several
+    denominators; the others are odd, drawn up to 9, 99 or 3 cap + 2 above
+    it (past the ratio cap/3 where overflow begins), all times a common odd
+    factor and a unit.  A row may carry relative noise just below or just
+    above GAP_REL_TOL on its gaps above the smallest, a gap broken by
+    sqrt(2), or an even multiplier (an even numerator, or an even lcm where
+    it is the smallest).  Irrational ratios stay below
+    1 / (2 GAP_REL_TOL cap^2) and rational numerators below
+    1 / (2 GAP_REL_TOL cap), where the scan and the convergents agree."""
+    cap = draw(st.sampled_from([1, 3, 9, 999]))
+    width = draw(st.integers(1, 8))
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        top = draw(st.sampled_from([9, 99, 3 * cap + 2]))
+        base = draw(st.sampled_from([1, 3, 5, 15, 21, 105]))
+        k = base + 2 * np.array(draw(st.lists(st.integers(0, top // 2),
+                                              min_size=width, max_size=width)))
+        k[draw(st.integers(0, width - 1))] = base
+        kind = draw(st.sampled_from(["exact", "below", "above", "sqrt2", "even"]))
+        if kind == "even":
+            k[draw(st.integers(0, width - 1))] = 2 * draw(st.integers(1, top // 2 + 1))
+        g = k * draw(st.sampled_from([1, 3, 15])) * draw(st.floats(0.1, 10.0))
+        above = np.flatnonzero(k > k.min())
+        if above.size and kind in ("below", "above"):
+            scale = 0.9 if kind == "below" else 1.1
+            signs = draw(st.lists(st.sampled_from([-1.0, 1.0]),
+                                  min_size=above.size, max_size=above.size))
+            g[above] *= 1.0 + np.array(signs) * scale * pst.GAP_REL_TOL
+        if above.size and kind == "sqrt2" and top <= 99:
+            g[draw(st.sampled_from(above.tolist()))] *= math.sqrt(2.0)
+        rows.append(g)
+    return np.array(rows), cap
+
+
+def _assert_scan_agrees(gaps, cap):
+    unit, mult, resid, overflow = pst._minimal_unit_rows(gaps, cap, pst.GAP_REL_TOL)
+    for row, g in enumerate(gaps):
+        ref = minimal_odd_unit(g, cap, pst.GAP_REL_TOL)
+        np.testing.assert_array_equal(unit[row], ref[0])
+        np.testing.assert_array_equal(mult[row], ref[1])
+        np.testing.assert_array_equal(resid[row], ref[2])
+        assert overflow[row] == ref[3]
+    return unit, overflow
+
+
+class TestMinimalUnit:
+    """The continued-fraction unit search against a scan of every odd m."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(unit_search_rows())
+    def test_matches_odd_scan(self, case):
+        _assert_scan_agrees(*case)
+
+    def test_lcm_of_distinct_denominators(self):
+        # ratios 7/5 and 5/3: the unit is g_min/15, a denominator of neither
+        unit, _ = _assert_scan_agrees(np.array([[15.0, 21.0, 25.0]]), 999)
+        assert unit[0] == 1.0
+
+    def test_even_lcm(self):
+        # ratios 3/2 and 5/2: no odd m makes them integers
+        unit, overflow = _assert_scan_agrees(np.array([[2.0, 3.0, 5.0]]), 999)
+        assert np.isnan(unit[0]) and not overflow[0]
+
+    def test_lcm_beyond_int64(self):
+        # ratios (p + 2)/p for eight primes near 999: their lcm wraps in int64
+        primes = [997, 991, 983, 977, 971, 967, 953, 947]
+        assert math.lcm(*primes) > 2**63
+        assert np.lcm.reduce(np.array(primes)) != math.lcm(*primes)
+        gaps = np.array([[1.0] + [(p + 2) / p for p in primes]])
+        unit, overflow = _assert_scan_agrees(gaps, 999)
+        assert np.isnan(unit[0]) and not overflow[0]
+
+    def test_memory_does_not_scale_with_cap(self):
+        # an array of the 500,001 odd candidates alone would take 4 MB
+        chain = canonical_chain(64)
+        tracemalloc.start()
+        try:
+            cert = certify(chain, max_multiplier=10**6 + 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cert.t0 == pytest.approx(HALF_PI, rel=1e-12)
+        assert peak < 2**20
 
 
 class TestFidelityTrace:
