@@ -23,8 +23,6 @@ from .chain import (
     TraceReport,
     eigen_side_traces,
     is_mirror_symmetric,
-    mirror_trace_h,
-    mirror_trace_h2,
     trace_report,
 )
 from .eigensolve import (
@@ -85,8 +83,6 @@ __all__ = [
     "falsify_search",
     "first_perfect_time",
     "is_mirror_symmetric",
-    "mirror_trace_h",
-    "mirror_trace_h2",
     "saturation_scan",
     "synthesize",
     "trace_report",

@@ -23,9 +23,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .chain import ChainSpec, _alternating_signs, _check_rows, _Record
+from .chain import (ChainSpec, _alternating_signs, _alternating_sums, _check_rows,
+                    _mirror_traces_rows, _Record)
 from .errors import MultiplierOverflow, NotAdmissible, PstLabError
-from .pst import _certify_chain, _certify_rows
+from .pst import MAX_MULTIPLIER, SYMMETRY_TOL, _certify_chain, _certify_rows, _check_cap
 from .synthesis import (
     SpectrumSpec,
     _expand_rows,
@@ -132,16 +133,19 @@ def _audit_rows(
     Returns one (S,) array per ProofAudit field other than `parity` (None
     where the field does not apply to the parity), plus `j_max`, `product`
     and `lambda_min_ok`.  The mirror traces of the traceless shift come from
-    the central entries (chain.mirror_trace_h / mirror_trace_h2).
+    its central entries (chain._mirror_traces_rows) and its spectrum
+    (chain._alternating_sums).
     """
     n = lam.shape[1]
     lam0 = lam - lam.mean(axis=1, keepdims=True)
+    b0 = diagonal - diagonal.mean(axis=1, keepdims=True)
+    trace_sh, trace_sh2 = _mirror_traces_rows(b0, couplings)
+    eigen_sh, eigen_sh2 = _alternating_sums(lam0, _alternating_signs(n))
     u = math.pi / t0
     j_max = couplings.max(axis=1)
     product = j_max * t0
     bound = bound_value(n)
     width = lam0[:, 0] - lam0[:, -1]
-    signs = _alternating_signs(n)
     tail = -(n - 1) * u / 2.0
     rows = {
         "j_max": j_max,
@@ -156,19 +160,14 @@ def _audit_rows(
         "substitution_value": None,
         "substitution_gap": None,
     }
+    center = couplings[:, n // 2 - 1]  # J_{N/2} for even N, J_{c-1} for odd N
     if n % 2 == 0:
-        center = couplings[:, n // 2 - 1]
-        matrix_side = center + center
-        eigen_side = (signs * lam0).sum(axis=1)
+        matrix_side, eigen_side = trace_sh, eigen_sh
         rows["half_sum_slack"] = matrix_side - (n / 2.0) * u
     else:
-        c = (n - 1) // 2
-        center = couplings[:, c - 1]
-        central_field = diagonal[:, c] - diagonal.mean(axis=1)
-        matrix_side = central_field**2 + (center + couplings[:, c]) ** 2
-        eigen_side = (signs * lam0 * lam0).sum(axis=1)
+        matrix_side, eigen_side = trace_sh2, eigen_sh2
         substitution_value = lam0[:, -1] ** 2 - u * lam0[:, -1]
-        rows["central_field"] = central_field
+        rows["central_field"] = trace_sh
         rows["substitution_value"] = substitution_value
         rows["substitution_gap"] = eigen_side - substitution_value
     rows["identity_matrix_side"] = matrix_side
@@ -178,14 +177,17 @@ def _audit_rows(
     return rows
 
 
-def audit_chain(chain: ChainSpec, **tolerances) -> tuple[BoundReport, ProofAudit]:
-    """Certify, then measure every step of the parity-appropriate bound proof.
+def audit_chain(
+    chain: ChainSpec, *, max_multiplier: int = MAX_MULTIPLIER
+) -> tuple[BoundReport, ProofAudit]:
+    """Certify at the multiplier cap `max_multiplier`, then measure every
+    step of the parity-appropriate bound proof.
 
     Raises NotAdmissible when certification fails; MultiplierOverflow
     propagates from certify.  The audit works on the traceless shift (the
     derivations assume sum lambda = 0); gaps, t0 and J_max are shift-invariant.
     """
-    cert, lam = _certify_chain(chain, **tolerances)
+    cert, lam = _certify_chain(chain, max_multiplier=max_multiplier)
     if isinstance(cert, MultiplierOverflow):
         raise cert
     if not cert.admissible:
@@ -283,10 +285,10 @@ class SearchReport(_Record):
     failures: tuple[tuple[int, str], ...]
 
 
-def _witness_record(index: int, mult: np.ndarray, unit: float, tolerances: dict) -> dict:
-    """The full record of one sample, rebuilt on its own."""
+def _witness_record(index: int, mult: np.ndarray, unit: float, cap: int) -> dict:
+    """The full record of one sample, rebuilt on its own and certified at `cap`."""
     chain = synthesize(SpectrumSpec(unit=unit, multipliers=mult))
-    report, _ = audit_chain(chain, **tolerances)
+    report, _ = audit_chain(chain, max_multiplier=cap)
     return {
         "index": index,
         "multipliers": mult.tolist(),
@@ -305,8 +307,8 @@ def _block_rows(n_sites: int) -> int:
     return max(1, BLOCK_BYTES // (8 * (4 * n * n + 16 * n)))
 
 
-def _audit_block(mults: np.ndarray, start: int, unit: float, tolerances: dict):
-    """Synthesize, certify and audit one block of multiplier rows.
+def _audit_block(mults: np.ndarray, start: int, unit: float, cap: int):
+    """Synthesize, certify at `cap` and audit one block of multiplier rows.
 
     Returns the sample indices that were audited, their transfer times, their
     audit rows (see _audit_rows), and (index, message) for each sample that
@@ -318,7 +320,7 @@ def _audit_block(mults: np.ndarray, start: int, unit: float, tolerances: dict):
     kept = np.array([exc is None for exc in errors], dtype=bool)
     index, diagonal, couplings = index[kept], diagonal[kept], couplings[kept]
     _check_rows(diagonal, couplings)
-    cert = _certify_rows(diagonal, couplings, **tolerances)
+    cert = _certify_rows(diagonal, couplings, symmetry_tol=SYMMETRY_TOL, max_multiplier=cap)
     for i, exc, verdict in zip(index, cert.errors, cert.failure):
         if exc is not None:
             failed[int(i)] = str(exc)
@@ -336,14 +338,14 @@ def falsify_search(
     seed: int,
     *,
     unit: float = 1.0,
-    **tolerances,
 ) -> SearchReport:
     """Stress the bound on `samples` random admissible spectra.
 
     All multipliers are drawn in one batch from default_rng(seed), odd and
-    up to `cap`, so the corpus depends only on the seed.  Keyword
-    tolerances go to certification as in certify(), max_multiplier (999)
-    among them; the report records the draw cap as `max_multiplier`.
+    up to `cap` (odd and at most MAX_CAP, else ValueError), so the corpus
+    depends only on the seed.  Every sample is certified at that same cap,
+    which its reduced multipliers never exceed, so no sample fails for the
+    size of its multipliers; the report records the cap as `max_multiplier`.
     Samples are synthesized, certified and audited in blocks whose working
     set stays under BLOCK_BYTES; every sample's numbers are those of a batch
     of one.  A sample that fails is recorded as (index, message) and the
@@ -359,6 +361,7 @@ def falsify_search(
         raise ValueError("n_sites must be >= 2")
     if not (math.isfinite(unit) and unit > 0):
         raise ValueError("unit must be finite and > 0")
+    _check_cap(cap)
     rng = np.random.default_rng(seed)
     mults = draw_multipliers(rng, n_sites, cap, count=samples)
 
@@ -368,7 +371,7 @@ def falsify_search(
     block = _block_rows(n_sites)
     for start in range(0, samples, block):
         index, t0, audit, failed = _audit_block(
-            mults[start : start + block], start, unit, tolerances
+            mults[start : start + block], start, unit, cap
         )
         failures += failed
         ratios[index], final_slack[index] = audit["ratio"], audit["final_slack"]
@@ -380,14 +383,14 @@ def falsify_search(
     evaluated = int(audited.sum())
 
     violations = tuple(
-        _witness_record(int(i), mults[i], unit, tolerances)
+        _witness_record(int(i), mults[i], unit, cap)
         for i in np.flatnonzero(ratios < 1.0 - RATIO_SLACK)
     )
     min_ratio, min_ratio_index, witness = math.inf, -1, {}
     if evaluated:
         min_ratio = float(np.nanmin(ratios))
         min_ratio_index = int(np.flatnonzero(ratios <= min_ratio + RATIO_SLACK)[0])
-        witness = _witness_record(min_ratio_index, mults[min_ratio_index], unit, tolerances)
+        witness = _witness_record(min_ratio_index, mults[min_ratio_index], unit, cap)
 
     return SearchReport(
         n_sites=n_sites,

@@ -28,8 +28,6 @@ __all__ = [
     "ChainSpec",
     "TraceReport",
     "is_mirror_symmetric",
-    "mirror_trace_h",
-    "mirror_trace_h2",
     "eigen_side_traces",
     "trace_report",
 ]
@@ -160,36 +158,27 @@ def is_mirror_symmetric(chain: ChainSpec, tol: float = 1e-10) -> bool:
     )
 
 
-def mirror_trace_h(chain: ChainSpec) -> float:
-    """Tr(S h): the antidiagonal sum of h.
-
-    The antidiagonal entry (i, N-1-i) of a tridiagonal matrix is nonzero only
-    where |2i - (N-1)| <= 1: the central diagonal entry for odd N, the two
-    central couplings (both J_{N/2}) for even N.
-    """
-    n = chain.n_sites
-    if n % 2:
-        return float(chain.diagonal[(n - 1) // 2])
-    jk = chain.couplings[n // 2 - 1]
-    return float(jk + jk)
-
-
-def mirror_trace_h2(chain: ChainSpec) -> float:
-    """Tr(S h^2): the antidiagonal sum of h^2.
-
-    h^2 is pentadiagonal, so for odd N the antidiagonal picks up the central
-    entry (h^2)_{cc} = B_c^2 + J_{c-1}^2 + J_c^2 plus the two flanking entries
-    J_{c-1} J_c, giving B_c^2 + (J_{c-1} + J_c)^2.  For even N it picks up the
-    two entries J_{N/2} (B_{N/2} + B_{N/2+1}).
-    """
-    n = chain.n_sites
-    b, j = chain.diagonal, chain.couplings
+def _mirror_traces_rows(diagonal: np.ndarray, couplings: np.ndarray):
+    """(Tr(S h), Tr(S h^2)), the antidiagonal sums of h and h^2, per row of
+    stacked fields (S, N) and (S, N-1).  The antidiagonal (i, N-1-i) meets a
+    tridiagonal h only where |2i - (N-1)| <= 1: at B_c for odd N, at both
+    J_{N/2} for even N.  In the pentadiagonal h^2 it meets, for odd N,
+    (h^2)_{cc} = B_c^2 + J_{c-1}^2 + J_c^2 and twice J_{c-1} J_c, for even N
+    twice J_{N/2} (B_{N/2} + B_{N/2+1})."""
+    n = diagonal.shape[1]
     if n % 2:
         c = (n - 1) // 2
-        jl, jr = j[c - 1], j[c]
-        return float(b[c] ** 2 + (jl + jr) ** 2)
+        b = diagonal[:, c]
+        return b, b**2 + (couplings[:, c - 1] + couplings[:, c]) ** 2
     k = n // 2
-    return float(2.0 * j[k - 1] * (b[k - 1] + b[k]))
+    j = couplings[:, k - 1]
+    return j + j, 2.0 * j * (diagonal[:, k - 1] + diagonal[:, k])
+
+
+def _alternating_sums(lam: np.ndarray, signs: np.ndarray):
+    """(sum_n sigma_n lambda_n, sum_n sigma_n lambda_n^2) over the last axis
+    of `lam`, for parity signs sigma."""
+    return (signs * lam).sum(axis=-1), (signs * lam * lam).sum(axis=-1)
 
 
 def eigen_side_traces(spectral: "SpectralData") -> tuple[float, float]:
@@ -204,9 +193,8 @@ def eigen_side_traces(spectral: "SpectralData") -> tuple[float, float]:
         raise ValueError(
             "spectral data carries no parity signs; run classify_parity first"
         )
-    lam = spectral.eigenvalues
-    s = spectral.parity_signs
-    return float(np.sum(s * lam)), float(np.sum(s * lam * lam))
+    trace_sh, trace_sh2 = _alternating_sums(spectral.eigenvalues, spectral.parity_signs)
+    return float(trace_sh), float(trace_sh2)
 
 
 @dataclass(frozen=True)
@@ -224,19 +212,18 @@ class TraceReport:
 
 
 def trace_report(chain: ChainSpec) -> TraceReport:
+    trace_sh, trace_sh2 = _mirror_traces_rows(chain.diagonal[None], chain.couplings[None])
     n = chain.n_sites
     b, j = chain.diagonal, chain.couplings
     if n % 2:
         c = (n - 1) // 2
-        closed_sh = float(b[c])
         closed_sh2 = float(b[c] ** 2 + 4.0 * j[c - 1] ** 2)
     else:
         k = n // 2
-        closed_sh = float(2.0 * j[k - 1])
         closed_sh2 = float(4.0 * j[k - 1] * b[k - 1])
     return TraceReport(
-        trace_sh=mirror_trace_h(chain),
-        trace_sh2=mirror_trace_h2(chain),
-        closed_form_sh=closed_sh,
+        trace_sh=float(trace_sh[0]),
+        trace_sh2=float(trace_sh2[0]),
+        closed_form_sh=float(trace_sh[0]),  # the h pair coincides structurally
         closed_form_sh2=closed_sh2,
     )

@@ -235,7 +235,8 @@ def cmd_search(args) -> int:
     print(
         f"min ratio {report.min_ratio:.12g} at sample {report.min_ratio_index}; "
         f"{len(report.violations)} violation(s), "
-        f"{report.lambda_min_violations} lambda_min violation(s)",
+        f"{report.lambda_min_violations} lambda_min violation(s), "
+        f"{len(report.failures)} failed sample(s)",
         file=sys.stderr,
     )
     _dump_json(args.output, report.to_dict())

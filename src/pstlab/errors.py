@@ -15,9 +15,9 @@ class ParityViolation(PstLabError):
 
 
 class MultiplierOverflow(PstLabError):
-    """The gap structure is commensurate but needs an odd multiple beyond the
-    configured cap; the spectrum is numerically indistinguishable from an
-    incommensurate one at this precision."""
+    """Some odd m <= cap makes every gap an odd multiple of g_min / m, but a
+    multiplier exceeds the cap.  Gaps that no odd m <= cap fits read
+    "no-common-odd-unit" instead, even where a larger cap would fit them."""
 
 
 class NumericalBreakdown(PstLabError):

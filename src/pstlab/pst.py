@@ -147,18 +147,21 @@ class _CertifiedRows:
         return ~np.isnan(self.t0)
 
 
+def _check_cap(cap) -> None:
+    """The one rule on a multiplier cap: odd and in 1..MAX_CAP."""
+    if not (1 <= cap <= MAX_CAP and cap % 2 == 1):
+        raise ValueError(f"multiplier cap must be odd and in 1..{MAX_CAP} (got {cap})")
+
+
 def _certify_rows(
     diagonal: np.ndarray,
     couplings: np.ndarray,
     *,
-    gap_rel_tol: float = GAP_REL_TOL,
-    symmetry_tol: float = SYMMETRY_TOL,
-    phase_tol: float = PHASE_TOL,
-    max_multiplier: int = MAX_MULTIPLIER,
+    symmetry_tol: float,
+    max_multiplier: int,
 ) -> _CertifiedRows:
     """certify for stacked fields (S, N) and (S, N-1)."""
-    if not (1 <= max_multiplier <= MAX_CAP and max_multiplier % 2 == 1):
-        raise ValueError(f"max_multiplier must be odd and in 1..{MAX_CAP}")
+    _check_cap(max_multiplier)
     s, n = diagonal.shape
     lam = np.full((s, n), np.nan)
     t0, phi, max_resid = np.full(s, np.nan), np.full(s, np.nan), np.full(s, np.nan)
@@ -175,7 +178,7 @@ def _certify_rows(
     rows = rows[[exc is None for exc in solve_errors]]
 
     unit, found, resid, overflow = _minimal_unit_rows(
-        -np.diff(lam[rows], axis=1), max_multiplier, gap_rel_tol
+        -np.diff(lam[rows], axis=1), max_multiplier, GAP_REL_TOL
     )
     fits = ~np.isnan(unit)
     for row in rows[overflow]:
@@ -196,21 +199,24 @@ def _certify_rows(
     deviation = np.abs(
         np.exp(-1j * spectra * times[:, None]) - signs * np.exp(1j * phases)[:, None]
     ).max(axis=1)
-    for row in rows[deviation > phase_tol]:
+    for row in rows[deviation > PHASE_TOL]:
         failure[row] = "no-common-odd-unit"
-    ok = deviation <= phase_tol
+    ok = deviation <= PHASE_TOL
     rows = rows[ok]
     t0[rows], phi[rows] = times[ok], phases[ok]
     mult[rows], max_resid[rows] = found[ok], resid[ok]
     return _CertifiedRows(lam, t0, phi, mult, max_resid, failure, errors)
 
 
-def _certify_chain(chain: ChainSpec, **tolerances):
+def _certify_chain(
+    chain: ChainSpec, *, symmetry_tol: float = SYMMETRY_TOL, max_multiplier: int = MAX_MULTIPLIER
+):
     """certify on one chain, as (certificate, spectrum): the spectrum it
     solved, or None for an asymmetric chain, which is not solved.  A chain
-    commensurate only beyond the cap gives its MultiplierOverflow in place
-    of the certificate; other errors raise."""
-    rows = _certify_rows(chain.diagonal[None], chain.couplings[None], **tolerances)
+    that overflows the cap gives its MultiplierOverflow in place of the
+    certificate; other errors raise."""
+    rows = _certify_rows(chain.diagonal[None], chain.couplings[None],
+                         symmetry_tol=symmetry_tol, max_multiplier=max_multiplier)
     error, failure = rows.errors[0], rows.failure[0]
     lam = None if failure == "asymmetry" else rows.eigenvalues[0]
     if isinstance(error, MultiplierOverflow):
@@ -229,15 +235,17 @@ def _certify_chain(chain: ChainSpec, **tolerances):
     return cert, lam
 
 
-def certify(chain: ChainSpec, **tolerances) -> PstCertificate:
+def certify(
+    chain: ChainSpec, *, symmetry_tol: float = SYMMETRY_TOL, max_multiplier: int = MAX_MULTIPLIER
+) -> PstCertificate:
     """Decide PST admissibility and report the minimal transfer time.
 
-    Keyword tolerances: gap_rel_tol (1e-9), symmetry_tol (1e-10), phase_tol
-    (1e-8), max_multiplier (999, odd and at most MAX_CAP = 2^31 - 1, else
-    ValueError).  Raises MultiplierOverflow for spectra that are commensurate
-    only beyond the multiplier cap.
+    Keywords: symmetry_tol (1e-10, relative), and max_multiplier (999), the
+    odd multiplier cap, at most MAX_CAP = 2^31 - 1, else ValueError.  Gaps
+    are tested to GAP_REL_TOL and the phase to PHASE_TOL.  Raises
+    MultiplierOverflow where an odd m <= cap fits but a multiplier exceeds it.
     """
-    cert, _ = _certify_chain(chain, **tolerances)
+    cert, _ = _certify_chain(chain, symmetry_tol=symmetry_tol, max_multiplier=max_multiplier)
     if isinstance(cert, MultiplierOverflow):
         raise cert
     return cert
@@ -322,34 +330,38 @@ def _chunk_rows(n: int) -> int:
     return max(1, FIDELITY_BYTES // (16 * (n + 8)))
 
 
-def _phase_sums(lam, coeff, starts, order, reduce, out, offsets=np.zeros(1)):
+def _phase_sums(lam, coeff, starts, order, reduce, out, offsets=None):
     """Fill `out` (last axis over the times starts[q] + offsets[r], q-major)
     chunk by chunk with reduce(z, z', ..., z^(order)), the time derivatives
     of the transfer amplitude z(t) = sum_n c_n e^{-i lambda_n t}: (Q + B) N
     exps for Q starts and B offsets, as e^{-i lambda (s + d)} factors, summed
     against the coefficient rows c, -i lambda c, -lambda^2 c, ... as
-    successive products of one (Q B, N) buffer.  The default offset's phase
-    is exactly 1 + 0j.  Each time's sums run over its own row, so a value
-    does not depend on how many times share the call or the chunk (a
-    matrix-vector product would let BLAS block the rows and move the last
-    bit).
+    successive products of one (Q B, N) buffer.  Without offsets each start
+    is one time, and its c_n e^{-i lambda_n s} row is its product row.  Each
+    time's sums run over its own row, so a value does not depend on how many
+    times share the call or the chunk (a matrix-vector product would let
+    BLAS block the rows and move the last bit).
     """
     phase = -1j * lam
-    shift = np.exp(np.multiply.outer(offsets, phase))
-    per = max(1, (_chunk_rows(lam.size) - offsets.size) // (offsets.size + 1))
+    rows = _chunk_rows(lam.size)
+    width = 1 if offsets is None else offsets.size
+    per = rows if offsets is None else max(1, (rows - width) // (width + 1))
     bases = np.empty((min(per, starts.size), lam.size), dtype=complex)
-    buffer = np.empty((bases.shape[0], offsets.size, lam.size), dtype=complex)
+    if offsets is not None:
+        shift = np.exp(np.multiply.outer(offsets, phase))
+        buffer = np.empty((bases.shape[0], width, lam.size), dtype=complex)
     for start in range(0, starts.size, per):
         s = starts[start : start + per]
-        base = np.multiply.outer(s, phase, out=bases[: s.size])
-        np.exp(base, out=base)
-        base *= coeff
-        z = np.multiply(base[:, None], shift, out=buffer[: s.size]).reshape(-1, lam.size)
+        z = np.multiply.outer(s, phase, out=bases[: s.size])
+        np.exp(z, out=z)
+        z *= coeff
+        if offsets is not None:
+            z = np.multiply(z[:, None], shift, out=buffer[: s.size]).reshape(-1, lam.size)
         sums = [z.sum(axis=1)]
         for _ in range(order):
             z *= phase
             sums.append(z.sum(axis=1))
-        out[..., start * offsets.size : (start + s.size) * offsets.size] = reduce(*sums)
+        out[..., start * width : (start + s.size) * width] = reduce(*sums)
     return out
 
 

@@ -30,6 +30,7 @@ from pstlab.bounds import (
     SUBSTITUTION_GAP_SLACK,
     _audit_block,
 )
+from pstlab.pst import MAX_CAP
 from pstlab.synthesis import _expand_rows, _synthesize_rows, draw_multipliers
 
 
@@ -285,20 +286,23 @@ class TestFalsifySearch:
         report = falsify_search(2, 200, 9, seed=2)
         assert report.min_ratio == pytest.approx(1.0, abs=1e-12)
 
-    def test_certification_cap_is_a_tolerance(self):
-        # the draw cap is positional, so max_multiplier= reaches
-        # certification: at a cap of 1 the only candidate unit is the
-        # smallest gap, so unequal gaps overflow or find no unit
-        report = falsify_search(4, 12, 9, 3, max_multiplier=1)
-        assert report.max_multiplier == 9
-        assert report.evaluated + len(report.failures) == 12
-        messages = [message for _, message in report.failures]
-        assert any("odd multiplier beyond 1;" in m for m in messages)
-        assert all("beyond 1;" in m or "no-common-odd-unit" in m for m in messages)
+    def test_search_certifies_at_its_draw_cap(self):
+        # certified at a fixed cap of 999, most patterns drawn up to 2001
+        # read no-common-odd-unit (35 of 200 were audited)
+        report = falsify_search(4, 200, 2001, 0)
+        assert report.max_multiplier == 2001
+        assert report.evaluated == 200
+        assert report.failures == ()
 
     def test_validates_samples(self):
         with pytest.raises(ValueError, match="samples"):
             falsify_search(4, 0, 9, seed=0)
+
+    def test_validates_cap(self):
+        with pytest.raises(ValueError, match=str(MAX_CAP)):
+            falsify_search(4, 3, 2**64 + 1, 0)
+        with pytest.raises(ValueError, match="odd"):
+            falsify_search(4, 3, 10, 0)
 
     def test_report_dict_shape(self):
         d = falsify_search(3, 20, 5, seed=9).to_dict()
@@ -333,7 +337,7 @@ class TestBatchedCore:
                     assert np.abs(diagonal[row] - ref_b).max() <= tol
                     assert np.abs(couplings[row] - ref_j).max() <= tol
 
-            index, t0, audit, failed = _audit_block(mults, 0, 1.0, {})
+            index, t0, audit, failed = _audit_block(mults, 0, 1.0, 9)
             assert failed == [] and index.tolist() == list(range(count))
             u = math.pi / t0
             for row in range(count):

@@ -17,8 +17,6 @@ from pstlab import (
     SpectralData,
     eigen_side_traces,
     is_mirror_symmetric,
-    mirror_trace_h,
-    mirror_trace_h2,
     trace_report,
 )
 
@@ -114,7 +112,7 @@ class TestMirrorTraces:
         b, j = arrays
         c = ChainSpec(diagonal=b, couplings=j)
         expected = antidiagonal_sum(dense_hamiltonian(b, j))
-        assert mirror_trace_h(c) == pytest.approx(expected, abs=1e-12)
+        assert trace_report(c).trace_sh == pytest.approx(expected, abs=1e-12)
 
     @settings(deadline=None)
     @given(chain_arrays())
@@ -123,18 +121,18 @@ class TestMirrorTraces:
         c = ChainSpec(diagonal=b, couplings=j)
         h = dense_hamiltonian(b, j)
         expected = antidiagonal_sum(h @ h)
-        assert mirror_trace_h2(c) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        assert trace_report(c).trace_sh2 == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_even_chain_central_couplings(self):
         # N = 4: the antidiagonal crosses the band at the two central J's
-        c = ChainSpec(diagonal=[1.0, 2.0, 2.0, 1.0], couplings=[3.0, 5.0, 3.0])
-        assert mirror_trace_h(c) == 10.0
-        assert mirror_trace_h2(c) == 2.0 * 5.0 * (2.0 + 2.0)
+        rep = trace_report(ChainSpec(diagonal=[1.0, 2.0, 2.0, 1.0], couplings=[3.0, 5.0, 3.0]))
+        assert rep.trace_sh == 10.0
+        assert rep.trace_sh2 == 2.0 * 5.0 * (2.0 + 2.0)
 
     def test_odd_chain_central_field(self):
-        c = ChainSpec(diagonal=[0.0, 7.0, 0.0], couplings=[2.0, 3.0])
-        assert mirror_trace_h(c) == 7.0
-        assert mirror_trace_h2(c) == 7.0**2 + (2.0 + 3.0) ** 2
+        rep = trace_report(ChainSpec(diagonal=[0.0, 7.0, 0.0], couplings=[2.0, 3.0]))
+        assert rep.trace_sh == 7.0
+        assert rep.trace_sh2 == 7.0**2 + (2.0 + 3.0) ** 2
 
 
 class TestEigenSideTraces:
@@ -180,8 +178,8 @@ class TestTraceReport:
         for _ in range(20):
             n = int(rng.integers(2, 16))
             b, j = random_mirror_arrays(rng, n)
-            c = ChainSpec(diagonal=b, couplings=j)
+            rep = trace_report(ChainSpec(diagonal=b, couplings=j))
             lam, _ = dense_decompose(b, j)
             s1, s2 = alternating_sums(lam)
-            assert mirror_trace_h(c) == pytest.approx(s1, rel=1e-10, abs=1e-10)
-            assert mirror_trace_h2(c) == pytest.approx(s2, rel=1e-10, abs=1e-10)
+            assert rep.trace_sh == pytest.approx(s1, rel=1e-10, abs=1e-10)
+            assert rep.trace_sh2 == pytest.approx(s2, rel=1e-10, abs=1e-10)

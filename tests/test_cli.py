@@ -290,6 +290,26 @@ class TestSearch:
         assert report["violations"] == []
         assert "search N=5" in capsys.readouterr().err
 
+    def test_summary_counts_failed_samples(self, tmp_path, capsys, monkeypatch):
+        # a tied eigenvalue pair in the block eigensolve fails sample 0 alone
+        samples, path = 60, tmp_path / "r.json"
+        args = ["search", "--n", "5", "--samples", str(samples), "--seed", "4",
+                "--output", str(path)]
+        assert main(args) == 0
+        assert "lambda_min violation(s), 0 failed sample(s)" in capsys.readouterr().err
+        real = pstlab.eigensolve._eigvalsh_rows
+
+        def tied(diagonal, couplings, errors):
+            lam = real(diagonal, couplings, errors)
+            if len(lam) == samples:
+                lam[0, 1] = lam[0, 0]
+            return lam
+
+        monkeypatch.setattr(pstlab.eigensolve, "_eigvalsh_rows", tied)
+        assert main(args) == 0
+        assert "lambda_min violation(s), 1 failed sample(s)" in capsys.readouterr().err
+        assert [index for index, _ in json.loads(path.read_text())["failures"]] == [0]
+
     def test_usage_errors(self, capsys):
         assert main(["search", "--n", "5", "--samples", "0"]) == 1
         assert main(["search", "--n", "5", "--samples", "10", "--cap", "4"]) == 1
