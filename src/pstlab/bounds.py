@@ -27,14 +27,7 @@ from .chain import (ChainSpec, _alternating_signs, _alternating_sums, _check_row
                     _mirror_traces_rows, _Record)
 from .errors import MultiplierOverflow, NotAdmissible, PstLabError
 from .pst import MAX_MULTIPLIER, SYMMETRY_TOL, _certify_chain, _certify_rows, _check_cap
-from .synthesis import (
-    SpectrumSpec,
-    _expand_rows,
-    _synthesize_rows,
-    canonical_chain,
-    draw_multipliers,
-    synthesize,
-)
+from .synthesis import _expand_rows, _synthesize_rows, canonical_chain, draw_multipliers
 
 __all__ = [
     "BoundReport",
@@ -131,10 +124,10 @@ def _audit_rows(
     their descending spectra (S, N) and transfer times (S,).
 
     Returns one (S,) array per ProofAudit field other than `parity` (None
-    where the field does not apply to the parity), plus `j_max`, `product`
-    and `lambda_min_ok`.  The mirror traces of the traceless shift come from
-    its central entries (chain._mirror_traces_rows) and its spectrum
-    (chain._alternating_sums).
+    where the field does not apply to the parity), plus `j_max`, `t0`,
+    `product` and `lambda_min_ok`.  The mirror traces of the traceless shift
+    come from its central entries (chain._mirror_traces_rows) and its
+    spectrum (chain._alternating_sums).
     """
     n = lam.shape[1]
     lam0 = lam - lam.mean(axis=1, keepdims=True)
@@ -149,6 +142,7 @@ def _audit_rows(
     tail = -(n - 1) * u / 2.0
     rows = {
         "j_max": j_max,
+        "t0": t0,
         "product": product,
         "ratio": product / bound,
         "final_slack": product - bound,
@@ -192,23 +186,21 @@ def audit_chain(
         raise cert
     if not cert.admissible:
         raise NotAdmissible(f"chain does not certify: {cert.failure}")
-    return _audit_spectrum(chain, lam, cert.t0)
+    rows = _audit_rows(chain.diagonal[None], chain.couplings[None], lam[None],
+                       np.array([cert.t0]))
+    return _reports(rows, 0, chain.n_sites)
 
 
-def _audit_spectrum(
-    chain: ChainSpec, lam: np.ndarray, t0: float
-) -> tuple[BoundReport, ProofAudit]:
-    """The audit of one certified chain, given its descending spectrum and
-    transfer time as certification solved them."""
-    rows = _audit_rows(chain.diagonal[None], chain.couplings[None], lam[None], np.array([t0]))
-    row = {key: None if value is None else value[0].item() for key, value in rows.items()}
-    n = chain.n_sites
+def _reports(rows: dict, k: int, n: int) -> tuple[BoundReport, ProofAudit]:
+    """Row k of the audit rows (see _audit_rows) of N = n chains, as the
+    chain's BoundReport and ProofAudit."""
+    row = {key: None if value is None else value[k].item() for key, value in rows.items()}
     parity = "even" if n % 2 == 0 else "odd"
     report = BoundReport(
         n_sites=n,
         parity=parity,
         j_max=row["j_max"],
-        t0=t0,
+        t0=row["t0"],
         product=row["product"],
         bound=bound_value(n),
         ratio=row["ratio"],
@@ -258,12 +250,14 @@ class SearchReport(_Record):
     `min_ratio_index` name the lowest sample index whose ratio is within
     RATIO_SLACK (1e-9) of `min_ratio`, so samples that tie up to roundoff
     resolve to the same witness on every numpy/BLAS build.  `violations`
-    holds full witness records for every sample with ratio < 1 - RATIO_SLACK
+    holds full records for every sample with ratio < 1 - RATIO_SLACK
     (expected empty).  `substitution_gap_negatives` counts odd-N samples
     where the recorded (not asserted) substitution step fails, meaning a
     substitution gap below -SUBSTITUTION_GAP_SLACK * u^2 (1e-9 at the natural
     scale u = pi/t0); gaps that are zero up to roundoff are not counted.
     That is a reportable finding about the derivation, not about the bound.
+    When no sample is audited, the three minima are None (JSON null),
+    `min_ratio_index` is -1 and the witness is empty.
     """
 
     _KEYS = {"n_sites": "N"}
@@ -274,28 +268,15 @@ class SearchReport(_Record):
     unit: float
     seed: int
     evaluated: int
-    min_ratio: float
+    min_ratio: float | None
     min_ratio_index: int
     witness: dict
     lambda_min_violations: int
-    min_final_slack: float
+    min_final_slack: float | None
     substitution_gap_negatives: int
     min_substitution_gap: float | None
     violations: tuple[dict, ...]
     failures: tuple[tuple[int, str], ...]
-
-
-def _witness_record(index: int, mult: np.ndarray, unit: float, cap: int) -> dict:
-    """The full record of one sample, rebuilt on its own and certified at `cap`."""
-    chain = synthesize(SpectrumSpec(unit=unit, multipliers=mult))
-    report, _ = audit_chain(chain, max_multiplier=cap)
-    return {
-        "index": index,
-        "multipliers": mult.tolist(),
-        "unit": unit,
-        "chain": chain.to_dict(),
-        "report": report.to_dict(),
-    }
 
 
 def _block_rows(n_sites: int) -> int:
@@ -304,15 +285,19 @@ def _block_rows(n_sites: int) -> int:
     end-weight differences and their logarithms, the dense eigensolve stack)
     and the unit search's sixteen or so (N-1) rows."""
     n = n_sites
-    return max(1, BLOCK_BYTES // (8 * (4 * n * n + 16 * n)))
+    return BLOCK_BYTES // (8 * (4 * n * n + 16 * n))
+
+
+# the largest N whose one sample fits a block: (N + 2)^2 <= BLOCK_BYTES / 32 + 4
+MAX_SEARCH_SITES = math.isqrt(BLOCK_BYTES // 32 + 4) - 2
 
 
 def _audit_block(mults: np.ndarray, start: int, unit: float, cap: int):
     """Synthesize, certify at `cap` and audit one block of multiplier rows.
 
-    Returns the sample indices that were audited, their transfer times, their
-    audit rows (see _audit_rows), and (index, message) for each sample that
-    failed, in sample order.
+    Returns the sample indices that were audited, their fields B and J,
+    their audit rows (see _audit_rows), and (index, message) for each sample
+    that failed, in sample order.
     """
     index = np.arange(start, start + len(mults))
     diagonal, couplings, errors = _synthesize_rows(_expand_rows(unit, mults))
@@ -327,8 +312,21 @@ def _audit_block(mults: np.ndarray, start: int, unit: float, cap: int):
         elif verdict is not None:
             failed[int(i)] = f"chain does not certify: {verdict}"
     ok = cert.admissible
-    audit = _audit_rows(diagonal[ok], couplings[ok], cert.eigenvalues[ok], cert.t0[ok])
-    return index[ok], cert.t0[ok], audit, sorted(failed.items())
+    index, diagonal, couplings = index[ok], diagonal[ok], couplings[ok]
+    audit = _audit_rows(diagonal, couplings, cert.eigenvalues[ok], cert.t0[ok])
+    return index, diagonal, couplings, audit, sorted(failed.items())
+
+
+def _record(block: tuple, k: int, mults: np.ndarray, unit: float) -> dict:
+    """The full record of audited row k of a block (see _audit_block)."""
+    index, diagonal, couplings, audit, _ = block
+    return {
+        "index": int(index[k]),
+        "multipliers": mults[index[k]].tolist(),
+        "unit": unit,
+        "chain": ChainSpec(diagonal=diagonal[k], couplings=couplings[k]).to_dict(),
+        "report": _reports(audit, k, diagonal.shape[1])[0].to_dict(),
+    }
 
 
 def falsify_search(
@@ -347,50 +345,50 @@ def falsify_search(
     which its reduced multipliers never exceed, so no sample fails for the
     size of its multipliers; the report records the cap as `max_multiplier`.
     Samples are synthesized, certified and audited in blocks whose working
-    set stays under BLOCK_BYTES; every sample's numbers are those of a batch
-    of one.  A sample that fails is recorded as (index, message) and the
-    others go on.  The witness is chosen from the ratios of all samples: the
-    lowest sample index whose ratio is within RATIO_SLACK of the minimum,
-    rebuilt on its own.  A substitution gap counts as negative only below
-    -SUBSTITUTION_GAP_SLACK * (pi/t0)^2, so the count does not depend on the
-    sign of roundoff.
+    set stays under BLOCK_BYTES (so N is at most MAX_SEARCH_SITES); every
+    sample's numbers are those of a batch of one.  A sample that fails is
+    recorded as (index, message) and the others go on.  Each block is
+    reduced as it goes, and every record is built from its block's rows.
+    The witness candidates are the strict prefix minima of the ratio within
+    RATIO_SLACK of the running minimum; the first one left is the lowest
+    index within RATIO_SLACK of the minimum.  A substitution gap counts as
+    negative only below -SUBSTITUTION_GAP_SLACK * (pi/t0)^2, so roundoff
+    does not decide the count.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if n_sites < 2:
-        raise ValueError("n_sites must be >= 2")
+    if not 2 <= n_sites <= MAX_SEARCH_SITES:
+        raise ValueError(f"n_sites must be in 2..{MAX_SEARCH_SITES}")
     if not (math.isfinite(unit) and unit > 0):
         raise ValueError("unit must be finite and > 0")
     _check_cap(cap)
     rng = np.random.default_rng(seed)
     mults = draw_multipliers(rng, n_sites, cap, count=samples)
 
-    ratios, final_slack, gaps, u2 = (np.full(samples, np.nan) for _ in range(4))
-    lambda_min_bad = np.zeros(samples, dtype=bool)
-    failures = []
-    block = _block_rows(n_sites)
-    for start in range(0, samples, block):
-        index, t0, audit, failed = _audit_block(
-            mults[start : start + block], start, unit, cap
-        )
+    evaluated = lambda_min_violations = negatives = 0
+    min_ratio = min_final_slack = min_gap = math.inf
+    near, violations, failures = [], [], []  # near: records of the witness candidates
+    size = _block_rows(n_sites)
+    for start in range(0, samples, size):
+        block = _audit_block(mults[start : start + size], start, unit, cap)
+        index, _, _, audit, failed = block
         failures += failed
-        ratios[index], final_slack[index] = audit["ratio"], audit["final_slack"]
-        lambda_min_bad[index] = ~audit["lambda_min_ok"]
-        if audit["substitution_gap"] is not None:
-            gaps[index] = audit["substitution_gap"]
-        u2[index] = (math.pi / t0) ** 2
-    audited, odd = ~np.isnan(u2), ~np.isnan(gaps)
-    evaluated = int(audited.sum())
-
-    violations = tuple(
-        _witness_record(int(i), mults[i], unit, cap)
-        for i in np.flatnonzero(ratios < 1.0 - RATIO_SLACK)
-    )
-    min_ratio, min_ratio_index, witness = math.inf, -1, {}
-    if evaluated:
-        min_ratio = float(np.nanmin(ratios))
-        min_ratio_index = int(np.flatnonzero(ratios <= min_ratio + RATIO_SLACK)[0])
-        witness = _witness_record(min_ratio_index, mults[min_ratio_index], unit, cap)
+        ratio, gap = audit["ratio"], audit["substitution_gap"]
+        evaluated += len(index)
+        lambda_min_violations += int((~audit["lambda_min_ok"]).sum())
+        min_final_slack = float(audit["final_slack"].min(initial=min_final_slack))
+        if gap is not None:
+            u2 = (math.pi / audit["t0"]) ** 2
+            negatives += int((gap < -SUBSTITUTION_GAP_SLACK * u2).sum())
+            min_gap = float(gap.min(initial=min_gap))
+        bad = np.flatnonzero(ratio < 1.0 - RATIO_SLACK)
+        violations += [_record(block, k, mults, unit) for k in bad]
+        before = np.minimum.accumulate(np.concatenate([[min_ratio], ratio[:-1]]))
+        min_ratio = float(ratio.min(initial=min_ratio))
+        near = [r for r in near if r["report"]["ratio"] <= min_ratio + RATIO_SLACK]
+        near += [_record(block, k, mults, unit) for k in
+                 np.flatnonzero((ratio < before) & (ratio <= min_ratio + RATIO_SLACK))]
+    witness = near[0] if near else {}
 
     return SearchReport(
         n_sites=n_sites,
@@ -399,15 +397,13 @@ def falsify_search(
         unit=unit,
         seed=seed,
         evaluated=evaluated,
-        min_ratio=min_ratio,
-        min_ratio_index=min_ratio_index,
+        min_ratio=min_ratio if evaluated else None,
+        min_ratio_index=witness.get("index", -1),
         witness=witness,
-        lambda_min_violations=int(lambda_min_bad.sum()),
-        min_final_slack=float(final_slack[audited].min()) if evaluated else math.inf,
-        substitution_gap_negatives=int(
-            (gaps[odd] < -SUBSTITUTION_GAP_SLACK * u2[odd]).sum()
-        ),
-        min_substitution_gap=float(gaps[odd].min()) if odd.any() else None,
-        violations=violations,
+        lambda_min_violations=lambda_min_violations,
+        min_final_slack=min_final_slack if evaluated else None,
+        substitution_gap_negatives=negatives,
+        min_substitution_gap=min_gap if evaluated and n_sites % 2 else None,
+        violations=tuple(violations),
         failures=tuple(failures),
     )

@@ -141,7 +141,9 @@ def cmd_analyze(args) -> int:
     print(f"  max gap residual = {cert.max_residual:.3e}")
     fid = pst._fidelity(*pst._transfer_terms(chain, lam), np.array([cert.t0]))[0]
     print(f"fidelity at t0: {fid:.12g}")
-    report, audit = bounds._audit_spectrum(chain, lam, cert.t0)
+    rows = bounds._audit_rows(chain.diagonal[None], chain.couplings[None], lam[None],
+                              np.array([cert.t0]))
+    report, audit = bounds._reports(rows, 0, chain.n_sites)
     print(
         f"bound: parity={report.parity} bound={report.bound:.12g} "
         f"product={report.product:.12g} ratio={report.ratio:.12g} "
@@ -223,8 +225,8 @@ def cmd_search(args) -> int:
     if len(n_values) != 1:
         raise _UsageError("search takes a single --n")
     n = n_values[0]
-    if n < 2:
-        raise _UsageError("--n must be >= 2")
+    if not 2 <= n <= bounds.MAX_SEARCH_SITES:
+        raise _UsageError(f"--n must be in 2..{bounds.MAX_SEARCH_SITES}")
     if args.samples < 1:
         raise _UsageError("--samples must be >= 1")
     print(
@@ -232,9 +234,10 @@ def cmd_search(args) -> int:
         file=sys.stderr,
     )
     report = bounds.falsify_search(n, args.samples, args.cap, args.seed)
+    least = ("no sample audited" if report.min_ratio is None else
+             f"min ratio {report.min_ratio:.12g} at sample {report.min_ratio_index}")
     print(
-        f"min ratio {report.min_ratio:.12g} at sample {report.min_ratio_index}; "
-        f"{len(report.violations)} violation(s), "
+        f"{least}; {len(report.violations)} violation(s), "
         f"{report.lambda_min_violations} lambda_min violation(s), "
         f"{len(report.failures)} failed sample(s)",
         file=sys.stderr,
@@ -281,7 +284,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("search", help="falsification search as JSON")
-    p.add_argument("--n", required=True, help="number of sites")
+    p.add_argument("--n", required=True, help=f"number of sites, 2..{bounds.MAX_SEARCH_SITES}")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--cap", type=_odd_cap, default=9, help="odd multiplier cap")
     p.add_argument("--seed", type=int, default=0)

@@ -26,9 +26,12 @@ from pstlab import (
 )
 from pstlab.bounds import (
     BLOCK_BYTES,
+    MAX_SEARCH_SITES,
+    RATIO_SLACK,
     SCAN_CSV_HEADER,
     SUBSTITUTION_GAP_SLACK,
     _audit_block,
+    _block_rows,
 )
 from pstlab.pst import MAX_CAP
 from pstlab.synthesis import _expand_rows, _synthesize_rows, draw_multipliers
@@ -185,6 +188,17 @@ class TestSaturationScan:
         assert result.failures == ((3, "synthetic failure"),)
 
 
+def _nudged(audit_rows):
+    """audit_rows with each ratio lowered by 1e-12 t0, far less than RATIO_SLACK."""
+
+    def nudged(diagonal, couplings, lam, t0):
+        rows = audit_rows(diagonal, couplings, lam, t0)
+        rows["ratio"] = rows["ratio"] - 1e-12 * t0
+        return rows
+
+    return nudged
+
+
 class TestFalsifySearch:
     def test_runs_are_deterministic(self):
         a = falsify_search(4, 300, 9, seed=5)
@@ -224,18 +238,57 @@ class TestFalsifySearch:
     def test_near_tied_witness_is_the_lowest_index(self, monkeypatch):
         # every two-site sample saturates; lower each ratio by far less than
         # RATIO_SLACK, most for the narrowest gap; sample 0 has the widest
-        real = pstlab.bounds._audit_rows
-
-        def nudged(diagonal, couplings, lam, t0):
-            rows = real(diagonal, couplings, lam, t0)
-            rows["ratio"] = rows["ratio"] - 1e-12 * t0
-            return rows
-
-        monkeypatch.setattr(pstlab.bounds, "_audit_rows", nudged)
+        monkeypatch.setattr(pstlab.bounds, "_audit_rows", _nudged(pstlab.bounds._audit_rows))
         report = falsify_search(2, 40, 9, seed=2)
         assert report.min_ratio_index == 0
         assert report.witness["index"] == 0
         assert report.min_ratio < report.witness["report"]["ratio"]
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_report_does_not_depend_on_the_block_size(self, block, monkeypatch):
+        cases = [(n, samples, cap, seed) for n in (2, 3, 4, 5, 8, 9)
+                 for samples, cap, seed in ((30, 9, n), (20, 2001, 2 * n))]
+        default = [falsify_search(*case).to_dict() for case in cases]
+        real = pstlab.bounds._audit_rows
+        monkeypatch.setattr(pstlab.bounds, "_audit_rows", _nudged(real))
+        near_tie = falsify_search(2, 40, 9, seed=2).to_dict()
+        monkeypatch.setattr(pstlab.bounds, "_block_rows", lambda n: block)
+        assert falsify_search(2, 40, 9, seed=2).to_dict() == near_tie
+        assert near_tie["min_ratio_index"] == 0
+        monkeypatch.setattr(pstlab.bounds, "_audit_rows", real)
+        assert [falsify_search(*case).to_dict() for case in cases] == default
+
+    def test_records_equal_the_batch_of_one_rebuild(self, monkeypatch):
+        # the witness and every violation are the sample rebuilt on its own:
+        # synthesize, then audit_chain at the draw cap, as a batch of one
+        def rebuilt(record, cap):
+            chain = synthesize(SpectrumSpec(unit=record["unit"],
+                                            multipliers=record["multipliers"]))
+            report, _ = audit_chain(chain, max_multiplier=cap)
+            return {**record, "chain": chain.to_dict(), "report": report.to_dict()}
+
+        cases = [(n, 30, 9, seed) for n in range(2, 10) for seed in (0, 1, 7)]
+        cases += [(n, 20, 2001, 3) for n in (3, 4, 6)]
+        for n, samples, cap, seed in cases:
+            report = falsify_search(n, samples, cap, seed)
+            assert report.violations == ()
+            assert report.witness == rebuilt(report.witness, cap)
+        # each ratio folded into [-0.5, 1.5) puts most samples under the bound
+        real = pstlab.bounds._audit_rows
+
+        def folded(diagonal, couplings, lam, t0):
+            rows = real(diagonal, couplings, lam, t0)
+            rows["ratio"] = rows["ratio"] % 2.0 - 0.5
+            return rows
+
+        monkeypatch.setattr(pstlab.bounds, "_audit_rows", folded)
+        for n, samples, cap, seed in cases:
+            report = falsify_search(n, samples, cap, seed)
+            assert 0 < len(report.violations) <= samples
+            for record in report.violations:
+                assert record["report"]["ratio"] < 1.0 - RATIO_SLACK
+                assert record == rebuilt(record, cap)
+            assert report.witness == rebuilt(report.witness, cap)
 
     def test_failing_sample_is_isolated(self, monkeypatch):
         # give the clean run's witness sample a tied eigenvalue pair in the
@@ -298,6 +351,14 @@ class TestFalsifySearch:
         with pytest.raises(ValueError, match="samples"):
             falsify_search(4, 0, 9, seed=0)
 
+    def test_validates_n_sites(self):
+        # the limit is the largest N whose one sample fits a block
+        assert _block_rows(MAX_SEARCH_SITES) >= 1
+        assert _block_rows(MAX_SEARCH_SITES + 1) == 0
+        for n in (1, MAX_SEARCH_SITES + 1):
+            with pytest.raises(ValueError, match=f"2..{MAX_SEARCH_SITES}"):
+                falsify_search(n, 1, 9, seed=0)
+
     def test_validates_cap(self):
         with pytest.raises(ValueError, match=str(MAX_CAP)):
             falsify_search(4, 3, 2**64 + 1, 0)
@@ -337,11 +398,13 @@ class TestBatchedCore:
                     assert np.abs(diagonal[row] - ref_b).max() <= tol
                     assert np.abs(couplings[row] - ref_j).max() <= tol
 
-            index, t0, audit, failed = _audit_block(mults, 0, 1.0, 9)
+            index, diagonal, couplings, audit, failed = _audit_block(mults, 0, 1.0, 9)
             assert failed == [] and index.tolist() == list(range(count))
-            u = math.pi / t0
+            u = math.pi / audit["t0"]
             for row in range(count):
                 chain = synthesize(SpectrumSpec(unit=1.0, multipliers=mults[row]))
+                assert np.array_equal(diagonal[row], chain.diagonal)
+                assert np.array_equal(couplings[row], chain.couplings)
                 report, single = audit_chain(chain)
                 assert audit["ratio"][row] == pytest.approx(report.ratio, rel=1e-12, abs=0)
                 if n % 2 == 0:
@@ -360,6 +423,6 @@ class TestBatchedCore:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        draw_and_ratios = samples * (n - 1) * 8 + samples * 8
+        draw = samples * (n - 1) * 8
         # a per-sample (N, N) basis for all samples alone would be 131 MB
-        assert peak - draw_and_ratios < BLOCK_BYTES
+        assert peak - draw < BLOCK_BYTES

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import pstlab.bounds
 import pstlab.cli
 import pstlab.eigensolve
 import pstlab.pst
@@ -310,12 +311,41 @@ class TestSearch:
         assert "lambda_min violation(s), 1 failed sample(s)" in capsys.readouterr().err
         assert [index for index, _ in json.loads(path.read_text())["failures"]] == [0]
 
+    def test_no_audited_sample_is_strict_json(self, tmp_path, capsys, monkeypatch):
+        # the one sample fails, so the minima are null, never Infinity
+        path = tmp_path / "r.json"
+        real = pstlab.eigensolve._eigvalsh_rows
+
+        def tied(diagonal, couplings, errors):
+            lam = real(diagonal, couplings, errors)
+            lam[:, 1] = lam[:, 0]
+            return lam
+
+        monkeypatch.setattr(pstlab.eigensolve, "_eigvalsh_rows", tied)
+        args = ["search", "--n", "5", "--samples", "1", "--output", str(path)]
+        assert main(args) == 0
+        err = capsys.readouterr().err
+        assert "no sample audited; 0 violation(s)" in err
+        assert "1 failed sample(s)" in err
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        report = json.loads(path.read_text(), parse_constant=reject)
+        assert report["evaluated"] == 0
+        assert report["min_ratio"] is None
+        assert report["min_final_slack"] is None
+        assert report["min_substitution_gap"] is None
+        assert report["min_ratio_index"] == -1 and report["witness"] == {}
+
     def test_usage_errors(self, capsys):
         assert main(["search", "--n", "5", "--samples", "0"]) == 1
         assert main(["search", "--n", "5", "--samples", "10", "--cap", "4"]) == 1
         assert main(["search", "--n", "2..5", "--samples", "10"]) == 1
         assert main(["search", "--n", "1", "--samples", "10"]) == 1
-        capsys.readouterr()
+        too_many = str(pstlab.bounds.MAX_SEARCH_SITES + 1)
+        assert main(["search", "--n", too_many, "--samples", "1"]) == 1
+        assert f"--n must be in 2..{pstlab.bounds.MAX_SEARCH_SITES}" in capsys.readouterr().err
 
 
 class TestTopLevel:
