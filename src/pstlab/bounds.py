@@ -318,11 +318,11 @@ def _audit_block(mults: np.ndarray, start: int, unit: float, cap: int):
 
 
 def _record(block: tuple, k: int, mults: np.ndarray, unit: float) -> dict:
-    """The full record of audited row k of a block (see _audit_block)."""
+    """The full record of audited row k of a block (see _audit_block), whose draw was `mults`."""
     index, diagonal, couplings, audit, _ = block
     return {
         "index": int(index[k]),
-        "multipliers": mults[index[k]].tolist(),
+        "multipliers": mults.tolist(),
         "unit": unit,
         "chain": ChainSpec(diagonal=diagonal[k], couplings=couplings[k]).to_dict(),
         "report": _reports(audit, k, diagonal.shape[1])[0].to_dict(),
@@ -339,11 +339,12 @@ def falsify_search(
 ) -> SearchReport:
     """Stress the bound on `samples` random admissible spectra.
 
-    All multipliers are drawn in one batch from default_rng(seed), odd and
-    up to `cap` (odd and at most MAX_CAP, else ValueError), so the corpus
-    depends only on the seed.  Every sample is certified at that same cap,
-    which its reduced multipliers never exceed, so no sample fails for the
-    size of its multipliers; the report records the cap as `max_multiplier`.
+    Multipliers are drawn from default_rng(seed) a block at a time, odd and
+    up to `cap` (odd and at most MAX_CAP, else ValueError), the same rows as
+    one batch drawn at once, so the corpus depends only on the seed.  Every
+    sample is certified at that same cap, which its reduced multipliers
+    never exceed, so no sample fails for the size of its multipliers; the
+    report records the cap as `max_multiplier`.
     Samples are synthesized, certified and audited in blocks whose working
     set stays under BLOCK_BYTES (so N is at most MAX_SEARCH_SITES); every
     sample's numbers are those of a batch of one.  A sample that fails is
@@ -363,14 +364,13 @@ def falsify_search(
         raise ValueError("unit must be finite and > 0")
     _check_cap(cap)
     rng = np.random.default_rng(seed)
-    mults = draw_multipliers(rng, n_sites, cap, count=samples)
-
     evaluated = lambda_min_violations = negatives = 0
     min_ratio = min_final_slack = min_gap = math.inf
     near, violations, failures = [], [], []  # near: records of the witness candidates
     size = _block_rows(n_sites)
     for start in range(0, samples, size):
-        block = _audit_block(mults[start : start + size], start, unit, cap)
+        mults = draw_multipliers(rng, n_sites, cap, count=min(size, samples - start))
+        block = _audit_block(mults, start, unit, cap)
         index, _, _, audit, failed = block
         failures += failed
         ratio, gap = audit["ratio"], audit["substitution_gap"]
@@ -382,11 +382,11 @@ def falsify_search(
             negatives += int((gap < -SUBSTITUTION_GAP_SLACK * u2).sum())
             min_gap = float(gap.min(initial=min_gap))
         bad = np.flatnonzero(ratio < 1.0 - RATIO_SLACK)
-        violations += [_record(block, k, mults, unit) for k in bad]
+        violations += [_record(block, k, mults[index[k] - start], unit) for k in bad]
         before = np.minimum.accumulate(np.concatenate([[min_ratio], ratio[:-1]]))
         min_ratio = float(ratio.min(initial=min_ratio))
         near = [r for r in near if r["report"]["ratio"] <= min_ratio + RATIO_SLACK]
-        near += [_record(block, k, mults, unit) for k in
+        near += [_record(block, k, mults[index[k] - start], unit) for k in
                  np.flatnonzero((ratio < before) & (ratio <= min_ratio + RATIO_SLACK))]
     witness = near[0] if near else {}
 

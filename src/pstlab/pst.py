@@ -15,7 +15,8 @@ sigma_n = (-1)^{n+1} and a_n^2 proportional to
 1 / prod_{m != n} |lambda_n - lambda_m| (de Boor & Golub 1978).  So one
 eigenvalue solve serves a symmetric chain's certificate, fidelity and audit.
 Asymmetric chains, and spectra too close to degenerate for those weights,
-are decomposed instead.
+are decomposed instead.  The peak scan takes its time grid as one complex
+matrix product per chunk; evolution and peak refinement sum each time's row.
 """
 from __future__ import annotations
 
@@ -324,45 +325,52 @@ def evolve_fidelity(chain: ChainSpec, times) -> FidelityTrace:
 
 
 def _chunk_rows(n: int) -> int:
-    """Times per chunk of a spectral sum or grid scan that keeps it under
-    FIDELITY_BYTES: per time one complex row of n phases (block bases and
-    offsets included), plus at most sixteen floats of sums, h, f^2 and bookkeeping."""
+    """Rows per chunk under FIDELITY_BYTES at 16 (n + 8) bytes a row: in
+    _phase_sums a time, one complex row of n plus sixteen floats of sums; in
+    the scan a sample, two complex values plus a few floats, and one complex
+    row of n per base and per offset (a few sqrt(rows) rows in all)."""
     return max(1, FIDELITY_BYTES // (16 * (n + 8)))
 
 
-def _phase_sums(lam, coeff, starts, order, reduce, out, offsets=None):
-    """Fill `out` (last axis over the times starts[q] + offsets[r], q-major)
-    chunk by chunk with reduce(z, z', ..., z^(order)), the time derivatives
-    of the transfer amplitude z(t) = sum_n c_n e^{-i lambda_n t}: (Q + B) N
-    exps for Q starts and B offsets, as e^{-i lambda (s + d)} factors, summed
-    against the coefficient rows c, -i lambda c, -lambda^2 c, ... as
-    successive products of one (Q B, N) buffer.  Without offsets each start
-    is one time, and its c_n e^{-i lambda_n s} row is its product row.  Each
-    time's sums run over its own row, so a value does not depend on how many
-    times share the call or the chunk (a matrix-vector product would let
-    BLAS block the rows and move the last bit).
-    """
+def _phase_sums(lam, coeff, times, order, reduce, out):
+    """Fill `out` (last axis over `times`) chunk by chunk with
+    reduce(z, z', ..., z^(order)), the time derivatives of the transfer
+    amplitude z(t) = sum_n c_n e^{-i lambda_n t}: one exp per time and
+    eigenvalue, and the sums of the rows c e^{-i lambda t} (-i lambda)^k.
+    Each time's sums run over its own row (no BLAS), so a value does not
+    depend on how many times share the call or the chunk."""
     phase = -1j * lam
     rows = _chunk_rows(lam.size)
-    width = 1 if offsets is None else offsets.size
-    per = rows if offsets is None else max(1, (rows - width) // (width + 1))
-    bases = np.empty((min(per, starts.size), lam.size), dtype=complex)
-    if offsets is not None:
-        shift = np.exp(np.multiply.outer(offsets, phase))
-        buffer = np.empty((bases.shape[0], width, lam.size), dtype=complex)
-    for start in range(0, starts.size, per):
-        s = starts[start : start + per]
-        z = np.multiply.outer(s, phase, out=bases[: s.size])
+    buffer = np.empty((min(rows, times.size), lam.size), dtype=complex)
+    for start in range(0, times.size, rows):
+        t = times[start : start + rows]
+        z = np.multiply.outer(t, phase, out=buffer[: t.size])
         np.exp(z, out=z)
         z *= coeff
-        if offsets is not None:
-            z = np.multiply(z[:, None], shift, out=buffer[: s.size]).reshape(-1, lam.size)
         sums = [z.sum(axis=1)]
         for _ in range(order):
             z *= phase
             sums.append(z.sum(axis=1))
-        out[..., start * width : (start + s.size) * width] = reduce(*sums)
+        out[..., start : start + t.size] = reduce(*sums)
     return out
+
+
+def _grid_scan(lam, coeff, offsets):
+    """The scan's kernel: a function of Q block starts s giving (h, f^2),
+    each (Q, B), at the times s_q + offsets[b], from z and z' by one complex
+    matrix product of the base rows c e^{-i lambda s_q} (Q N exps a call)
+    with [E | -i lambda E], E[n, b] = e^{-i lambda_n d_b} (B N exps, once).
+    BLAS orders it by shape, so a sample can move in its last bit with Q."""
+    phase = -1j * lam
+    shift = np.exp(np.multiply.outer(phase, offsets))
+    kernel = np.hstack((shift, phase[:, None] * shift))
+
+    def terms(starts):
+        z = (np.exp(np.multiply.outer(starts, phase)) * coeff) @ kernel
+        z, dz = z[:, : offsets.size], z[:, offsets.size :]
+        return _slope(z, dz), np.abs(z) ** 2
+
+    return terms
 
 
 def _fidelity(lam: np.ndarray, coeff: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -385,7 +393,9 @@ def _peak_ceilings(lam, coeff, a, b, f2_a, f2_b):
     ends: h(t*) = 0, so f^2(t*) <= max(f^2(a), f^2(b)) + M (b - a)^2 / 8 for
     M >= |(f^2)''| = 2 |h'|, bounded through |z|, |z'|, |z''| on the centred
     spectrum (a shift moves no f).  The slack 64 N eps (1 + b max|lambda|)
-    covers the rounding of f^2 (sum |c| <= 1) in the phases and the sums."""
+    covers the rounding of f^2 (sum |c| <= 1) in the phases and the sums; a
+    length-N dot product errs by at most about N eps sum |c| in any
+    summation order, so the scan's matrix product stays within it too."""
     mag, centred = np.abs(coeff), np.abs(lam - 0.5 * (lam[0] + lam[-1]))
     curvature = 2.0 * ((mag @ centred) ** 2 + mag.sum() * (mag @ centred**2))
     slack = 64.0 * lam.size * np.finfo(float).eps * (1.0 + b * np.abs(lam).max())
@@ -440,30 +450,35 @@ def first_perfect_time(
     to the root of h (see _refine_peaks) before it is compared with the
     threshold, so near-miss peaks are never mistaken for hits and certified
     chains return t0 itself rather than a flank crossing.  Default horizon:
-    4 pi / (smallest gap), one full revival period of the slowest phase pair.
+    t0 for a chain that certifies (at certify's defaults, on the spectrum
+    the fidelity uses), as f(t0) = 1 reaches any threshold; else 4 pi /
+    (smallest gap), one full revival period of the slowest phase pair.
 
     The grid is scanned in chunks of whole blocks of B samples, a start plus
-    B offsets (see _phase_sums) aligned to the sample index so that no value
-    depends on the chunking, under FIDELITY_BYTES; only the last sample's
-    time, h and f^2 carry over.  A chunk's peaks are refined together, and
-    the scan stops at the first chunk with a peak that reaches the threshold.
+    B offsets aligned to the sample index, each chunk one matrix product
+    (see _grid_scan) under FIDELITY_BYTES; only the last sample's time, h
+    and f^2 carry over.  A sample may move in its last bit with the
+    chunking, but samples only choose and bound brackets, and each returned
+    time is refined by per-row sums, so the answer does not.  A chunk's
+    peaks are refined together; the scan stops at the first chunk with a hit.
     """
     if not (0.0 < threshold <= 1.0):
         raise ValueError("threshold must be in (0, 1]")
-    lam, coeff = _transfer_terms(chain)
-    width = lam[0] - lam[-1]
+    cert, lam = _certify_chain(chain) if horizon is None else (None, None)
+    lam, coeff = _transfer_terms(chain, lam)
     if horizon is None:
-        horizon = 4.0 * math.pi / float((-np.diff(lam)).min())
+        horizon = getattr(cert, "t0", None) or 4.0 * math.pi / float((-np.diff(lam)).min())
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError("horizon must be finite and > 0")
-    step = math.pi / (8.0 * width)
+    step = math.pi / (8.0 * (lam[0] - lam[-1]))
     n_steps = max(int(math.ceil(horizon / step)), 2)
     # the samples of np.linspace(horizon / n_steps, horizon, n_steps)
     first = horizon / n_steps
     spacing = (horizon - first) / (n_steps - 1)
-    # a chunk of Q blocks of B samples takes (Q + B) N exps, fewest near B = Q
+    # a chunk of Q blocks of B samples takes Q N exps and a (Q, N) x (N, 2B) product
     block = math.isqrt(_chunk_rows(lam.size))
     span = max(1, (_chunk_rows(lam.size) - block) // (block + 1)) * block
+    terms = _grid_scan(lam, coeff, np.arange(block) * spacing)
     scan = np.empty((3, 1 + span))  # t, h, f^2; column 0 is the sample before the chunk
     scan[:, 0] = 0.0, 1.0, 0.0  # f(0) = 0, and h counts as rising there
     for start in range(0, n_steps, span):
@@ -471,8 +486,7 @@ def first_perfect_time(
         t[1:] = np.arange(start, start + t.size - 1) * spacing + first
         if start + span >= n_steps:
             t[-1] = horizon
-        _phase_sums(lam, coeff, t[1::block], 1, lambda z, dz: (_slope(z, dz), np.abs(z) ** 2),
-                    scan[1:, 1:], np.arange(block) * spacing)
+        h[1:], f2[1:] = (v.ravel()[: t.size - 1] for v in terms(t[1::block]))
         up = h > 0.0
         falls = np.flatnonzero(up[:-1] & ~up[1:])
         a, b = t[falls], t[falls + 1]

@@ -415,6 +415,20 @@ class TestBatchedCore:
                 if abs(gap) > SUBSTITUTION_GAP_SLACK * u[row] ** 2:
                     assert (gap < 0) == (exact_substitution_gap(mults[row]) < 0)
 
+    def test_block_draws_equal_one_batch(self):
+        # falsify_search draws each block from the one generator; the
+        # corpus must be the one-batch draw, partial last blocks included
+        samples = 230
+        for n in (2, 3, 5, 9, 17):
+            for cap in (1, 9, 2001, MAX_CAP):
+                for seed in range(3):
+                    whole = draw_multipliers(np.random.default_rng(seed), n, cap, count=samples)
+                    for block in (1, 3, 7, 100):
+                        rng = np.random.default_rng(seed)
+                        parts = [draw_multipliers(rng, n, cap, count=min(block, samples - start))
+                                 for start in range(0, samples, block)]
+                        assert np.array_equal(np.concatenate(parts), whole), (n, cap, seed, block)
+
     def test_block_working_set_stays_under_budget(self):
         samples, n = 4000, 64
         tracemalloc.start()
@@ -423,6 +437,6 @@ class TestBatchedCore:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        draw = samples * (n - 1) * 8
-        # a per-sample (N, N) basis for all samples alone would be 131 MB
-        assert peak - draw < BLOCK_BYTES
+        # a per-sample (N, N) basis for all samples alone would be 131 MB;
+        # the multipliers are drawn a block at a time, so the draw is inside
+        assert peak < BLOCK_BYTES

@@ -349,15 +349,25 @@ class TestFirstPerfectTime:
         t = first_perfect_time(synthesize(SpectrumSpec(unit=1.0, multipliers=[1, 5])))
         assert t == pytest.approx(math.pi, rel=1e-10)
 
+    @pytest.mark.parametrize("mult", [(5, 7, 5), (7, 5, 7, 5), (5, 9, 9, 5)])
+    def test_default_horizon_of_a_certified_chain_is_t0(self, mult, monkeypatch):
+        # every multiplier >= 5: 4 pi / g_min = 4 t0 / m_min ends before
+        # t0 = pi, and the smallest-gap horizon returned None.  The default
+        # certifies from the spectrum the fidelity uses, with no second solve
+        chain = synthesize(SpectrumSpec(unit=1.0, multipliers=mult))
+        monkeypatch.setattr(pst, "eigenvalues_only", None)
+        monkeypatch.setattr(pst, "decompose", None)
+        assert first_perfect_time(chain) == pytest.approx(math.pi, rel=1e-10)
+
     def test_working_set_stays_under_budget(self):
-        # N = 20, widths 1, 99, ..., 99, 1: the default horizon 4 pi has
+        # N = 20, widths 1, 99, ..., 99, 1: the horizon 4 pi has
         # 32 * 1685 = 53,920 samples, whose (T, N) complex phases alone
         # would take 17 MB in one piece
         chain = synthesize(SpectrumSpec(unit=1.0, multipliers=[1] + [99] * 17 + [1]))
         times = np.linspace(0.0, 8.0 * math.pi, 200_000)
         tracemalloc.start()
         try:
-            t = first_perfect_time(chain)
+            t = first_perfect_time(chain, horizon=4.0 * math.pi)
             _, scan_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             trace = evolve_fidelity(chain, times)
@@ -478,6 +488,34 @@ class TestBatchedRefinement:
         for (c, _, _), trace in zip(cases, traces):
             np.testing.assert_allclose(evolve_fidelity(c, times).fidelity, trace,
                                        rtol=0, atol=1e-15)
+
+
+class TestGridScan:
+    """The scan's matrix-product kernel against the per-row sums."""
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 64])
+    def test_matches_the_per_row_sums(self, n):
+        # at the scan's own step, from sample 1000 on; Q = 1, B = 1, partial
+        # last blocks and a chunk as large as the default's at N = 16.
+        # f^2 within _peak_ceilings' slack 64 N eps (1 + t max|lambda|), and
+        # h = Re(conj(z) z'), with |z'| <= max|lambda|, within max|lambda| times it
+        rng = np.random.default_rng(n)
+        chain = synthesize(SpectrumSpec(unit=float(rng.uniform(0.5, 2.0)),
+                                        multipliers=rng.integers(0, 5, size=n - 1) * 2 + 1))
+        lam, coeff = pst._transfer_terms(chain)
+        spacing = math.pi / (8.0 * (lam[0] - lam[-1]))
+        scale = np.abs(lam).max()
+        for q, block, count in ((1, 9, 9), (7, 1, 7), (1, 1, 1), (5, 8, 37), (103, 104, 10_700)):
+            offsets = np.arange(block) * spacing
+            starts = (1000 + np.arange(q) * block) * spacing
+            h, f2 = (v.ravel()[:count] for v in pst._grid_scan(lam, coeff, offsets)(starts))
+            times = np.add.outer(starts, offsets).ravel()[:count]
+            want_h, want_f2 = pst._phase_sums(
+                lam, coeff, times, 1, lambda z, dz: (pst._slope(z, dz), np.abs(z) ** 2),
+                np.empty((2, count)))
+            slack = 64.0 * n * np.finfo(float).eps * (1.0 + times.max() * scale)
+            assert np.abs(f2 - want_f2).max() <= slack
+            assert np.abs(h - want_h).max() <= slack * scale
 
 
 class TestPeakRegressions:
