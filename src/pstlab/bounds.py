@@ -25,7 +25,7 @@ import numpy as np
 
 from .chain import (ChainSpec, _alternating_signs, _alternating_sums, _check_rows,
                     _mirror_traces_rows, _Record)
-from .errors import MultiplierOverflow, NotAdmissible, PstLabError
+from .errors import PstLabError
 from .pst import MAX_MULTIPLIER, SYMMETRY_TOL, _certify_chain, _certify_rows, _check_cap
 from .synthesis import _expand_rows, _synthesize_rows, canonical_chain, draw_multipliers
 
@@ -177,17 +177,22 @@ def audit_chain(
     """Certify at the multiplier cap `max_multiplier`, then measure every
     step of the parity-appropriate bound proof.
 
-    Raises NotAdmissible when certification fails; MultiplierOverflow
-    propagates from certify.  The audit works on the traceless shift (the
-    derivations assume sum lambda = 0); gaps, t0 and J_max are shift-invariant.
+    Raises the certification's error for a chain that does not certify:
+    NotAdmissible, or MultiplierOverflow where a multiplier exceeds the cap;
+    a failed solve raises EigensolveError.  The audit works on the traceless
+    shift (the derivations assume sum lambda = 0); gaps, t0 and J_max are
+    shift-invariant.
     """
-    cert, lam = _certify_chain(chain, max_multiplier=max_multiplier)
-    if isinstance(cert, MultiplierOverflow):
-        raise cert
-    if not cert.admissible:
-        raise NotAdmissible(f"chain does not certify: {cert.failure}")
-    rows = _audit_rows(chain.diagonal[None], chain.couplings[None], lam[None],
-                       np.array([cert.t0]))
+    cert, lam, error = _certify_chain(chain, max_multiplier=max_multiplier)
+    if error is not None:
+        raise error
+    return _audit_solved(chain, lam, cert.t0)
+
+
+def _audit_solved(chain: ChainSpec, lam: np.ndarray, t0: float) -> tuple[BoundReport, ProofAudit]:
+    """audit_chain on a certified chain whose spectrum `lam` and transfer
+    time t0 are already known."""
+    rows = _audit_rows(chain.diagonal[None], chain.couplings[None], lam[None], np.array([t0]))
     return _reports(rows, 0, chain.n_sites)
 
 
@@ -292,52 +297,43 @@ def _block_rows(n_sites: int) -> int:
 MAX_SEARCH_SITES = math.isqrt(BLOCK_BYTES // 32 + 4) - 2
 
 
-def _audit_block(mults: np.ndarray, start: int, unit: float, cap: int):
-    """Synthesize, certify at `cap` and audit one block of multiplier rows.
+def _audit_block(mults: np.ndarray, start: int, cap: int):
+    """Synthesize, certify at `cap` and audit one block of multiplier rows
+    (at unit 1).
 
     Returns the sample indices that were audited, their fields B and J,
     their audit rows (see _audit_rows), and (index, message) for each sample
     that failed, in sample order.
     """
     index = np.arange(start, start + len(mults))
-    diagonal, couplings, errors = _synthesize_rows(_expand_rows(unit, mults))
+    diagonal, couplings, errors = _synthesize_rows(_expand_rows(1.0, mults))
     failed = {int(i): str(exc) for i, exc in zip(index, errors) if exc is not None}
     kept = np.array([exc is None for exc in errors], dtype=bool)
     index, diagonal, couplings = index[kept], diagonal[kept], couplings[kept]
     _check_rows(diagonal, couplings)
     cert = _certify_rows(diagonal, couplings, symmetry_tol=SYMMETRY_TOL, max_multiplier=cap)
-    for i, exc, verdict in zip(index, cert.errors, cert.failure):
-        if exc is not None:
-            failed[int(i)] = str(exc)
-        elif verdict is not None:
-            failed[int(i)] = f"chain does not certify: {verdict}"
-    ok = cert.admissible
+    ok = ~np.isnan(cert.t0)
+    failed.update((int(i), str(exc)) for i, exc in zip(index[~ok], cert.errors[~ok]))
     index, diagonal, couplings = index[ok], diagonal[ok], couplings[ok]
     audit = _audit_rows(diagonal, couplings, cert.eigenvalues[ok], cert.t0[ok])
     return index, diagonal, couplings, audit, sorted(failed.items())
 
 
-def _record(block: tuple, k: int, mults: np.ndarray, unit: float) -> dict:
+def _record(block: tuple, k: int, mults: np.ndarray) -> dict:
     """The full record of audited row k of a block (see _audit_block), whose draw was `mults`."""
     index, diagonal, couplings, audit, _ = block
     return {
         "index": int(index[k]),
         "multipliers": mults.tolist(),
-        "unit": unit,
+        "unit": 1.0,
         "chain": ChainSpec(diagonal=diagonal[k], couplings=couplings[k]).to_dict(),
         "report": _reports(audit, k, diagonal.shape[1])[0].to_dict(),
     }
 
 
-def falsify_search(
-    n_sites: int,
-    samples: int,
-    cap: int,
-    seed: int,
-    *,
-    unit: float = 1.0,
-) -> SearchReport:
-    """Stress the bound on `samples` random admissible spectra.
+def falsify_search(n_sites: int, samples: int, cap: int, seed: int) -> SearchReport:
+    """Stress the bound on `samples` random admissible spectra, each with
+    gaps its odd multipliers times the unit 1 (the report's `unit`).
 
     Multipliers are drawn from default_rng(seed) a block at a time, odd and
     up to `cap` (odd and at most MAX_CAP, else ValueError), the same rows as
@@ -360,8 +356,6 @@ def falsify_search(
         raise ValueError("samples must be >= 1")
     if not 2 <= n_sites <= MAX_SEARCH_SITES:
         raise ValueError(f"n_sites must be in 2..{MAX_SEARCH_SITES}")
-    if not (math.isfinite(unit) and unit > 0):
-        raise ValueError("unit must be finite and > 0")
     _check_cap(cap)
     rng = np.random.default_rng(seed)
     evaluated = lambda_min_violations = negatives = 0
@@ -370,7 +364,7 @@ def falsify_search(
     size = _block_rows(n_sites)
     for start in range(0, samples, size):
         mults = draw_multipliers(rng, n_sites, cap, count=min(size, samples - start))
-        block = _audit_block(mults, start, unit, cap)
+        block = _audit_block(mults, start, cap)
         index, _, _, audit, failed = block
         failures += failed
         ratio, gap = audit["ratio"], audit["substitution_gap"]
@@ -382,11 +376,11 @@ def falsify_search(
             negatives += int((gap < -SUBSTITUTION_GAP_SLACK * u2).sum())
             min_gap = float(gap.min(initial=min_gap))
         bad = np.flatnonzero(ratio < 1.0 - RATIO_SLACK)
-        violations += [_record(block, k, mults[index[k] - start], unit) for k in bad]
+        violations += [_record(block, k, mults[index[k] - start]) for k in bad]
         before = np.minimum.accumulate(np.concatenate([[min_ratio], ratio[:-1]]))
         min_ratio = float(ratio.min(initial=min_ratio))
         near = [r for r in near if r["report"]["ratio"] <= min_ratio + RATIO_SLACK]
-        near += [_record(block, k, mults[index[k] - start], unit) for k in
+        near += [_record(block, k, mults[index[k] - start]) for k in
                  np.flatnonzero((ratio < before) & (ratio <= min_ratio + RATIO_SLACK))]
     witness = near[0] if near else {}
 
@@ -394,7 +388,7 @@ def falsify_search(
         n_sites=n_sites,
         samples=samples,
         max_multiplier=cap,
-        unit=unit,
+        unit=1.0,
         seed=seed,
         evaluated=evaluated,
         min_ratio=min_ratio if evaluated else None,

@@ -32,6 +32,8 @@ __all__ = [
     "trace_report",
 ]
 
+SYMMETRY_TOL = 1e-10  # mirror deviation, relative to max(|B|_inf, |J|_inf, 1)
+
 
 def _readonly_float_array(values, name: str) -> np.ndarray:
     arr = np.array(values, dtype=float, copy=True)
@@ -136,7 +138,7 @@ class ChainSpec:
 
 
 def _mirror_symmetric_rows(
-    diagonal: np.ndarray, couplings: np.ndarray, tol: float = 1e-10
+    diagonal: np.ndarray, couplings: np.ndarray, tol: float = SYMMETRY_TOL
 ) -> np.ndarray:
     """is_mirror_symmetric per row of stacked fields (S, N) and (S, N-1)."""
     scale = np.maximum(np.abs(diagonal).max(axis=1), np.abs(couplings).max(axis=1))
@@ -147,7 +149,7 @@ def _mirror_symmetric_rows(
     return asym <= tol * np.maximum(scale, 1.0)
 
 
-def is_mirror_symmetric(chain: ChainSpec, tol: float = 1e-10) -> bool:
+def is_mirror_symmetric(chain: ChainSpec, tol: float = SYMMETRY_TOL) -> bool:
     """True when B and J are palindromes to a relative tolerance.
 
     The deviation is measured against max(|B|_inf, |J|_inf, 1), so exact

@@ -21,7 +21,7 @@ import numpy as np
 from . import bounds, pst, synthesis
 from .chain import ChainSpec
 from .eigensolve import eigenvalues_only
-from .errors import MultiplierOverflow, PstLabError
+from .errors import PstLabError
 
 __all__ = ["main", "entrypoint"]
 
@@ -91,17 +91,15 @@ _t_max = _checked(float, lambda x: math.isfinite(x) and x > 0.0, "finite and > 0
 _steps = _checked(int, lambda n: 2 <= n <= MAX_STEPS, f"an integer in 2..{MAX_STEPS}")
 
 
-def _parse_range(text: str) -> list[int]:
-    """'A..B' (inclusive) or a single integer."""
+def _parse_range(text: str) -> range:
+    """'A..B' (inclusive) or a single integer, as a range (never a list, so
+    memory does not grow with B)."""
     parts = text.split("..")
     try:
-        if len(parts) == 1:
-            return [int(parts[0])]
-        if len(parts) == 2:
-            lo, hi = int(parts[0]), int(parts[1])
-            if lo > hi:
-                raise ValueError
-            return list(range(lo, hi + 1))
+        if len(parts) <= 2:
+            lo, hi = int(parts[0]), int(parts[-1])
+            if lo <= hi:
+                return range(lo, hi + 1)
     except ValueError:
         pass
     raise _UsageError(f"--n expects 'A..B' or an integer, got {text!r}")
@@ -109,7 +107,7 @@ def _parse_range(text: str) -> list[int]:
 
 def cmd_analyze(args) -> int:
     chain = _load_chain(args.input)
-    cert, lam = pst._certify_chain(chain, symmetry_tol=args.tol, max_multiplier=args.cap)
+    cert, lam, error = pst._certify_chain(chain, symmetry_tol=args.tol, max_multiplier=args.cap)
     # certification solves every chain except an asymmetric one
     symmetric = lam is not None
     if not symmetric:
@@ -122,15 +120,14 @@ def cmd_analyze(args) -> int:
         "chain": chain.to_dict(),
         "mirror_symmetric": symmetric,
         "spectrum": lam.tolist(),
+        "certificate": cert.to_dict(),
     }
-    if isinstance(cert, MultiplierOverflow):
-        print(f"certificate: NOT ADMISSIBLE at cap {args.cap} ({cert})")
-        result["certificate"] = {"admissible": False, "failure": "multiplier-overflow"}
-        _finish_analyze(args, result)
-        return 2
-    result["certificate"] = cert.to_dict()
     if not cert.admissible:
-        print(f"certificate: NOT ADMISSIBLE ({cert.failure})")
+        if cert.failure == "multiplier-overflow":  # the JSON keeps only the verdict
+            print(f"certificate: NOT ADMISSIBLE at cap {args.cap} ({error})")
+            result["certificate"] = {"admissible": False, "failure": cert.failure}
+        else:
+            print(f"certificate: NOT ADMISSIBLE ({cert.failure})")
         _finish_analyze(args, result)
         return 2
 
@@ -141,9 +138,7 @@ def cmd_analyze(args) -> int:
     print(f"  max gap residual = {cert.max_residual:.3e}")
     fid = pst._fidelity(*pst._transfer_terms(chain, lam), np.array([cert.t0]))[0]
     print(f"fidelity at t0: {fid:.12g}")
-    rows = bounds._audit_rows(chain.diagonal[None], chain.couplings[None], lam[None],
-                              np.array([cert.t0]))
-    report, audit = bounds._reports(rows, 0, chain.n_sites)
+    report, audit = bounds._audit_solved(chain, lam, cert.t0)
     print(
         f"bound: parity={report.parity} bound={report.bound:.12g} "
         f"product={report.product:.12g} ratio={report.ratio:.12g} "
@@ -194,22 +189,18 @@ def cmd_synth(args) -> int:
 def cmd_evolve(args) -> int:
     chain = _load_chain(args.input)
     times = np.linspace(0.0, args.t_max, args.steps)
-    cert, lam = pst._certify_chain(chain, max_multiplier=args.cap)
+    cert, lam, _ = pst._certify_chain(chain, max_multiplier=args.cap)
     fidelity = pst._fidelity(*pst._transfer_terms(chain, lam), times)
     trace = pst.FidelityTrace(times=times, fidelity=fidelity)
-    if isinstance(cert, MultiplierOverflow):
-        footer = "no certificate: multiplier-overflow"
-    elif cert.admissible:
-        footer = f"certificate t0 = {cert.t0:.12g}"
-    else:
-        footer = f"no certificate: {cert.failure}"
+    footer = (f"certificate t0 = {cert.t0:.12g}" if cert.admissible
+              else f"no certificate: {cert.failure}")
     _write_text(args.output, trace.to_csv(footer=footer))
     return 0
 
 
 def cmd_scan(args) -> int:
     n_values = _parse_range(args.n)
-    if min(n_values) < 2:
+    if n_values[0] < 2:
         raise _UsageError("--n values must be >= 2")
     result = bounds.saturation_scan(n_values)
     for report in result.reports:
@@ -222,9 +213,9 @@ def cmd_scan(args) -> int:
 
 def cmd_search(args) -> int:
     n_values = _parse_range(args.n)
-    if len(n_values) != 1:
-        raise _UsageError("search takes a single --n")
     n = n_values[0]
+    if n_values[-1] != n:
+        raise _UsageError("search takes a single --n")
     if not 2 <= n <= bounds.MAX_SEARCH_SITES:
         raise _UsageError(f"--n must be in 2..{bounds.MAX_SEARCH_SITES}")
     if args.samples < 1:

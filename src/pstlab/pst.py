@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import (
+    SYMMETRY_TOL,
     ChainSpec,
     _alternating_signs,
     _mirror_symmetric_rows,
@@ -33,7 +34,7 @@ from .chain import (
     is_mirror_symmetric,
 )
 from .eigensolve import _eigenvalues_rows, classify_parity, decompose, eigenvalues_only
-from .errors import MultiplierOverflow
+from .errors import MultiplierOverflow, NotAdmissible
 from .synthesis import _end_weights
 
 __all__ = [
@@ -45,7 +46,6 @@ __all__ = [
 ]
 
 GAP_REL_TOL = 1e-9       # |g_n - m_n u| <= tol * g_n per gap
-SYMMETRY_TOL = 1e-10
 PHASE_TOL = 1e-8         # |e^{-i lambda t0} - sigma e^{i phi}| acceptance
 MAX_MULTIPLIER = 999
 MAX_CAP = 2**31 - 1      # so caps, denominators, multipliers are exact floats, lcm steps int64
@@ -57,8 +57,10 @@ WEIGHT_TOL = 1e-11       # error bound up to which fidelity weights come from th
 class PstCertificate(_Record):
     """Certification outcome.  When admissible: minimal transfer time t0, the
     transfer phase phi in (-pi, pi], the odd gap multipliers, and the worst
-    relative gap residual |g_n - m_n u| / g_n.  When not: `failure` is
-    "asymmetry" or "no-common-odd-unit" and the numeric fields are None."""
+    relative gap residual |g_n - m_n u| / g_n.  When not: the numeric fields
+    are None and `failure` is the verdict, "asymmetry" or
+    "no-common-odd-unit"; a third, "multiplier-overflow", reaches only the
+    CLI, since certify raises MultiplierOverflow in its place."""
 
     admissible: bool
     t0: float | None = None
@@ -132,20 +134,30 @@ def _minimal_unit_rows(gaps: np.ndarray, cap: int, rel_tol: float):
 @dataclass(frozen=True)
 class _CertifiedRows:
     """certify per row of stacked chains.  A row is admissible where t0 is
-    not NaN; otherwise `failure` holds its verdict, or `errors` the
-    PstLabError that certify raises for it."""
+    not NaN.  Otherwise `errors` holds the PstLabError that audit_chain
+    raises for it, and `failure` its verdict: "asymmetry",
+    "no-common-odd-unit" or "multiplier-overflow", or None where the solve
+    failed."""
 
     eigenvalues: np.ndarray   # (S, N) descending; NaN where not solved
     t0: np.ndarray            # (S,), NaN unless admissible
     phi: np.ndarray           # (S,)
     multipliers: np.ndarray   # (S, N-1) int64, zero unless admissible
     max_residual: np.ndarray  # (S,)
-    failure: list             # "asymmetry" | "no-common-odd-unit" | None
-    errors: list              # EigensolveError | MultiplierOverflow | None
+    failure: np.ndarray       # (S,) object: a verdict or None
+    errors: np.ndarray        # (S,) object: a PstLabError or None
 
-    @property
-    def admissible(self) -> np.ndarray:
-        return ~np.isnan(self.t0)
+    def certificate(self, k: int) -> PstCertificate:
+        """Row k's certificate."""
+        if np.isnan(self.t0[k]):
+            return PstCertificate(admissible=False, failure=self.failure[k])
+        return PstCertificate(
+            admissible=True,
+            t0=float(self.t0[k]),
+            phi=float(self.phi[k]),
+            multipliers=self.multipliers[k],
+            max_residual=float(self.max_residual[k]),
+        )
 
 
 def _check_cap(cap) -> None:
@@ -167,28 +179,20 @@ def _certify_rows(
     lam = np.full((s, n), np.nan)
     t0, phi, max_resid = np.full(s, np.nan), np.full(s, np.nan), np.full(s, np.nan)
     mult = np.zeros((s, n - 1), dtype=np.int64)
-    failure, errors = [None] * s, [None] * s
+    failure, errors = np.full(s, None, dtype=object), np.full(s, None, dtype=object)
 
     symmetric = _mirror_symmetric_rows(diagonal, couplings, symmetry_tol)
-    for row in np.flatnonzero(~symmetric):
-        failure[row] = "asymmetry"
+    failure[~symmetric] = "asymmetry"
     rows = np.flatnonzero(symmetric)
-    lam[rows], solve_errors = _eigenvalues_rows(diagonal[rows], couplings[rows])
-    for row, exc in zip(rows, solve_errors):
-        errors[row] = exc
-    rows = rows[[exc is None for exc in solve_errors]]
+    lam[rows], errors[rows] = _eigenvalues_rows(diagonal[rows], couplings[rows])
+    rows = rows[np.equal(errors[rows], None)]
 
     unit, found, resid, overflow = _minimal_unit_rows(
         -np.diff(lam[rows], axis=1), max_multiplier, GAP_REL_TOL
     )
     fits = ~np.isnan(unit)
-    for row in rows[overflow]:
-        errors[row] = MultiplierOverflow(
-            f"gaps are commensurate only with an odd multiplier beyond "
-            f"{max_multiplier}; raise the cap or treat the spectrum as incommensurate"
-        )
-    for row in rows[~fits & ~overflow]:
-        failure[row] = "no-common-odd-unit"
+    failure[rows[overflow]] = "multiplier-overflow"
+    failure[rows[~fits & ~overflow]] = "no-common-odd-unit"
     rows, found, resid = rows[fits], found[fits], resid[fits]
     times = math.pi / unit[fits]
     spectra = lam[rows]
@@ -200,40 +204,34 @@ def _certify_rows(
     deviation = np.abs(
         np.exp(-1j * spectra * times[:, None]) - signs * np.exp(1j * phases)[:, None]
     ).max(axis=1)
-    for row in rows[deviation > PHASE_TOL]:
-        failure[row] = "no-common-odd-unit"
+    failure[rows[deviation > PHASE_TOL]] = "no-common-odd-unit"
     ok = deviation <= PHASE_TOL
     rows = rows[ok]
     t0[rows], phi[rows] = times[ok], phases[ok]
     mult[rows], max_resid[rows] = found[ok], resid[ok]
+    errors[failure == "multiplier-overflow"] = MultiplierOverflow(
+        f"gaps are commensurate only with an odd multiplier beyond "
+        f"{max_multiplier}; raise the cap or treat the spectrum as incommensurate"
+    )
+    for verdict in ("asymmetry", "no-common-odd-unit"):
+        errors[failure == verdict] = NotAdmissible(f"chain does not certify: {verdict}")
     return _CertifiedRows(lam, t0, phi, mult, max_resid, failure, errors)
 
 
 def _certify_chain(
     chain: ChainSpec, *, symmetry_tol: float = SYMMETRY_TOL, max_multiplier: int = MAX_MULTIPLIER
 ):
-    """certify on one chain, as (certificate, spectrum): the spectrum it
-    solved, or None for an asymmetric chain, which is not solved.  A chain
-    that overflows the cap gives its MultiplierOverflow in place of the
-    certificate; other errors raise."""
+    """certify on one chain, as (certificate, spectrum, error): the spectrum
+    it solved, or None for an asymmetric chain, which is not solved, and the
+    error audit_chain raises for a chain that does not certify, or None.  A
+    failed solve raises."""
     rows = _certify_rows(chain.diagonal[None], chain.couplings[None],
                          symmetry_tol=symmetry_tol, max_multiplier=max_multiplier)
-    error, failure = rows.errors[0], rows.failure[0]
-    lam = None if failure == "asymmetry" else rows.eigenvalues[0]
-    if isinstance(error, MultiplierOverflow):
-        return error, lam
-    if error is not None:
+    failure, error = rows.failure[0], rows.errors[0]
+    if failure is None and error is not None:
         raise error
-    if failure is not None:
-        return PstCertificate(admissible=False, failure=failure), lam
-    cert = PstCertificate(
-        admissible=True,
-        t0=float(rows.t0[0]),
-        phi=float(rows.phi[0]),
-        multipliers=rows.multipliers[0],
-        max_residual=float(rows.max_residual[0]),
-    )
-    return cert, lam
+    lam = None if failure == "asymmetry" else rows.eigenvalues[0]
+    return rows.certificate(0), lam, error
 
 
 def certify(
@@ -241,14 +239,17 @@ def certify(
 ) -> PstCertificate:
     """Decide PST admissibility and report the minimal transfer time.
 
-    Keywords: symmetry_tol (1e-10, relative), and max_multiplier (999), the
-    odd multiplier cap, at most MAX_CAP = 2^31 - 1, else ValueError.  Gaps
-    are tested to GAP_REL_TOL and the phase to PHASE_TOL.  Raises
-    MultiplierOverflow where an odd m <= cap fits but a multiplier exceeds it.
+    Keywords: symmetry_tol (SYMMETRY_TOL = 1e-10, relative), and
+    max_multiplier (999), the odd multiplier cap, at most MAX_CAP = 2^31 - 1,
+    else ValueError.  Gaps are tested to GAP_REL_TOL and the phase to
+    PHASE_TOL.  A chain that does not certify comes back with its verdict in
+    `failure`, except that MultiplierOverflow is raised where an odd m <= cap
+    fits but a multiplier exceeds it; a failed solve raises EigensolveError.
     """
-    cert, _ = _certify_chain(chain, symmetry_tol=symmetry_tol, max_multiplier=max_multiplier)
-    if isinstance(cert, MultiplierOverflow):
-        raise cert
+    cert, _, error = _certify_chain(chain, symmetry_tol=symmetry_tol,
+                                    max_multiplier=max_multiplier)
+    if isinstance(error, MultiplierOverflow):
+        raise error
     return cert
 
 
@@ -299,7 +300,7 @@ def _spectral_coefficients(lam: np.ndarray) -> np.ndarray | None:
 def _transfer_terms(chain: ChainSpec, lam: np.ndarray | None = None):
     """(eigenvalues, <N|n><n|1> coefficients): from the spectrum (`lam` if
     already solved) for a mirror-symmetric chain, else from eigenvectors."""
-    if is_mirror_symmetric(chain, SYMMETRY_TOL):
+    if is_mirror_symmetric(chain):
         lam = eigenvalues_only(chain) if lam is None else lam
         coeff = _spectral_coefficients(lam)
         if coeff is not None:
@@ -464,10 +465,10 @@ def first_perfect_time(
     """
     if not (0.0 < threshold <= 1.0):
         raise ValueError("threshold must be in (0, 1]")
-    cert, lam = _certify_chain(chain) if horizon is None else (None, None)
+    cert, lam, _ = (None, None, None) if horizon is not None else _certify_chain(chain)
     lam, coeff = _transfer_terms(chain, lam)
     if horizon is None:
-        horizon = getattr(cert, "t0", None) or 4.0 * math.pi / float((-np.diff(lam)).min())
+        horizon = cert.t0 or 4.0 * math.pi / float((-np.diff(lam)).min())
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError("horizon must be finite and > 0")
     step = math.pi / (8.0 * (lam[0] - lam[-1]))

@@ -214,12 +214,9 @@ def canonical_chain(n_sites: int) -> ChainSpec:
 
 
 def draw_multipliers(
-    rng: np.random.Generator, n_sites: int, max_multiplier: int, count: int | None = None
+    rng: np.random.Generator, n_sites: int, max_multiplier: int, count: int
 ) -> np.ndarray:
-    """Odd multipliers uniform on {1, 3, ..., max_multiplier}; shape
-    (n_sites-1,) or (count, n_sites-1)."""
-    if max_multiplier < 1 or max_multiplier % 2 == 0:
-        raise ValueError("max_multiplier must be odd and >= 1")
-    size = (n_sites - 1,) if count is None else (count, n_sites - 1)
-    return rng.integers(0, (max_multiplier + 1) // 2, size=size) * 2 + 1
+    """`count` rows of n_sites - 1 odd multipliers, uniform on
+    {1, 3, ..., max_multiplier} for an odd cap (see pst._check_cap)."""
+    return rng.integers(0, (max_multiplier + 1) // 2, size=(count, n_sites - 1)) * 2 + 1
 

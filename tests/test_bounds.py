@@ -398,7 +398,7 @@ class TestBatchedCore:
                     assert np.abs(diagonal[row] - ref_b).max() <= tol
                     assert np.abs(couplings[row] - ref_j).max() <= tol
 
-            index, diagonal, couplings, audit, failed = _audit_block(mults, 0, 1.0, 9)
+            index, diagonal, couplings, audit, failed = _audit_block(mults, 0, 9)
             assert failed == [] and index.tolist() == list(range(count))
             u = math.pi / audit["t0"]
             for row in range(count):

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ import pstlab.bounds
 import pstlab.cli
 import pstlab.eigensolve
 import pstlab.pst
-from pstlab import SpectrumSpec, canonical_chain, synthesize
+from pstlab import (ChainSpec, EigensolveError, MultiplierOverflow, NotAdmissible, SpectrumSpec,
+                    audit_chain, canonical_chain, certify, eigenvalues_only, first_perfect_time,
+                    synthesize)
 from pstlab.cli import MAX_STEPS, main
 
 
@@ -252,6 +255,102 @@ class TestOneSolvePerCommand:
         assert solves["rows"] + solves["decompose"] == 1, solves
 
 
+class TestOneOutcome:
+    """A certification outcome is built once, as a row's verdict and error
+    in _certify_rows, and certify, audit_chain, analyze, evolve and the
+    default horizon of first_perfect_time each read that one outcome."""
+
+    OUTCOMES = {  # outcome: (chain, verdict, error type, start of its message)
+        "admissible": (lambda: canonical_chain(5), None, None, None),
+        "asymmetry": (lambda: ChainSpec(diagonal=[0.0, 0.0, 0.0], couplings=[1.0, 2.0]),
+                      "asymmetry", NotAdmissible, "chain does not certify: asymmetry"),
+        "no-common-odd-unit": (lambda: synthesize(np.array([1.0, 0.0, -3.0 * math.sqrt(2.0)])),
+                               "no-common-odd-unit", NotAdmissible,
+                               "chain does not certify: no-common-odd-unit"),
+        "multiplier-overflow": (lambda: synthesize(SpectrumSpec(unit=1.0, multipliers=[1, 1001, 1])),
+                                "multiplier-overflow", MultiplierOverflow,
+                                "gaps are commensurate only with an odd multiplier beyond 999"),
+        "solver-failure": (lambda: canonical_chain(4), None, EigensolveError,
+                           "degenerate or unordered eigenvalues"),
+    }
+
+    @staticmethod
+    def _scan_starts(monkeypatch, chain, **kwargs):
+        """The block starts of first_perfect_time's grid, which follow its horizon."""
+        starts, real = [], pstlab.pst._grid_scan
+
+        def spy(lam, coeff, offsets):
+            terms = real(lam, coeff, offsets)
+            return lambda s: starts.append(s.copy()) or terms(s)
+
+        monkeypatch.setattr(pstlab.pst, "_grid_scan", spy)
+        first_perfect_time(chain, **kwargs)
+        monkeypatch.setattr(pstlab.pst, "_grid_scan", real)
+        return np.concatenate(starts)
+
+    @pytest.mark.parametrize("outcome", list(OUTCOMES))
+    def test_every_caller_reads_one_outcome(self, outcome, monkeypatch, tmp_path, capsys):
+        build, verdict, kind, message = self.OUTCOMES[outcome]
+        chain = build()
+        if outcome == "solver-failure":
+            real = pstlab.eigensolve._eigvalsh_rows
+
+            def tied(diagonal, couplings, errors):
+                lam = real(diagonal, couplings, errors)
+                lam[:, 1] = lam[:, 0]
+                return lam
+
+            monkeypatch.setattr(pstlab.eigensolve, "_eigvalsh_rows", tied)
+        rows = pstlab.pst._certify_rows(chain.diagonal[None], chain.couplings[None],
+                                        symmetry_tol=pstlab.pst.SYMMETRY_TOL,
+                                        max_multiplier=pstlab.pst.MAX_MULTIPLIER)
+        error = rows.errors[0]
+        assert rows.failure[0] == verdict
+        assert (error is None) == (kind is None) == (not np.isnan(rows.t0[0]))
+
+        # audit_chain raises the row's error
+        if kind is not None:
+            assert isinstance(error, kind) and str(error).startswith(message)
+            with pytest.raises(kind) as raised:
+                audit_chain(chain)
+            assert str(raised.value) == str(error)
+
+        # certify returns a certificate, and raises for an overflow or a failed solve
+        if outcome in ("multiplier-overflow", "solver-failure"):
+            with pytest.raises(kind) as raised:
+                certify(chain)
+            assert str(raised.value) == str(error)
+        else:
+            cert = certify(chain)
+            assert cert.failure == verdict and cert.admissible == (verdict is None)
+
+        # analyze's exit code and evolve's footer
+        path = write_json(tmp_path / "chain.json", chain.to_dict())
+        code = main(["analyze", "--input", path])
+        evolved = main(["evolve", "--input", path, "--t-max", "3"])
+        out, err = capsys.readouterr()
+        if outcome == "solver-failure":
+            assert (code, evolved) == (1, 1)
+            assert err == f"error: {error}\nerror: {error}\n"
+            with pytest.raises(EigensolveError):
+                first_perfect_time(chain)
+            return
+        footer = f"certificate t0 = {cert.t0:.12g}" if kind is None else f"no certificate: {verdict}"
+        assert (code, evolved) == (0 if kind is None else 2, 0)
+        assert out.endswith(f"# {footer}\n")
+
+        # the default horizon: t0 when admissible (TestFirstPerfectTime has
+        # chains where that decides the answer), else 4 pi / (smallest gap)
+        if kind is None:
+            assert first_perfect_time(chain) == pytest.approx(cert.t0, rel=1e-12)
+            assert audit_chain(chain)[0].t0 == cert.t0
+            return
+        horizon = 4.0 * math.pi / float((-np.diff(eigenvalues_only(chain))).min())
+        np.testing.assert_allclose(self._scan_starts(monkeypatch, chain),
+                                   self._scan_starts(monkeypatch, chain, horizon=horizon),
+                                   rtol=1e-12)
+
+
 class TestScan:
     def test_range_table(self, tmp_path, capsys):
         out = tmp_path / "scan.csv"
@@ -346,6 +445,18 @@ class TestSearch:
         too_many = str(pstlab.bounds.MAX_SEARCH_SITES + 1)
         assert main(["search", "--n", too_many, "--samples", "1"]) == 1
         assert f"--n must be in 2..{pstlab.bounds.MAX_SEARCH_SITES}" in capsys.readouterr().err
+
+    def test_a_range_is_not_built(self, capsys):
+        pstlab.cli._build_parser()  # built once per process, outside the measurement
+        tracemalloc.start()
+        try:
+            code = main(["search", "--n", "2..2000000", "--samples", "3"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert capsys.readouterr().err == "error: search takes a single --n\n"
+        assert peak < 2**20
 
 
 class TestTopLevel:

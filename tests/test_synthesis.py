@@ -167,8 +167,3 @@ class TestRandomSpectra:
         assert np.all((m >= 1) & (m <= 9))
         # every admissible value appears in a draw this large
         assert set(np.unique(m)) == {1, 3, 5, 7, 9}
-
-    def test_draw_multipliers_rejects_even_cap(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="odd"):
-            draw_multipliers(rng, 4, 8)
