@@ -2,12 +2,12 @@
 
 Decompositions stay in the tridiagonal representation
 (`scipy.linalg.eigh_tridiagonal`); eigenvalues alone are solved for stacked
-chains at once, on dense stacks for small N.  A positive off-diagonal
-guarantees simple eigenvalues, so spectra are reported strictly descending
-and the solver output is guarded rather than silently reordered.
-Eigenvector signs are fixed so the first nonzero component is positive,
-which for a Jacobi matrix makes all first components strictly positive and
-pins the mirror parity pattern sigma_n = (-1)^{n+1}.
+chains, by LAPACK's dsterf row by row or on dense stacks for small N.  A
+positive off-diagonal guarantees simple eigenvalues, so spectra are reported
+strictly descending and the solver output is guarded rather than silently
+reordered.  Eigenvector signs are fixed so the first nonzero component is
+positive, which for a Jacobi matrix makes all first components strictly
+positive and pins the mirror parity pattern sigma_n = (-1)^{n+1}.
 """
 from __future__ import annotations
 
@@ -100,12 +100,10 @@ def _eigvalsh_rows(diagonal: np.ndarray, couplings: np.ndarray, errors: list) ->
     """Ascending eigenvalues of stacked chains; a row whose solve does not
     converge is NaN and gets its EigensolveError in `errors`.
 
-    At small N one LAPACK call on the dense stack is cheaper than a
-    tridiagonal call per row (numpy 2.4 on a 2-core x86 host: 13 us against
-    37 us for one chain at N = 9, 0.24 ms against 1.8 ms for 50).  Above
-    DENSE_MAX_SITES the tridiagonal solver runs row by row; the dense call
-    stays cheaper up to N = 32 and loses from N = 40, so the threshold is
-    conservative.
+    Rows go to LAPACK's dsterf, the routine under scipy's eigvalsh_tridiagonal
+    (bit-identical; 4 against 24 us for one chain at N = 9, 2-core x86).  One
+    dense call on a stack of many small chains is cheaper still (50 chains at
+    N = 4: 64 against 96 us); the two meet near N = DENSE_MAX_SITES.
     """
     s, n = diagonal.shape
     if n <= DENSE_MAX_SITES:
@@ -117,12 +115,12 @@ def _eigvalsh_rows(diagonal: np.ndarray, couplings: np.ndarray, errors: list) ->
             return np.linalg.eigvalsh(h)
         except np.linalg.LinAlgError:
             pass    # some row did not converge; the row-by-row solve finds it
-    lam = np.full((s, n), np.nan)
+    lam = np.empty((s, n))
     for row in range(s):
-        try:
-            lam[row] = scipy.linalg.eigvalsh_tridiagonal(diagonal[row], couplings[row])
-        except np.linalg.LinAlgError as exc:
-            errors[row] = EigensolveError(f"eigensolver did not converge: {exc}")
+        lam[row], info = scipy.linalg.lapack.dsterf(diagonal[row], couplings[row])
+        if info:
+            lam[row] = np.nan
+            errors[row] = EigensolveError(f"eigensolver did not converge: dsterf info={info}")
     return lam
 
 
@@ -164,9 +162,8 @@ def classify_parity(
     dominant parity, for purified bases that fail re-validation (asymmetric
     input, or a solver failure), and for breaks in the alternating pattern.
 
-    Transfer fidelity takes the pattern as given and its weights from the
-    spectrum (pstlab.pst); only near-degenerate spectra come here for them.
-    Otherwise this is the check that the pattern holds.
+    Transfer fidelity takes its coefficients from the spectrum (pstlab.pst)
+    and comes here only for mirror-symmetric spectra too near degenerate.
     """
     vec = _fix_signs(spectral.eigenvectors)
     mirrored = vec[::-1, :]

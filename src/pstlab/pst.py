@@ -7,16 +7,15 @@ largest unit dividing all gaps with odd quotients, u = g_min/m for the
 least odd m, the lcm of the reduced denominators of the ratios g/g_min;
 continued fractions give it in O(N log cap) operations.
 
-Fidelity against time is
-f(t) = |<N| e^{-i h t} |1>| = |sum_n <N|lambda_n><lambda_n|1> e^{-i lambda_n t}|,
-which for mirror-symmetric chains is the parity-weighted end-amplitude sum
-sum_n sigma_n a_n^2 e^{-i lambda_n t}, fixed by the spectrum alone:
-sigma_n = (-1)^{n+1} and a_n^2 proportional to
-1 / prod_{m != n} |lambda_n - lambda_m| (de Boor & Golub 1978).  So one
-eigenvalue solve serves a symmetric chain's certificate, fidelity and audit.
-Asymmetric chains, and spectra too close to degenerate for those weights,
-are decomposed instead.  The peak scan takes its time grid as one complex
-matrix product per chunk; evolution and peak refinement sum each time's row.
+Fidelity against time is f(t) = |z(t)|, z(t) = sum_n c_n e^{-i lambda_n t},
+c_n = <N|lambda_n><lambda_n|1>.  As (x - h)^{-1} has (1, N) entry
+prod_k J_k / det(x - h), c_n = (-1)^{n+1} prod_k J_k / prod_{m != n}
+|lambda_n - lambda_m| for any chain (sigma_n a_n^2 for a mirror-symmetric
+one; de Boor & Golub 1978).  So one eigenvalue solve serves a chain's
+certificate, fidelity and audit; only spectra too near degenerate for these
+coefficients are decomposed.  The peak scan takes its time grid as one
+complex matrix product per chunk, keeping the slope at every sample and f^2
+only at bracket ends; evolution and peak refinement sum each time's row.
 """
 from __future__ import annotations
 
@@ -35,7 +34,6 @@ from .chain import (
 )
 from .eigensolve import _eigenvalues_rows, classify_parity, decompose, eigenvalues_only
 from .errors import MultiplierOverflow, NotAdmissible
-from .synthesis import _end_weights
 
 __all__ = [
     "PstCertificate",
@@ -282,32 +280,32 @@ class FidelityTrace:
         return "\n".join(lines) + "\n"
 
 
-def _spectral_coefficients(lam: np.ndarray) -> np.ndarray | None:
-    """sigma_n a_n^2 from a mirror-symmetric chain's descending spectrum, or
-    None where they may be off by more than WEIGHT_TOL.  With eigenvalue
-    errors d = eps max|lambda|, no coefficient moves by more than
-    4 d sum_n a_n^2 S_n, S_n = sum_{m != n} 1/|lambda_n - lambda_m|, to first
-    order; a near-degenerate pair makes that large."""
-    weights = _end_weights(lam[None])[0]
-    distance = np.abs(lam[:, None] - lam[None, :])
-    np.fill_diagonal(distance, np.inf)
-    spread = (weights * (1.0 / distance).sum(axis=1)).sum()
+def _spectral_coefficients(lam: np.ndarray, couplings: np.ndarray) -> np.ndarray | None:
+    """c_n = <N|n><n|1> (module docstring) from a descending spectrum and the
+    couplings, in logs in units of the spectral width and cut to sum |c_n| <= 1
+    (Cauchy-Schwarz), or None if off by more than WEIGHT_TOL: to first order
+    in eigenvalue errors d = eps max|lambda|, no c_n moves by more than
+    4 d sum_n |c_n| S_n, S_n = sum_{m != n} 1/|lambda_n - lambda_m|."""
+    width = lam[0] - lam[-1]
+    distance = np.abs(np.subtract.outer(lam, lam)) / width + np.eye(lam.size)  # 1 on the diagonal
+    mag = np.exp(np.log(couplings / width).sum() - np.log(distance).sum(axis=1))
+    spread = mag @ ((1.0 / distance).sum(axis=1) - 1.0) / width
     if 4.0 * np.finfo(float).eps * np.abs(lam).max() * spread > WEIGHT_TOL:
         return None
-    return _alternating_signs(lam.size) * weights
+    return _alternating_signs(lam.size) * mag / max(1.0, mag.sum())
 
 
 def _transfer_terms(chain: ChainSpec, lam: np.ndarray | None = None):
-    """(eigenvalues, <N|n><n|1> coefficients): from the spectrum (`lam` if
-    already solved) for a mirror-symmetric chain, else from eigenvectors."""
-    if is_mirror_symmetric(chain):
-        lam = eigenvalues_only(chain) if lam is None else lam
-        coeff = _spectral_coefficients(lam)
-        if coeff is not None:
-            return lam, coeff
-        spectral = classify_parity(decompose(chain), chain)
-        return spectral.eigenvalues, spectral.parity_signs * spectral.eigenvectors[0] ** 2
+    """(eigenvalues, <N|n><n|1> coefficients) from the spectrum (`lam` if
+    already solved); where WEIGHT_TOL fails, from eigenvectors instead,
+    parity-purified (classify_parity) for a mirror-symmetric chain."""
+    lam = eigenvalues_only(chain) if lam is None else lam
+    coeff = _spectral_coefficients(lam, chain.couplings)
+    if coeff is not None:
+        return lam, coeff
     spectral = decompose(chain)
+    if is_mirror_symmetric(chain):
+        spectral = classify_parity(spectral, chain)
     return spectral.eigenvalues, spectral.eigenvectors[-1] * spectral.eigenvectors[0]
 
 
@@ -328,7 +326,7 @@ def evolve_fidelity(chain: ChainSpec, times) -> FidelityTrace:
 def _chunk_rows(n: int) -> int:
     """Rows per chunk under FIDELITY_BYTES at 16 (n + 8) bytes a row: in
     _phase_sums a time, one complex row of n plus sixteen floats of sums; in
-    the scan a sample, two complex values plus a few floats, and one complex
+    the scan a sample, three complex values plus a few floats, and one complex
     row of n per base and per offset (a few sqrt(rows) rows in all)."""
     return max(1, FIDELITY_BYTES // (16 * (n + 8)))
 
@@ -357,19 +355,22 @@ def _phase_sums(lam, coeff, times, order, reduce, out):
 
 
 def _grid_scan(lam, coeff, offsets):
-    """The scan's kernel: a function of Q block starts s giving (h, f^2),
-    each (Q, B), at the times s_q + offsets[b], from z and z' by one complex
-    matrix product of the base rows c e^{-i lambda s_q} (Q N exps a call)
-    with [E | -i lambda E], E[n, b] = e^{-i lambda_n d_b} (B N exps, once).
-    BLAS orders it by shape, so a sample can move in its last bit with Q."""
+    """The scan's kernel: a function of Q block starts s giving (h, z), each
+    (Q, B), at the times s_q + offsets[b]: z and z' by one complex matrix
+    product of the base rows c e^{-i lambda s_q} (Q N exps a call) with
+    [E | -i lambda E], E[n, b] = e^{-i lambda_n d_b} (B N exps, once), and
+    h = Re(conj(z) z') in real arithmetic on the product's float view.  BLAS
+    orders the product by shape, so a sample can move in its last bit with Q."""
     phase = -1j * lam
     shift = np.exp(np.multiply.outer(phase, offsets))
     kernel = np.hstack((shift, phase[:, None] * shift))
 
     def terms(starts):
         z = (np.exp(np.multiply.outer(starts, phase)) * coeff) @ kernel
-        z, dz = z[:, : offsets.size], z[:, offsets.size :]
-        return _slope(z, dz), np.abs(z) ** 2
+        parts = z.view(float).reshape(starts.size, 2, offsets.size, 2)
+        h = parts[:, 0, :, 0] * parts[:, 1, :, 0]
+        h += parts[:, 0, :, 1] * parts[:, 1, :, 1]
+        return h, z[:, : offsets.size]
 
     return terms
 
@@ -379,14 +380,9 @@ def _fidelity(lam: np.ndarray, coeff: np.ndarray, times: np.ndarray) -> np.ndarr
     return _phase_sums(lam, coeff, times, 0, np.abs, np.empty(times.size))
 
 
-def _slope(z, dz):
-    """h = Re(conj(z) z') = (f^2)'/2, which has the sign of f's slope."""
-    return (z.conj() * dz).real
-
-
 def _newton_terms(z, dz, d2z):
-    """(h, h', f), with h' = |z'|^2 + Re(conj(z) z'')."""
-    return _slope(z, dz), np.abs(dz) ** 2 + _slope(z, d2z), np.abs(z)
+    """(h, h', f) with h = Re(conj(z) z') = (f^2)'/2 and h' = |z'|^2 + Re(conj(z) z'')."""
+    return (z.conj() * dz).real, np.abs(dz) ** 2 + (z.conj() * d2z).real, np.abs(z)
 
 
 def _peak_ceilings(lam, coeff, a, b, f2_a, f2_b):
@@ -406,14 +402,14 @@ def _peak_ceilings(lam, coeff, a, b, f2_a, f2_b):
 def _refine_peaks(lam: np.ndarray, coeff: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Locate the maximum of f on each bracket [a_k, b_k] across which the
     slope h falls from > 0 to <= 0, as (t, f(t)): the root of h, by Newton's
-    method with the analytic h', all brackets together from their midpoints.
-    A row whose end (not t = 0, where h and h' are roundoff) has h' < 0 and
-    |h / h'| < 4 eps b ends there first: the Newton point would keep leaving
-    that root.  Each evaluation narrows its bracket by the sign of h, and a
-    row bisects wherever h' >= 0 or the Newton point would leave the bracket.
-    A row stops when its Newton correction or its bracket is within 4 eps of
-    the bracket's initial right end, so a peak lands within a few ulps of
-    the root.
+    method with the analytic h', all brackets together, each from the secant
+    root of h across it, or its midpoint.  A row whose end (not t = 0, where
+    h and h' are roundoff) has h' < 0 and |h / h'| < 4 eps b ends there
+    first: the Newton point would keep leaving that root.  Each evaluation
+    narrows its bracket by the sign of h, and a row bisects wherever h' >= 0
+    or the Newton point would leave the bracket.  A row stops when its Newton
+    correction or its bracket is within 4 eps of the bracket's initial right
+    end, so a peak lands within a few ulps of the root.
     """
     tol = 4.0 * np.finfo(float).eps * b
     ends = np.concatenate((b, a))
@@ -421,7 +417,10 @@ def _refine_peaks(lam: np.ndarray, coeff: np.ndarray, a: np.ndarray, b: np.ndarr
     root = ((np.abs(h) < -dh * np.tile(tol, 2)) & (ends > 0.0)).reshape(2, -1)
     t, ft = np.where(root[0], b, a), np.where(root[0], *f.reshape(2, -1))  # b if a root
     active = np.flatnonzero(~root.any(axis=0))
-    a, b, x, tol = (v[active] for v in (a, b, 0.5 * (a + b), tol))
+    h_b, h_a = h.reshape(2, -1)
+    x = a + np.divide(h_a, h_a - h_b, out=np.full(a.size, np.nan), where=h_a > h_b) * (b - a)
+    x = np.where((x > a) & (x < b), x, 0.5 * (a + b))  # x is NaN where h does not fall
+    a, b, x, tol = (v[active] for v in (a, b, x, tol))
     while active.size:
         h, dh, f = _phase_sums(lam, coeff, x, 2, _newton_terms, np.empty((3, x.size)))
         rising = h > 0.0
@@ -457,11 +456,12 @@ def first_perfect_time(
 
     The grid is scanned in chunks of whole blocks of B samples, a start plus
     B offsets aligned to the sample index, each chunk one matrix product
-    (see _grid_scan) under FIDELITY_BYTES; only the last sample's time, h
-    and f^2 carry over.  A sample may move in its last bit with the
-    chunking, but samples only choose and bound brackets, and each returned
-    time is refined by per-row sums, so the answer does not.  A chunk's
-    peaks are refined together; the scan stops at the first chunk with a hit.
+    (see _grid_scan) under FIDELITY_BYTES; f^2 = |z|^2 is taken only at
+    bracket ends, and only the last sample's time, h and z carry over.  A
+    sample may move in its last bit with the chunking, but samples only
+    choose and bound brackets, and each returned time is refined by per-row
+    sums, so the answer does not.  A chunk's peaks are refined together; the
+    scan stops at the first chunk with a hit.
     """
     if not (0.0 < threshold <= 1.0):
         raise ValueError("threshold must be in (0, 1]")
@@ -480,24 +480,27 @@ def first_perfect_time(
     block = math.isqrt(_chunk_rows(lam.size))
     span = max(1, (_chunk_rows(lam.size) - block) // (block + 1)) * block
     terms = _grid_scan(lam, coeff, np.arange(block) * spacing)
-    scan = np.empty((3, 1 + span))  # t, h, f^2; column 0 is the sample before the chunk
-    scan[:, 0] = 0.0, 1.0, 0.0  # f(0) = 0, and h counts as rising there
+    scan = np.empty((2, 1 + span))  # t, h; column 0 is the sample before the chunk
+    amp = np.empty(1 + span, dtype=complex)  # z, likewise
+    scan[:, 0], amp[0] = (0.0, 1.0), 0.0  # f(0) = 0, and h counts as rising there
     for start in range(0, n_steps, span):
-        t, h, f2 = scan[:, : 1 + min(span, n_steps - start)]
+        stop = 1 + min(span, n_steps - start)
+        (t, h), z = scan[:, :stop], amp[:stop]
         t[1:] = np.arange(start, start + t.size - 1) * spacing + first
         if start + span >= n_steps:
             t[-1] = horizon
-        h[1:], f2[1:] = (v.ravel()[: t.size - 1] for v in terms(t[1::block]))
+        h[1:], z[1:] = (v.ravel()[: t.size - 1] for v in terms(t[1::block]))
         up = h > 0.0
         falls = np.flatnonzero(up[:-1] & ~up[1:])
         a, b = t[falls], t[falls + 1]
-        reach = _peak_ceilings(lam, coeff, a, b, f2[falls], f2[falls + 1]) >= threshold**2
-        scan[:, 0] = scan[:, t.size - 1]
+        f2_a, f2_b = np.abs(z[falls]) ** 2, np.abs(z[falls + 1]) ** 2
+        reach = _peak_ceilings(lam, coeff, a, b, f2_a, f2_b) >= threshold**2
+        scan[:, 0], amp[0] = scan[:, t.size - 1], z[-1]
         if reach.any():
             t_peak, f_peak = _refine_peaks(lam, coeff, a[reach], b[reach])
             hits = np.flatnonzero(f_peak >= threshold)
             if hits.size:
                 return float(t_peak[hits[0]])
-    if h[-1] > 0.0 and f2[-1] >= threshold**2:
+    if h[-1] > 0.0 and np.abs(z[-1]) ** 2 >= threshold**2:
         return horizon
     return None

@@ -206,10 +206,10 @@ class TestFlagValidation:
 
 
 class TestOneSolvePerCommand:
-    """analyze and evolve solve each chain once, whatever the verdict:
-    eigenvalue rows handed to the solver plus full decompositions.  Rows,
-    not calls, are counted: certification calls the solver on an empty
-    stack for an asymmetric chain."""
+    """analyze, evolve and first_perfect_time solve each chain once,
+    whatever the verdict: one eigenvalue row handed to the solver and no
+    full decomposition.  Rows, not calls, are counted: certification calls
+    the solver on an empty stack for an asymmetric chain."""
 
     CHAINS = {  # verdict: (chain, what analyze prints for it)
         "admissible": (lambda: synthesize(SpectrumSpec(unit=1.0, multipliers=[1, 3, 5, 3, 1] * 4)),
@@ -248,11 +248,21 @@ class TestOneSolvePerCommand:
         path = write_json(tmp_path / "chain.json", data)
         assert main(["analyze", "--input", path]) == (0 if verdict == "admissible" else 2)
         assert printed in capsys.readouterr().out
-        assert solves["rows"] + solves["decompose"] == 1, solves
-        solves.update(rows=0, decompose=0)
+        assert solves == {"rows": 1, "decompose": 0}
+        solves.update(rows=0)
+        # an asymmetric chain's transfer coefficients come from its one
+        # eigenvalue row too
         assert main(["evolve", "--input", path, "--t-max", "3"]) == 0
         capsys.readouterr()
-        assert solves["rows"] + solves["decompose"] == 1, solves
+        assert solves == {"rows": 1, "decompose": 0}
+
+    def test_first_perfect_time_solves_an_asymmetric_chain_once(self, solves, disorder_corpus):
+        _, cert, chain = disorder_corpus[0]
+        assert not pstlab.pst.is_mirror_symmetric(chain)
+        for horizon in (None, 20.0 * cert.t0):
+            first_perfect_time(chain, threshold=1.0 - 1e-3, horizon=horizon)
+            assert solves == {"rows": 1, "decompose": 0}
+            solves.update(rows=0)
 
 
 class TestOneOutcome:

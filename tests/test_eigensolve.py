@@ -1,11 +1,13 @@
 """Eigendecomposition against the dense oracle, parity classification."""
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import dense_decompose, dense_hamiltonian, random_mirror_arrays
 
+import pstlab.eigensolve
 from pstlab import (
     ChainSpec,
     EigensolveError,
@@ -91,6 +93,44 @@ class TestDecompose:
             np.testing.assert_allclose(eigenvalues_only(c),
                                        decompose(c).eigenvalues,
                                        atol=1e-12)
+
+
+class TestEigenvalueRows:
+    """Above DENSE_MAX_SITES the rows are solved one by one by LAPACK's
+    dsterf, the eigenvalue-only routine under scipy's eigvalsh_tridiagonal."""
+
+    def test_rows_equal_eigvalsh_tridiagonal_bit_for_bit(self):
+        rng = np.random.default_rng(15)
+        for n in range(pstlab.eigensolve.DENSE_MAX_SITES + 1, 65):
+            chains = [random_chain(rng, n) for _ in range(3)]
+            lam, errors = pstlab.eigensolve._eigenvalues_rows(
+                np.array([c.diagonal for c in chains]), np.array([c.couplings for c in chains]))
+            assert errors == [None] * 3
+            for c, row in zip(chains, lam):
+                want = scipy.linalg.eigvalsh_tridiagonal(c.diagonal, c.couplings)[::-1]
+                np.testing.assert_array_equal(row, want)
+
+    def test_a_failed_row_fails_alone(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        chains = [random_chain(rng, 16) for _ in range(3)]
+        fields = np.array([c.diagonal for c in chains]), np.array([c.couplings for c in chains])
+        clean, _ = pstlab.eigensolve._eigenvalues_rows(*fields)
+        real = scipy.linalg.lapack.dsterf
+
+        def dsterf(d, e):  # LAPACK's info = 1 (no convergence) on the middle chain only
+            vals, info = real(d, e)
+            return vals, 1 if np.array_equal(d, chains[1].diagonal) else info
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dsterf", dsterf)
+        lam, errors = pstlab.eigensolve._eigenvalues_rows(*fields)
+        assert errors[0] is None and errors[2] is None
+        assert isinstance(errors[1], EigensolveError)
+        assert "did not converge" in str(errors[1])
+        assert np.isnan(lam[1]).all()
+        np.testing.assert_array_equal(lam[[0, 2]], clean[[0, 2]])
+        np.testing.assert_array_equal(eigenvalues_only(chains[0]), clean[0])
+        with pytest.raises(EigensolveError, match="did not converge"):
+            eigenvalues_only(chains[1])
 
 
 class TestClassifyParity:

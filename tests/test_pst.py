@@ -497,8 +497,10 @@ class TestGridScan:
     def test_matches_the_per_row_sums(self, n):
         # at the scan's own step, from sample 1000 on; Q = 1, B = 1, partial
         # last blocks and a chunk as large as the default's at N = 16.
-        # f^2 within _peak_ceilings' slack 64 N eps (1 + t max|lambda|), and
-        # h = Re(conj(z) z'), with |z'| <= max|lambda|, within max|lambda| times it
+        # h = Re(conj(z) z') and the amplitude z come back, and f^2 = |z|^2
+        # is taken from z; f^2 within _peak_ceilings' slack
+        # 64 N eps (1 + t max|lambda|), and h, with |z'| <= max|lambda|,
+        # within max|lambda| times it
         rng = np.random.default_rng(n)
         chain = synthesize(SpectrumSpec(unit=float(rng.uniform(0.5, 2.0)),
                                         multipliers=rng.integers(0, 5, size=n - 1) * 2 + 1))
@@ -508,10 +510,11 @@ class TestGridScan:
         for q, block, count in ((1, 9, 9), (7, 1, 7), (1, 1, 1), (5, 8, 37), (103, 104, 10_700)):
             offsets = np.arange(block) * spacing
             starts = (1000 + np.arange(q) * block) * spacing
-            h, f2 = (v.ravel()[:count] for v in pst._grid_scan(lam, coeff, offsets)(starts))
+            h, z = (v.ravel()[:count] for v in pst._grid_scan(lam, coeff, offsets)(starts))
+            f2 = np.abs(z) ** 2
             times = np.add.outer(starts, offsets).ravel()[:count]
             want_h, want_f2 = pst._phase_sums(
-                lam, coeff, times, 1, lambda z, dz: (pst._slope(z, dz), np.abs(z) ** 2),
+                lam, coeff, times, 1, lambda z, dz: ((z.conj() * dz).real, np.abs(z) ** 2),
                 np.empty((2, count)))
             slack = 64.0 * n * np.finfo(float).eps * (1.0 + times.max() * scale)
             assert np.abs(f2 - want_f2).max() <= slack
@@ -609,13 +612,37 @@ class TestSpectralRoute:
         spectral = 0
         for chain in mirror_corpus:
             lam, coeff = pst._transfer_terms(chain)
-            spectral += pst._spectral_coefficients(lam) is not None
+            spectral += pst._spectral_coefficients(lam, chain.couplings) is not None
             ref_lam, ref_coeff = _eigenvector_terms(chain)
             np.testing.assert_allclose(lam, ref_lam, rtol=0,
                                        atol=1e-12 * np.abs(ref_lam).max())
             np.testing.assert_allclose(coeff, ref_coeff, rtol=0, atol=1e-12)
         # 100 of the 200 at this seed; the others hold near-degenerate pairs
         assert spectral >= 50
+
+    def test_asymmetric_coefficients_match_the_eigenvector_route(self, disorder_corpus):
+        # <N|n><n|1> = (-1)^{n+1} prod J / prod_{m != n} |lambda_n - lambda_m|
+        # holds for any chain, so the broken copies need no eigenvectors
+        for _, _, copy in disorder_corpus:
+            assert not pst.is_mirror_symmetric(copy)
+            lam = pst.eigenvalues_only(copy)
+            coeff = pst._spectral_coefficients(lam, copy.couplings)
+            assert coeff is not None
+            ref_lam, ref_coeff = _eigenvector_terms(copy)
+            np.testing.assert_allclose(lam, ref_lam, rtol=0, atol=1e-12 * np.abs(ref_lam).max())
+            np.testing.assert_allclose(coeff, ref_coeff, rtol=0, atol=1e-12)
+
+    def test_coefficients_keep_within_one_at_any_scale(self):
+        # sum |c_n| <= 1 (Cauchy-Schwarz).  Summed at the couplings' own
+        # scale, the logs at N = 1000 and scale 1e6 gave f(t0) = 1 - 3.7e-12,
+        # and at N = 1400 they broke FidelityTrace's 1 + 1e-12
+        chain = canonical_chain(1000)
+        for scale in (1e-3, 1.0, 1e6):
+            big = ChainSpec(diagonal=chain.diagonal * scale, couplings=chain.couplings * scale)
+            _, coeff = pst._transfer_terms(big)
+            assert np.abs(coeff).sum() <= 1.0 + 1e-14
+            f = evolve_fidelity(big, [HALF_PI / scale]).fidelity[0]
+            assert f == pytest.approx(1.0, abs=1e-13)
 
     def test_near_degenerate_pair_is_decomposed(self):
         # a weak central coupling splits mirror pairs by about 1e-9: the
@@ -624,9 +651,10 @@ class TestSpectralRoute:
         chain = ChainSpec(diagonal=np.zeros(8), couplings=[1.0, 2.0, 1.0, 1e-9, 1.0, 2.0, 1.0])
         lam = pst.eigenvalues_only(chain)
         ref_lam, ref_coeff = _eigenvector_terms(chain)
-        raw = pst._alternating_signs(lam.size) * pst._end_weights(lam[None])[0]
+        distance = np.abs(np.subtract.outer(lam, lam)) + np.eye(lam.size)
+        raw = pst._alternating_signs(lam.size) * chain.couplings.prod() / distance.prod(axis=1)
         assert np.abs(raw - ref_coeff).max() > 1e-8
-        assert pst._spectral_coefficients(lam) is None
+        assert pst._spectral_coefficients(lam, chain.couplings) is None
         np.testing.assert_array_equal(pst._transfer_terms(chain)[1], ref_coeff)
         times = [0.5, 3.0, 10.0]
         np.testing.assert_allclose(evolve_fidelity(chain, times).fidelity,
@@ -646,7 +674,8 @@ class TestSpectralRoute:
         chains = [(chain, cert.t0) for chain, cert, _ in disorder_corpus]
         chains += [(_nearly_symmetric(chain), t0) for chain, t0 in chains]
         for chain, t0 in chains:
-            assert pst._spectral_coefficients(pst.eigenvalues_only(chain)) is not None
+            lam = pst.eigenvalues_only(chain)
+            assert pst._spectral_coefficients(lam, chain.couplings) is not None
             got = first_perfect_time(chain, horizon=2.0 * t0)
             want = first_peak_time(*_eigenvector_terms(chain), 1.0 - 1e-8, 2.0 * t0)
             assert want is not None
