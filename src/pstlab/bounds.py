@@ -286,9 +286,10 @@ class SearchReport(_Record):
 
 def _block_rows(n_sites: int) -> int:
     """Samples per block, so that a block's working set stays under
-    BLOCK_BYTES: per sample about four (N, N) arrays (the Lanczos basis, the
-    end-weight differences and their logarithms, the dense eigensolve stack)
-    and the unit search's sixteen or so (N-1) rows."""
+    BLOCK_BYTES: per sample three (N, N) arrays (the Lanczos basis, the
+    end-weight differences and their logarithms) and the unit search's
+    sixteen or so (N-1) rows.  The formula counts four (N, N) arrays, so the
+    budget holds one array of headroom."""
     n = n_sites
     return BLOCK_BYTES // (8 * (4 * n * n + 16 * n))
 

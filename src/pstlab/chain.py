@@ -114,19 +114,18 @@ class ChainSpec:
         "B" is optional and defaults to zeros."""
         if not isinstance(data, dict):
             raise ValueError("chain JSON must be an object")
-        try:
-            n = int(data["N"])
-        except (KeyError, TypeError, ValueError):
-            raise ValueError("field 'N' missing or not an integer") from None
+        n = data.get("N")
+        if isinstance(n, float) and n.is_integer():
+            n = int(n)
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError("field 'N' missing or not an integer")
         if "J" not in data:
             raise ValueError("field 'J' is required")
-        j = data["J"]
-        b = data.get("B", [0.0] * n)
-        chain = cls(diagonal=b, couplings=j)
+        # the default B is sized from J, never from N, which may be huge
+        j = _readonly_float_array(data["J"], "J")
+        chain = cls(diagonal=data.get("B", np.zeros(j.size + 1)), couplings=j)
         if chain.n_sites != n:
-            raise ValueError(
-                f"field 'N' ({n}) does not match length of 'B' ({chain.n_sites})"
-            )
+            raise ValueError(f"field 'N' ({n}) does not match the chain's {chain.n_sites} sites")
         return chain
 
     def to_dict(self) -> dict:

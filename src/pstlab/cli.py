@@ -89,6 +89,9 @@ _odd_cap = _checked(_odd_int, lambda m: m <= pst.MAX_CAP, f"at most {pst.MAX_CAP
 _tolerance = _checked(float, lambda x: math.isfinite(x) and x >= 0.0, "finite and >= 0")
 _t_max = _checked(float, lambda x: math.isfinite(x) and x > 0.0, "finite and > 0")
 _steps = _checked(int, lambda n: 2 <= n <= MAX_STEPS, f"an integer in 2..{MAX_STEPS}")
+_samples = _checked(int, lambda n: n >= 1, "an integer >= 1")
+_seed = _checked(int, lambda n: n >= 0, "an integer >= 0")
+_sites = _checked(int, lambda n: n >= 2, "an integer >= 2")
 
 
 def _parse_range(text: str) -> range:
@@ -165,8 +168,6 @@ def cmd_synth(args) -> int:
     if (args.input is None) == (args.canonical is None):
         raise _UsageError("synth needs exactly one of --input or --canonical")
     if args.canonical is not None:
-        if args.canonical < 2:
-            raise _UsageError("--canonical must be >= 2")
         chain = synthesis.canonical_chain(args.canonical)
         n = args.canonical
         target = np.arange(n - 1, -n, -2, dtype=float)
@@ -218,8 +219,6 @@ def cmd_search(args) -> int:
         raise _UsageError("search takes a single --n")
     if not 2 <= n <= bounds.MAX_SEARCH_SITES:
         raise _UsageError(f"--n must be in 2..{bounds.MAX_SEARCH_SITES}")
-    if args.samples < 1:
-        raise _UsageError("--samples must be >= 1")
     print(
         f"search N={n} samples={args.samples} cap={args.cap} seed={args.seed}",
         file=sys.stderr,
@@ -255,7 +254,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="build the chain for a target spectrum")
     p.add_argument("--input", help="spectrum JSON file")
-    p.add_argument("--canonical", type=int,
+    p.add_argument("--canonical", type=_sites,
                    help="equally-spaced family at this N instead of --input")
     p.add_argument("--output", help="chain JSON file (default stdout)")
     p.set_defaults(func=cmd_synth)
@@ -276,9 +275,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("search", help="falsification search as JSON")
     p.add_argument("--n", required=True, help=f"number of sites, 2..{bounds.MAX_SEARCH_SITES}")
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--samples", type=_samples, required=True)
     p.add_argument("--cap", type=_odd_cap, default=9, help="odd multiplier cap")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--output", help="report JSON file (default stdout)")
     p.set_defaults(func=cmd_search)
     return parser

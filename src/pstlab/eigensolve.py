@@ -2,7 +2,7 @@
 
 Decompositions stay in the tridiagonal representation
 (`scipy.linalg.eigh_tridiagonal`); eigenvalues alone are solved for stacked
-chains, by LAPACK's dsterf row by row or on dense stacks for small N.  A
+chains by LAPACK's dsterf, row by row, a single chain being a stack of one.  A
 positive off-diagonal guarantees simple eigenvalues, so spectra are reported
 strictly descending and the solver output is guarded rather than silently
 reordered.  Eigenvector signs are fixed so the first nonzero component is
@@ -29,7 +29,6 @@ __all__ = [
 
 RESIDUAL_TOL = 1e-10     # ||h v - lambda v|| per column, relative to ||h||
 PARITY_TOL = 1e-8        # ||S v - sigma v|| acceptance for either sign
-DENSE_MAX_SITES = 12     # eigenvalues_only solves dense stacks up to this N
 
 
 @dataclass(frozen=True)
@@ -100,23 +99,14 @@ def _eigvalsh_rows(diagonal: np.ndarray, couplings: np.ndarray, errors: list) ->
     """Ascending eigenvalues of stacked chains; a row whose solve does not
     converge is NaN and gets its EigensolveError in `errors`.
 
-    Rows go to LAPACK's dsterf, the routine under scipy's eigvalsh_tridiagonal
-    (bit-identical; 4 against 24 us for one chain at N = 9, 2-core x86).  One
-    dense call on a stack of many small chains is cheaper still (50 chains at
-    N = 4: 64 against 96 us); the two meet near N = DENSE_MAX_SITES.
+    Every row goes to LAPACK's dsterf, the routine under scipy's
+    eigvalsh_tridiagonal (bit-identical; 4 against 24 us for one chain at
+    N = 9, 2-core x86), so a row's bits do not depend on its batch.  A dense
+    numpy eigvalsh stack gives the same bits at N <= 12; it is faster only on
+    many-row stacks of small chains, 2-4x slower on a single chain.
     """
-    s, n = diagonal.shape
-    if n <= DENSE_MAX_SITES:
-        h = np.zeros((s, n, n))
-        sites = np.arange(n)
-        h[:, sites, sites] = diagonal
-        h[:, sites[1:], sites[:-1]] = couplings    # eigvalsh reads the lower triangle
-        try:
-            return np.linalg.eigvalsh(h)
-        except np.linalg.LinAlgError:
-            pass    # some row did not converge; the row-by-row solve finds it
-    lam = np.empty((s, n))
-    for row in range(s):
+    lam = np.empty(diagonal.shape)
+    for row in range(len(lam)):
         lam[row], info = scipy.linalg.lapack.dsterf(diagonal[row], couplings[row])
         if info:
             lam[row] = np.nan

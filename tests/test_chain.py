@@ -76,6 +76,7 @@ class TestChainSpec:
     def test_from_dict_default_fields(self):
         c = ChainSpec.from_dict({"N": 4, "J": [1.0, 1.0, 1.0]})
         np.testing.assert_array_equal(c.diagonal, np.zeros(4))
+        assert ChainSpec.from_dict({"N": 4.0, "J": [1.0, 1.0, 1.0]}).n_sites == 4
 
     def test_from_dict_errors(self):
         with pytest.raises(ValueError, match="'N'"):
@@ -86,6 +87,13 @@ class TestChainSpec:
             ChainSpec.from_dict({"N": 4, "B": [0.0, 0.0, 0.0], "J": [1.0, 1.0]})
         with pytest.raises(ValueError, match="object"):
             ChainSpec.from_dict([1, 2, 3])
+        for n in (2.7, "2", None, True, [2], float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="field 'N' missing or not an integer"):
+                ChainSpec.from_dict({"N": n, "J": [1.0]})
+        # N is checked against the chain, not used to size the default B
+        for n in (10**18, 1e19, 3):
+            with pytest.raises(ValueError, match="does not match the chain's 2 sites"):
+                ChainSpec.from_dict({"N": n, "J": [1.0]})
 
 
 class TestMirrorSymmetry:

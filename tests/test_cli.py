@@ -204,6 +204,21 @@ class TestFlagValidation:
                                  "--steps", str(MAX_STEPS + 1)], capsys)
         assert f"--steps: must be an integer in 2..{MAX_STEPS}" in err
 
+    @pytest.mark.parametrize("argv, rule", [
+        ("search --n 3 --samples 1 --seed -1", "--seed: must be an integer >= 0, got '-1'"),
+        ("search --n 3 --samples 1 --seed x", "--seed: must be an integer >= 0, got 'x'"),
+        ("search --n 3 --samples 0", "--samples: must be an integer >= 1, got '0'"),
+        ("synth --canonical 1", "--canonical: must be an integer >= 2, got '1'"),
+    ], ids=["negative-seed", "non-integer-seed", "no-samples", "canonical-1"])
+    def test_search_and_synth_numbers(self, argv, rule, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr(pstlab.bounds, "falsify_search", refuse)
+        monkeypatch.setattr(pstlab.synthesis, "canonical_chain", refuse)
+        err = self._usage_error(argv.split(), capsys)
+        assert rule in err
+
 
 class TestOneSolvePerCommand:
     """analyze, evolve and first_perfect_time solve each chain once,

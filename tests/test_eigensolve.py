@@ -96,12 +96,13 @@ class TestDecompose:
 
 
 class TestEigenvalueRows:
-    """Above DENSE_MAX_SITES the rows are solved one by one by LAPACK's
-    dsterf, the eigenvalue-only routine under scipy's eigvalsh_tridiagonal."""
+    """Every row, of a search block or of a single chain, is solved on its
+    own by LAPACK's dsterf, the eigenvalue-only routine under scipy's
+    eigvalsh_tridiagonal."""
 
     def test_rows_equal_eigvalsh_tridiagonal_bit_for_bit(self):
         rng = np.random.default_rng(15)
-        for n in range(pstlab.eigensolve.DENSE_MAX_SITES + 1, 65):
+        for n in range(2, 65):
             chains = [random_chain(rng, n) for _ in range(3)]
             lam, errors = pstlab.eigensolve._eigenvalues_rows(
                 np.array([c.diagonal for c in chains]), np.array([c.couplings for c in chains]))
@@ -109,10 +110,13 @@ class TestEigenvalueRows:
             for c, row in zip(chains, lam):
                 want = scipy.linalg.eigvalsh_tridiagonal(c.diagonal, c.couplings)[::-1]
                 np.testing.assert_array_equal(row, want)
+                # a row's bits do not depend on its batch
+                np.testing.assert_array_equal(row, eigenvalues_only(c))
 
-    def test_a_failed_row_fails_alone(self, monkeypatch):
+    @pytest.mark.parametrize("n", [4, 16])
+    def test_a_failed_row_fails_alone(self, n, monkeypatch):
         rng = np.random.default_rng(16)
-        chains = [random_chain(rng, 16) for _ in range(3)]
+        chains = [random_chain(rng, n) for _ in range(3)]
         fields = np.array([c.diagonal for c in chains]), np.array([c.couplings for c in chains])
         clean, _ = pstlab.eigensolve._eigenvalues_rows(*fields)
         real = scipy.linalg.lapack.dsterf
