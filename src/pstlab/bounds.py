@@ -14,6 +14,13 @@ alternating sum 22 u^2 against 42 u^2), even though the final bound holds on
 every chain we can generate.  The audit therefore asserts only the provable
 steps and records that substitution gap signed, and the falsifier counts its
 negative occurrences as findings.
+
+The falsifier draws each spectrum as an exact lattice, so it does not solve
+the synthesized chain again: Sturm counts at the lattice points plus and
+minus a radius tied to PHASE_TOL enclose every eigenvalue next to its
+lattice point, and the audit runs on the lattice with t0 = pi / gcd of the
+multipliers.  Single chains (audit_chain, the scan) are certified from their
+solved spectrum.
 """
 from __future__ import annotations
 
@@ -24,9 +31,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .chain import (ChainSpec, _alternating_signs, _alternating_sums, _check_rows,
-                    _mirror_traces_rows, _Record)
+                    _mirror_symmetric_rows, _mirror_traces_rows, _Record)
+from .eigensolve import _sturm_counts_rows
 from .errors import PstLabError
-from .pst import MAX_MULTIPLIER, SYMMETRY_TOL, _certify_chain, _certify_rows, _check_cap
+from .pst import MAX_MULTIPLIER, PHASE_TOL, SYMMETRY_TOL, _certify_chain, _check_cap
 from .synthesis import _expand_rows, _synthesize_rows, canonical_chain, draw_multipliers
 
 __all__ = [
@@ -287,9 +295,10 @@ class SearchReport(_Record):
 def _block_rows(n_sites: int) -> int:
     """Samples per block, so that a block's working set stays under
     BLOCK_BYTES: per sample three (N, N) arrays (the Lanczos basis, the
-    end-weight differences and their logarithms) and the unit search's
-    sixteen or so (N-1) rows.  The formula counts four (N, N) arrays, so the
-    budget holds one array of headroom."""
+    end-weight differences and their logarithms), and later the Sturm
+    counts' two (S, 2N) arrays, pivots and counts, with the shifts and a
+    quotient of the same shape.  The formula counts four (N, N) arrays and
+    sixteen rows of N, so the budget holds one array of headroom."""
     n = n_sites
     return BLOCK_BYTES // (8 * (4 * n * n + 16 * n))
 
@@ -298,25 +307,78 @@ def _block_rows(n_sites: int) -> int:
 MAX_SEARCH_SITES = math.isqrt(BLOCK_BYTES // 32 + 4) - 2
 
 
-def _audit_block(mults: np.ndarray, start: int, cap: int):
-    """Synthesize, certify at `cap` and audit one block of multiplier rows
-    (at unit 1).
+def _enclosed_rows(diagonal, couplings, lattice, radius):
+    """Per row of stacked fields (S, N) and (S, N-1), descending lattice
+    points x (S, N) and radii r (S,): (one, sharp), where `one` says the
+    Sturm counts at x_k - r and x_k + r put exactly one eigenvalue in each
+    window [x_k - r, x_k + r], and `sharp` that the counts' error bound
+    beta is below r.  Where both hold, every eigenvalue lies within
+    r + beta < 2r of its lattice point.
 
-    Returns the sample indices that were audited, their fields B and J,
-    their audit rows (see _audit_rows), and (index, message) for each sample
-    that failed, in sample order.
+    beta: with u = eps / 2 and Higham's gamma_k = k u / (1 - k u), which
+    bounds |prod of k factors (1 + delta)^(+-1) - 1| for |delta| <= u, the
+    count at a float shift sigma is the exact count of the chain with
+    couplings J_k sqrt(1 + theta_k), |theta_k| <= gamma_5 (Kahan 1966).
+    A step rounds four times, d_k = [(B_k - sigma)(1 + a_k)
+    - J^2 (1 + b_k)(1 + c_k) / d_{k-1}] (1 + e_k); dividing each d_k by its
+    positive (1 + a_k)(1 + e_k) keeps its sign and leaves the exact pivots
+    of the chain with J_{k-1}^2 times five such factors.  As
+    sqrt(1 - gamma_5) >= 1 - gamma_5, J moves by at most
+    J gamma_5 / (2 - gamma_5).  That perturbation has at most two entries a
+    row, so by Weyl's inequality its eigenvalues are within
+    2 J_max gamma_5 / (2 - gamma_5) of the chain's, and a count puts
+    eigenvalue k (descending) in [sigma_lo - that, sigma_hi + that].  The
+    shifts add their rounding: x_k and then x_k +- r are one rounding each
+    from the exact lattice point (up to the lattice's common offset) plus or
+    minus r, so within gamma_2 (|x_k| + r) of it.
+    """
+    n = lattice.shape[1]
+    r = radius[:, None]
+    counts = _sturm_counts_rows(diagonal, couplings, np.hstack((lattice - r, lattice + r)))
+    below = np.arange(n - 1, -1, -1)  # eigenvalues below window k of a descending lattice
+    one = (counts == np.concatenate((below, below + 1))).all(axis=1)
+    u = np.finfo(float).eps / 2
+    gamma5, gamma2 = 5 * u / (1 - 5 * u), 2 * u / (1 - 2 * u)
+    beta = (2.0 * gamma5 / (2.0 - gamma5) * couplings.max(axis=1)
+            + gamma2 * (np.abs(lattice).max(axis=1) + radius))
+    return one, beta < radius
+
+
+def _audit_block(mults: np.ndarray, start: int):
+    """Synthesize one block of multiplier rows (at unit 1), check each chain
+    against the lattice it was drawn from, and audit it on that lattice.
+
+    The lattice x has gaps the multipliers, so its transfer time is
+    t0 = pi / gcd(multipliers).  A chain passes if it is mirror-symmetric
+    (SYMMETRY_TOL) and its spectrum lies within 2r of x, r = PHASE_TOL / (4 t0)
+    (_enclosed_rows); every gap phase then differs by at most 4 r t0, so
+    certify's phase condition holds within PHASE_TOL.  Returns the sample
+    indices that were audited, their fields B and J, their audit rows (see
+    _audit_rows), and (index, message) for each sample that failed, in
+    sample order.
     """
     index = np.arange(start, start + len(mults))
-    diagonal, couplings, errors = _synthesize_rows(_expand_rows(1.0, mults))
+    lattice = _expand_rows(1.0, mults)
+    diagonal, couplings, errors = _synthesize_rows(lattice)
     failed = {int(i): str(exc) for i, exc in zip(index, errors) if exc is not None}
     kept = np.array([exc is None for exc in errors], dtype=bool)
     index, diagonal, couplings = index[kept], diagonal[kept], couplings[kept]
+    lattice, mults = lattice[kept], mults[kept]
     _check_rows(diagonal, couplings)
-    cert = _certify_rows(diagonal, couplings, symmetry_tol=SYMMETRY_TOL, max_multiplier=cap)
-    ok = ~np.isnan(cert.t0)
-    failed.update((int(i), str(exc)) for i, exc in zip(index[~ok], cert.errors[~ok]))
+    t0 = math.pi / np.gcd.reduce(mults, axis=1)
+    one, sharp = _enclosed_rows(diagonal, couplings, lattice, PHASE_TOL / (4.0 * t0))
+    symmetric = _mirror_symmetric_rows(diagonal, couplings, SYMMETRY_TOL)
+    verdict = np.select(
+        [~symmetric, ~sharp, ~one],
+        ["chain does not certify: asymmetry",
+         "the Sturm counts' error bound reaches the lattice window",
+         "spectrum leaves the windows of its drawn lattice"],
+        "",
+    )
+    ok = verdict == ""
+    failed.update((int(i), str(v)) for i, v in zip(index[~ok], verdict[~ok]))
     index, diagonal, couplings = index[ok], diagonal[ok], couplings[ok]
-    audit = _audit_rows(diagonal, couplings, cert.eigenvalues[ok], cert.t0[ok])
+    audit = _audit_rows(diagonal, couplings, lattice[ok], t0[ok])
     return index, diagonal, couplings, audit, sorted(failed.items())
 
 
@@ -338,13 +400,16 @@ def falsify_search(n_sites: int, samples: int, cap: int, seed: int) -> SearchRep
 
     Multipliers are drawn from default_rng(seed) a block at a time, odd and
     up to `cap` (odd and at most MAX_CAP, else ValueError), the same rows as
-    one batch drawn at once, so the corpus depends only on the seed.  Every
-    sample is certified at that same cap, which its reduced multipliers
-    never exceed, so no sample fails for the size of its multipliers; the
-    report records the cap as `max_multiplier`.
-    Samples are synthesized, certified and audited in blocks whose working
-    set stays under BLOCK_BYTES (so N is at most MAX_SEARCH_SITES); every
-    sample's numbers are those of a batch of one.  A sample that fails is
+    one batch drawn at once, so the corpus depends only on the seed; the
+    report records the cap as `max_multiplier`.  Each sample's chain is
+    checked against the lattice it was drawn from by Sturm counts (see
+    _audit_block), never solved, and audited on that lattice with
+    t0 = pi / gcd(multipliers), so no sample fails for the size of its
+    multipliers.  Samples are synthesized, checked and audited in blocks
+    whose working set stays under BLOCK_BYTES (so N is at most
+    MAX_SEARCH_SITES); a block holds the Lanczos arrays and then two
+    (S, 2N) count arrays, and every sample's numbers are those of a batch
+    of one.  A sample that fails is
     recorded as (index, message) and the others go on.  Each block is
     reduced as it goes, and every record is built from its block's rows.
     The witness candidates are the strict prefix minima of the ratio within
@@ -365,7 +430,7 @@ def falsify_search(n_sites: int, samples: int, cap: int, seed: int) -> SearchRep
     size = _block_rows(n_sites)
     for start in range(0, samples, size):
         mults = draw_multipliers(rng, n_sites, cap, count=min(size, samples - start))
-        block = _audit_block(mults, start, cap)
+        block = _audit_block(mults, start)
         index, _, _, audit, failed = block
         failures += failed
         ratio, gap = audit["ratio"], audit["substitution_gap"]

@@ -8,6 +8,11 @@ strictly descending and the solver output is guarded rather than silently
 reordered.  Eigenvector signs are fixed so the first nonzero component is
 positive, which for a Jacobi matrix makes all first components strictly
 positive and pins the mirror parity pattern sigma_n = (-1)^{n+1}.
+
+Where the spectrum is known in advance, as for the falsification search's
+drawn lattices, Sturm counts (the negative pivots of h - sigma = L D L^T)
+check it instead of solving it: the number of eigenvalues below each of
+many shifts, for stacked chains at once.
 """
 from __future__ import annotations
 
@@ -127,6 +132,36 @@ def _eigenvalues_rows(diagonal: np.ndarray, couplings: np.ndarray):
                 "a Jacobi matrix must have simple spectrum"
             )
     return lam, errors
+
+
+def _sturm_counts_rows(diagonal: np.ndarray, couplings: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """The number of eigenvalues below each shift (S, M), per row of stacked
+    fields (S, N) and (S, N-1), as int64 (S, M).
+
+    By Sylvester's law of inertia this is the number of negative pivots of
+    h - sigma = L D L^T, d_1 = B_1 - sigma and
+    d_k = (B_k - sigma) - J_{k-1}^2 / d_{k-1} (Kahan 1966; Barth, Martin &
+    Wilkinson 1967), run for every row and shift at once in N steps on one
+    (S, M) array of pivots and one of counts.  The pivot d_k is decreasing
+    in sigma, so a pivot of exactly +0 is the limit from below: the next
+    pivot is -inf, the one after it (B - sigma) - (-0), which IEEE arithmetic
+    gives untrapped (Demmel, Dhillon & Ren 1995), and the count is still
+    that of the eigenvalues strictly below sigma.  Adding +0.0 to B makes
+    every zero pivot +0.  In floating point the count is the exact count of
+    a chain whose couplings are perturbed; bounds._enclosed_rows bounds it.
+    """
+    fields = diagonal + 0.0
+    squares = couplings * couplings
+    pivots = fields[:, :1] - shifts
+    counts = np.signbit(pivots).astype(np.int64)
+    quotient = np.empty_like(pivots)
+    with np.errstate(divide="ignore"):
+        for k in range(1, fields.shape[1]):
+            np.divide(squares[:, k - 1, None], pivots, out=quotient)
+            np.subtract(fields[:, k, None], shifts, out=pivots)
+            pivots -= quotient
+            counts += np.signbit(pivots)
+    return counts
 
 
 def eigenvalues_only(chain: ChainSpec) -> np.ndarray:

@@ -10,6 +10,7 @@ from oracles import exact_substitution_gap, lanczos_chain
 
 import pstlab.bounds
 import pstlab.eigensolve
+import pstlab.pst
 from pstlab import (
     ChainSpec,
     MultiplierOverflow,
@@ -32,8 +33,9 @@ from pstlab.bounds import (
     SUBSTITUTION_GAP_SLACK,
     _audit_block,
     _block_rows,
+    _record,
 )
-from pstlab.pst import MAX_CAP
+from pstlab.pst import MAX_CAP, PHASE_TOL
 from pstlab.synthesis import _expand_rows, _synthesize_rows, draw_multipliers
 
 
@@ -259,62 +261,77 @@ class TestFalsifySearch:
         assert [falsify_search(*case).to_dict() for case in cases] == default
 
     def test_records_equal_the_batch_of_one_rebuild(self, monkeypatch):
-        # the witness and every violation are the sample rebuilt on its own:
-        # synthesize, then audit_chain at the draw cap, as a batch of one
-        def rebuilt(record, cap):
+        # the witness and every violation are the sample run on its own, as a
+        # one-sample block, bit for bit; the chain is synthesize's and the
+        # report audit_chain's, whose t0 comes from the solved spectrum
+        # rather than the lattice, so its floats agree to rel 1e-12
+        def check(record, cap):
+            mults = np.array([record["multipliers"]])
+            assert record == _record(_audit_block(mults, record["index"]), 0, mults[0])
             chain = synthesize(SpectrumSpec(unit=record["unit"],
                                             multipliers=record["multipliers"]))
+            assert record["chain"] == chain.to_dict()
             report, _ = audit_chain(chain, max_multiplier=cap)
-            return {**record, "chain": chain.to_dict(), "report": report.to_dict()}
+            for key, value in report.to_dict().items():
+                if isinstance(value, float):
+                    assert record["report"][key] == pytest.approx(value, rel=1e-12, abs=0), key
+                else:
+                    assert record["report"][key] == value, key
 
         cases = [(n, 30, 9, seed) for n in range(2, 10) for seed in (0, 1, 7)]
         cases += [(n, 20, 2001, 3) for n in (3, 4, 6)]
         for n, samples, cap, seed in cases:
             report = falsify_search(n, samples, cap, seed)
             assert report.violations == ()
-            assert report.witness == rebuilt(report.witness, cap)
-        # each ratio folded into [-0.5, 1.5) puts most samples under the bound
+            check(report.witness, cap)
+        # each ratio r >= 1 mapped to 0.9 / r puts every sample under the
+        # bound; the map is smooth and keeps relative differences, which the
+        # comparison with audit_chain needs (a fold at even r would turn a
+        # last-bit difference at r = 2 into one of 2)
         real = pstlab.bounds._audit_rows
 
-        def folded(diagonal, couplings, lam, t0):
+        def inverted(diagonal, couplings, lam, t0):
             rows = real(diagonal, couplings, lam, t0)
-            rows["ratio"] = rows["ratio"] % 2.0 - 0.5
+            rows["ratio"] = 0.9 / rows["ratio"]
             return rows
 
-        monkeypatch.setattr(pstlab.bounds, "_audit_rows", folded)
+        monkeypatch.setattr(pstlab.bounds, "_audit_rows", inverted)
         for n, samples, cap, seed in cases:
             report = falsify_search(n, samples, cap, seed)
             assert 0 < len(report.violations) <= samples
             for record in report.violations:
                 assert record["report"]["ratio"] < 1.0 - RATIO_SLACK
-                assert record == rebuilt(record, cap)
-            assert report.witness == rebuilt(report.witness, cap)
+                check(record, cap)
+            check(report.witness, cap)
+
+    def test_witness_t0_is_the_lattice_time(self):
+        for n, cap, seed in ((2, 9, 0), (5, 9, 1), (7, 2001, 2), (9, 99, 3)):
+            witness = falsify_search(n, 40, cap, seed).witness
+            assert witness["report"]["t0"] == math.pi / math.gcd(*witness["multipliers"])
 
     def test_failing_sample_is_isolated(self, monkeypatch):
-        # give the clean run's witness sample a tied eigenvalue pair in the
-        # block's eigensolve; that sample alone fails, the rest are unchanged
+        # put a second eigenvalue in the clean run's witness sample's top
+        # window, in the block's Sturm counts; that sample alone fails, the
+        # rest are unchanged
         n, samples, cap, seed = 5, 60, 9, 4
         mults = draw_multipliers(np.random.default_rng(seed), n, cap, count=samples)
         bad = falsify_search(n, samples, cap, seed).min_ratio_index
-        real = pstlab.eigensolve._eigvalsh_rows
+        real = pstlab.bounds._sturm_counts_rows
 
-        def tied(diagonal, couplings, errors):
-            lam = real(diagonal, couplings, errors)
-            if len(lam) == samples:
-                lam[bad, 1] = lam[bad, 0]
-            return lam
+        def tied(diagonal, couplings, shifts):
+            counts = real(diagonal, couplings, shifts)
+            if len(counts) == samples:
+                counts[bad, n] += 1
+            return counts
 
-        monkeypatch.setattr(pstlab.eigensolve, "_eigvalsh_rows", tied)
+        monkeypatch.setattr(pstlab.bounds, "_sturm_counts_rows", tied)
         report = falsify_search(n, samples, cap, seed)
-        assert report.failures == ((bad, (
-            "degenerate or unordered eigenvalues from the solver; "
-            "a Jacobi matrix must have simple spectrum"
-        )),)
+        assert report.failures == ((bad, "spectrum leaves the windows of its drawn lattice"),)
         assert report.evaluated == samples - 1
         assert report.min_ratio_index != bad
         assert report.witness["index"] != bad
 
-        monkeypatch.setattr(pstlab.eigensolve, "_eigvalsh_rows", real)
+        monkeypatch.setattr(pstlab.bounds, "_sturm_counts_rows", real)
         monkeypatch.setattr(pstlab.bounds, "draw_multipliers",
                             lambda *args, **kw: np.delete(mults, bad, axis=0))
         rest = falsify_search(n, samples - 1, cap, seed)
@@ -324,6 +341,34 @@ class TestFalsifySearch:
             assert getattr(report, key) == getattr(rest, key), key
         shifted = rest.min_ratio_index + (rest.min_ratio_index >= bad)
         assert report.min_ratio_index == shifted
+
+    @pytest.mark.parametrize("shift, audited", [(3.0, 0), (0.25, 30)])
+    def test_a_spectrum_off_its_lattice_fails(self, shift, audited, monkeypatch):
+        # every field moved by shift * r, r = PHASE_TOL / (4 t0), moves every
+        # eigenvalue as far from its lattice point, out of its window at 3r
+        real = pstlab.bounds._synthesize_rows
+
+        def moved(lam):
+            diagonal, couplings, errors = real(lam)
+            unit = np.gcd.reduce(np.rint(-np.diff(lam, axis=1)).astype(np.int64), axis=1)
+            return diagonal + shift * PHASE_TOL * unit[:, None] / (4.0 * math.pi), couplings, errors
+
+        monkeypatch.setattr(pstlab.bounds, "_synthesize_rows", moved)
+        report = falsify_search(6, 30, 9, 0)
+        assert report.evaluated == audited
+        assert report.failures == tuple(
+            (i, "spectrum leaves the windows of its drawn lattice") for i in range(30 - audited))
+
+    def test_search_solves_no_spectrum(self, monkeypatch):
+        # the search checks the drawn lattice by counts; it runs neither the
+        # eigensolve nor the unit search of certify
+        def forbidden(*args, **kw):
+            raise AssertionError("called")
+
+        monkeypatch.setattr(pstlab.eigensolve, "_eigvalsh_rows", forbidden)
+        monkeypatch.setattr(pstlab.pst, "_minimal_unit_rows", forbidden)
+        for n in (2, 5, 8):
+            assert falsify_search(n, 50, 9, n).evaluated == 50
 
     def test_witness_is_reloadable(self):
         report = falsify_search(3, 50, 5, seed=1)
@@ -346,6 +391,29 @@ class TestFalsifySearch:
         assert report.max_multiplier == 2001
         assert report.evaluated == 200
         assert report.failures == ()
+
+    @pytest.mark.parametrize("n", [448, 510])
+    def test_large_chains_are_audited(self, n):
+        # the lattice check reaches the largest N of a search; certification
+        # of the solved spectrum at GAP_REL_TOL audited 0 and 1 of 8 here
+        with pytest.warns(UserWarning, match="may lose accuracy"):
+            report = falsify_search(n, 8, 9, 0)
+        assert report.evaluated == 8 and report.failures == ()
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_large_caps_are_audited(self, n):
+        # multipliers up to 10^5 + 1: the phase check of a unit fitted to the
+        # smallest gap lost 67 and 74 of these 200 samples
+        report = falsify_search(n, 200, 100001, 0)
+        assert report.evaluated == 200 and report.failures == ()
+
+    def test_a_lattice_beyond_the_counts_precision_fails_with_its_reason(self):
+        # at multipliers near 2^31 the counts' error bound, about
+        # eps (2.5 J_max + max|x|), exceeds the window PHASE_TOL / (4 t0)
+        report = falsify_search(3, 20, MAX_CAP, 0)
+        assert report.evaluated == 0
+        assert {message for _, message in report.failures} == {
+            "the Sturm counts' error bound reaches the lattice window"}
 
     def test_validates_samples(self):
         with pytest.raises(ValueError, match="samples"):
@@ -398,7 +466,7 @@ class TestBatchedCore:
                     assert np.abs(diagonal[row] - ref_b).max() <= tol
                     assert np.abs(couplings[row] - ref_j).max() <= tol
 
-            index, diagonal, couplings, audit, failed = _audit_block(mults, 0, 9)
+            index, diagonal, couplings, audit, failed = _audit_block(mults, 0)
             assert failed == [] and index.tolist() == list(range(count))
             u = math.pi / audit["t0"]
             for row in range(count):

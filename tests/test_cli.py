@@ -416,21 +416,22 @@ class TestSearch:
         assert "search N=5" in capsys.readouterr().err
 
     def test_summary_counts_failed_samples(self, tmp_path, capsys, monkeypatch):
-        # a tied eigenvalue pair in the block eigensolve fails sample 0 alone
+        # a second eigenvalue in the top window of the block's Sturm counts
+        # fails sample 0 alone
         samples, path = 60, tmp_path / "r.json"
         args = ["search", "--n", "5", "--samples", str(samples), "--seed", "4",
                 "--output", str(path)]
         assert main(args) == 0
         assert "lambda_min violation(s), 0 failed sample(s)" in capsys.readouterr().err
-        real = pstlab.eigensolve._eigvalsh_rows
+        real = pstlab.bounds._sturm_counts_rows
 
-        def tied(diagonal, couplings, errors):
-            lam = real(diagonal, couplings, errors)
-            if len(lam) == samples:
-                lam[0, 1] = lam[0, 0]
-            return lam
+        def tied(diagonal, couplings, shifts):
+            counts = real(diagonal, couplings, shifts)
+            if len(counts) == samples:
+                counts[0, 5] += 1
+            return counts
 
-        monkeypatch.setattr(pstlab.eigensolve, "_eigvalsh_rows", tied)
+        monkeypatch.setattr(pstlab.bounds, "_sturm_counts_rows", tied)
         assert main(args) == 0
         assert "lambda_min violation(s), 1 failed sample(s)" in capsys.readouterr().err
         assert [index for index, _ in json.loads(path.read_text())["failures"]] == [0]
@@ -438,14 +439,14 @@ class TestSearch:
     def test_no_audited_sample_is_strict_json(self, tmp_path, capsys, monkeypatch):
         # the one sample fails, so the minima are null, never Infinity
         path = tmp_path / "r.json"
-        real = pstlab.eigensolve._eigvalsh_rows
+        real = pstlab.bounds._sturm_counts_rows
 
-        def tied(diagonal, couplings, errors):
-            lam = real(diagonal, couplings, errors)
-            lam[:, 1] = lam[:, 0]
-            return lam
+        def tied(diagonal, couplings, shifts):
+            counts = real(diagonal, couplings, shifts)
+            counts[:, 5] += 1
+            return counts
 
-        monkeypatch.setattr(pstlab.eigensolve, "_eigvalsh_rows", tied)
+        monkeypatch.setattr(pstlab.bounds, "_sturm_counts_rows", tied)
         args = ["search", "--n", "5", "--samples", "1", "--output", str(path)]
         assert main(args) == 0
         err = capsys.readouterr().err

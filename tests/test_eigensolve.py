@@ -1,4 +1,6 @@
-"""Eigendecomposition against the dense oracle, parity classification."""
+"""Eigendecomposition against the dense oracle, Sturm counts, parity classification."""
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -96,8 +98,8 @@ class TestDecompose:
 
 
 class TestEigenvalueRows:
-    """Every row, of a search block or of a single chain, is solved on its
-    own by LAPACK's dsterf, the eigenvalue-only routine under scipy's
+    """Every row of a stack, a single chain being a stack of one, is solved
+    on its own by LAPACK's dsterf, the eigenvalue-only routine under scipy's
     eigvalsh_tridiagonal."""
 
     def test_rows_equal_eigvalsh_tridiagonal_bit_for_bit(self):
@@ -135,6 +137,47 @@ class TestEigenvalueRows:
         np.testing.assert_array_equal(eigenvalues_only(chains[0]), clean[0])
         with pytest.raises(EigensolveError, match="did not converge"):
             eigenvalues_only(chains[1])
+
+
+class TestSturmCounts:
+    """_sturm_counts_rows: eigenvalues below each shift, per row."""
+
+    def test_counts_equal_the_sorted_spectrum(self):
+        # shifts at least 1e-6 of the width away from every eigenvalue, where
+        # the count's backward error cannot move an eigenvalue across
+        rng = np.random.default_rng(17)
+        for n in range(2, 65):
+            chains = [random_chain(rng, n) for _ in range(4)]
+            diagonal = np.array([c.diagonal for c in chains])
+            couplings = np.array([c.couplings for c in chains])
+            lam = np.array([scipy.linalg.lapack.dsterf(b, j)[0]
+                            for b, j in zip(diagonal, couplings)])
+            width = lam[:, -1] - lam[:, 0]
+            shifts = rng.uniform(lam[:, :1] - 1.0, lam[:, -1:] + 1.0, (4, 3 * n))
+            distance = np.abs(shifts[:, :, None] - lam[:, None, :]).min(axis=2)
+            far = distance >= 1e-6 * width[:, None]
+            assert far.mean() > 0.9
+            counts = pstlab.eigensolve._sturm_counts_rows(diagonal, couplings, shifts)
+            want = np.array([np.searchsorted(row, s) for row, s in zip(lam, shifts)])
+            np.testing.assert_array_equal(counts[far], want[far])
+
+    def test_a_zero_pivot_counts_right_without_a_warning(self):
+        # at shift 0: B = (0, 0) has d_1 = 0 (eigenvalues +-1); B = (1, 1, 0),
+        # J = (1, 1) has d_2 = 1 - 1/1 = 0 (eigenvalues -0.80, 0.55, 2.25);
+        # the three-site canonical chain has d_1 = d_3 = 0 and eigenvalue 0
+        # itself, which is not below the shift; -0.0 in B counts as +0.0 (as
+        # -0 the pivots would read -0, +inf, -0 there and count 0 as below)
+        cases = [([0.0, 0.0], [1.0], 1), ([-0.0, -0.0], [1.0], 1),
+                 ([1.0, 1.0, 0.0], [1.0, 1.0], 1), ([0.0, 0.0, 0.0], [1.0, 1.0], 1),
+                 ([-0.0, -0.0, -0.0], [1.0, 1.0], 1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for b, j, want in cases:
+                counts = pstlab.eigensolve._sturm_counts_rows(
+                    np.array([b]), np.array([j]), np.zeros((1, 1)))
+                assert counts.tolist() == [[want]], (b, j)
+                lam = np.linalg.eigvalsh(dense_hamiltonian(np.array(b), np.array(j)))
+                assert (lam < -1e-12).sum() == want
 
 
 class TestClassifyParity:
