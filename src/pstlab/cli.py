@@ -65,7 +65,11 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _dump_json(path: str | None, data: dict) -> None:
-    _write_text(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # NaN or an infinity, which strict JSON has no token for
+        raise PstLabError(f"report {path or '<stdout>'} is not valid JSON: {exc}") from exc
+    _write_text(path, text + "\n")
 
 
 def _checked(kind, accept, rule: str):
@@ -141,7 +145,9 @@ def cmd_analyze(args) -> int:
     print(f"  max gap residual = {cert.max_residual:.3e}")
     fid = pst._fidelity(*pst._transfer_terms(chain, lam), np.array([cert.t0]))[0]
     print(f"fidelity at t0: {fid:.12g}")
-    report, audit = bounds._audit_solved(chain, lam, cert.t0)
+    # an audit that overflows prints inf or nan; its JSON report is refused
+    with np.errstate(over="ignore", invalid="ignore"):
+        report, audit = bounds._audit_solved(chain, lam, cert.t0)
     print(
         f"bound: parity={report.parity} bound={report.bound:.12g} "
         f"product={report.product:.12g} ratio={report.ratio:.12g} "
@@ -176,8 +182,8 @@ def cmd_synth(args) -> int:
             spectrum = synthesis.SpectrumSpec.from_dict(_load_json(args.input))
         except ValueError as exc:
             raise PstLabError(f"spectrum JSON {args.input}: {exc}") from exc
-        target = spectrum.expand()
         chain = synthesis.synthesize(spectrum)
+        target = spectrum.expand()
     _dump_json(args.output, chain.to_dict())
     achieved = eigenvalues_only(chain)
     width = target[0] - target[-1]

@@ -1,13 +1,13 @@
 """Eigendecomposition of chains, descending order, mirror parity.
 
 Decompositions stay in the tridiagonal representation
-(`scipy.linalg.eigh_tridiagonal`); eigenvalues alone are solved for stacked
-chains by LAPACK's dsterf, row by row, a single chain being a stack of one.  A
-positive off-diagonal guarantees simple eigenvalues, so spectra are reported
-strictly descending and the solver output is guarded rather than silently
-reordered.  Eigenvector signs are fixed so the first nonzero component is
-positive, which for a Jacobi matrix makes all first components strictly
-positive and pins the mirror parity pattern sigma_n = (-1)^{n+1}.
+(`scipy.linalg.eigh_tridiagonal`); eigenvalues alone are solved by LAPACK's
+dsterf, one chain per call.  A positive off-diagonal guarantees simple
+eigenvalues, so spectra are reported strictly descending and the solver
+output is guarded rather than silently reordered.  Eigenvector signs are
+fixed so the first nonzero component is positive, which for a Jacobi matrix
+makes all first components strictly positive and pins the mirror parity
+pattern sigma_n = (-1)^{n+1}.
 
 Where the spectrum is known in advance, as for the falsification search's
 drawn lattices, Sturm counts (the negative pivots of h - sigma = L D L^T)
@@ -64,6 +64,18 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * np.where(lead < 0.0, -1.0, 1.0)
 
 
+def _descending(ascending: np.ndarray) -> np.ndarray:
+    """A solver's ascending eigenvalues reversed, guarded: a Jacobi matrix
+    has a simple spectrum, so anything not strictly descending raises."""
+    lam = ascending[::-1].copy()
+    if not np.all(np.diff(lam) < 0):
+        raise EigensolveError(
+            "degenerate or unordered eigenvalues from the solver; "
+            "a Jacobi matrix must have simple spectrum"
+        )
+    return lam
+
+
 def _tridiagonal_matvec(chain: ChainSpec, v: np.ndarray) -> np.ndarray:
     b, j = chain.diagonal, chain.couplings
     out = b[:, None] * v
@@ -82,14 +94,8 @@ def decompose(chain: ChainSpec) -> SpectralData:
         lam, vec = scipy.linalg.eigh_tridiagonal(chain.diagonal, chain.couplings)
     except scipy.linalg.LinAlgError as exc:
         raise EigensolveError(f"tridiagonal eigensolver did not converge: {exc}") from exc
-    lam = lam[::-1].copy()
-    vec = np.ascontiguousarray(vec[:, ::-1])
-    if not np.all(np.diff(lam) < 0):
-        raise EigensolveError(
-            "degenerate or unordered eigenvalues from the solver; "
-            "a Jacobi matrix must have simple spectrum"
-        )
-    vec = _fix_signs(vec)
+    lam = _descending(lam)
+    vec = _fix_signs(np.ascontiguousarray(vec[:, ::-1]))
     scale = max(abs(lam[0]), abs(lam[-1]), np.finfo(float).tiny)
     resid = np.linalg.norm(_tridiagonal_matvec(chain, vec) - vec * lam, axis=0)
     if resid.max() > RESIDUAL_TOL * scale:
@@ -98,40 +104,6 @@ def decompose(chain: ChainSpec) -> SpectralData:
             f"{RESIDUAL_TOL:.1e} * ||h||"
         )
     return SpectralData(eigenvalues=lam, eigenvectors=vec)
-
-
-def _eigvalsh_rows(diagonal: np.ndarray, couplings: np.ndarray, errors: list) -> np.ndarray:
-    """Ascending eigenvalues of stacked chains; a row whose solve does not
-    converge is NaN and gets its EigensolveError in `errors`.
-
-    Every row goes to LAPACK's dsterf, the routine under scipy's
-    eigvalsh_tridiagonal (bit-identical; 4 against 24 us for one chain at
-    N = 9, 2-core x86), so a row's bits do not depend on its batch.  A dense
-    numpy eigvalsh stack gives the same bits at N <= 12; it is faster only on
-    many-row stacks of small chains, 2-4x slower on a single chain.
-    """
-    lam = np.empty(diagonal.shape)
-    for row in range(len(lam)):
-        lam[row], info = scipy.linalg.lapack.dsterf(diagonal[row], couplings[row])
-        if info:
-            lam[row] = np.nan
-            errors[row] = EigensolveError(f"eigensolver did not converge: dsterf info={info}")
-    return lam
-
-
-def _eigenvalues_rows(diagonal: np.ndarray, couplings: np.ndarray):
-    """eigenvalues_only for stacked fields (S, N) and (S, N-1): descending
-    eigenvalues (S, N) and per-row errors (an EigensolveError, or None)."""
-    errors = [None] * diagonal.shape[0]
-    lam = _eigvalsh_rows(diagonal, couplings, errors)[:, ::-1].copy()
-    ordered = (np.diff(lam, axis=1) < 0).all(axis=1)
-    for row in np.flatnonzero(~ordered):
-        if errors[row] is None:
-            errors[row] = EigensolveError(
-                "degenerate or unordered eigenvalues from the solver; "
-                "a Jacobi matrix must have simple spectrum"
-            )
-    return lam, errors
 
 
 def _sturm_counts_rows(diagonal: np.ndarray, couplings: np.ndarray, shifts: np.ndarray) -> np.ndarray:
@@ -165,11 +137,17 @@ def _sturm_counts_rows(diagonal: np.ndarray, couplings: np.ndarray, shifts: np.n
 
 
 def eigenvalues_only(chain: ChainSpec) -> np.ndarray:
-    """Descending eigenvalues without vectors (the fast certification path)."""
-    lam, errors = _eigenvalues_rows(chain.diagonal[None], chain.couplings[None])
-    if errors[0] is not None:
-        raise errors[0]
-    return lam[0]
+    """Descending eigenvalues without vectors, the ones certification uses.
+
+    One call to LAPACK's dsterf, the routine under scipy's
+    eigvalsh_tridiagonal (bit-identical, without the wrapper's cost).
+    Raises EigensolveError if it does not converge or its output is not
+    strictly descending.
+    """
+    lam, info = scipy.linalg.lapack.dsterf(chain.diagonal, chain.couplings)
+    if info:
+        raise EigensolveError(f"eigensolver did not converge: dsterf info={info}")
+    return _descending(lam)
 
 
 def classify_parity(

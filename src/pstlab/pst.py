@@ -28,11 +28,10 @@ from .chain import (
     SYMMETRY_TOL,
     ChainSpec,
     _alternating_signs,
-    _mirror_symmetric_rows,
     _Record,
     is_mirror_symmetric,
 )
-from .eigensolve import _eigenvalues_rows, classify_parity, decompose, eigenvalues_only
+from .eigensolve import classify_parity, decompose, eigenvalues_only
 from .errors import MultiplierOverflow, NotAdmissible
 
 __all__ = [
@@ -79,20 +78,22 @@ def _principal_phase(x: np.ndarray) -> np.ndarray:
     return np.where(y == -math.pi, math.pi, y)
 
 
-def _minimal_unit_rows(gaps: np.ndarray, cap: int, rel_tol: float):
-    """Per row of positive gaps (S, N-1): the largest u with all gaps odd
+def _minimal_unit(gaps: np.ndarray, cap: int, rel_tol: float):
+    """For one chain's positive gaps: the largest u with all gaps odd
     multiples of u within rel_tol, as (u, multipliers, max_residual,
-    overflow).  u is NaN where no unit fits; overflow marks the rows without
-    one where a unit passed except that some multiplier exceeded the cap.
+    overflow).  u and max_residual are NaN and the multipliers zero where no
+    unit fits; overflow marks a unit that passed but for a multiplier above
+    the cap.
 
-    Each ratio g/g_min runs through its continued-fraction convergents p/q
-    to the first within rel_tol of it or to q > cap, and u = g_min/m for m
-    the lcm of a row's q, kept only if m is odd, <= cap and a multiple of
-    each q (np.lcm wraps silently) and every gap passes the per-gap test.
-    README, "Numerical notes", says when this m is the least odd m that
-    passes; a wrong convergent can lose a unit but never certify a bad one.
+    Every ratio g/g_min runs at once through its continued-fraction
+    convergents p/q to the first within rel_tol of it or to q > cap, and
+    u = g_min/m for m the lcm of the q, kept only if m is odd, <= cap and a
+    multiple of each q (np.lcm wraps silently) and every gap passes the
+    per-gap test.  README, "Numerical notes", says when this m is the least
+    odd m that passes; a wrong convergent can lose a unit but never certify
+    a bad one.
     """
-    g_min = gaps.min(axis=1, keepdims=True)
+    g_min = gaps.min()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = gaps / g_min
         reach = rel_tol * ratio
@@ -114,48 +115,17 @@ def _minimal_unit_rows(gaps: np.ndarray, cap: int, rel_tol: float):
             q, q_prev = a * q + q_prev, q
             open_ &= q <= cap
         den = den.astype(np.int64)
-        m = np.lcm.reduce(den, axis=1)  # 0 where an entry found none
-        fits = (m > 0) & (m <= cap) & (m % 2 == 1)
-        fits &= (m[:, None] % np.maximum(den, 1) == 0).all(axis=1)
-        u = g_min / np.where(fits, m, 1)[:, None]
-        k = np.rint(gaps / u)
-        resid = np.abs(gaps - k * u)
-        fits &= ((k % 2 == 1) & (resid <= rel_tol * gaps)).all(axis=1)
-        overflow = fits & (k > cap).any(axis=1)
-        fits &= ~overflow
-        unit = np.where(fits, u[:, 0], np.nan)
-        mult = np.where(fits[:, None], k, 0.0).astype(np.int64)
-        max_resid = np.where(fits, (resid / gaps).max(axis=1), np.nan)
-    return unit, mult, max_resid, overflow
-
-
-@dataclass(frozen=True)
-class _CertifiedRows:
-    """certify per row of stacked chains.  A row is admissible where t0 is
-    not NaN.  Otherwise `errors` holds the PstLabError that audit_chain
-    raises for it, and `failure` its verdict: "asymmetry",
-    "no-common-odd-unit" or "multiplier-overflow", or None where the solve
-    failed."""
-
-    eigenvalues: np.ndarray   # (S, N) descending; NaN where not solved
-    t0: np.ndarray            # (S,), NaN unless admissible
-    phi: np.ndarray           # (S,)
-    multipliers: np.ndarray   # (S, N-1) int64, zero unless admissible
-    max_residual: np.ndarray  # (S,)
-    failure: np.ndarray       # (S,) object: a verdict or None
-    errors: np.ndarray        # (S,) object: a PstLabError or None
-
-    def certificate(self, k: int) -> PstCertificate:
-        """Row k's certificate."""
-        if np.isnan(self.t0[k]):
-            return PstCertificate(admissible=False, failure=self.failure[k])
-        return PstCertificate(
-            admissible=True,
-            t0=float(self.t0[k]),
-            phi=float(self.phi[k]),
-            multipliers=self.multipliers[k],
-            max_residual=float(self.max_residual[k]),
-        )
+        m = int(np.lcm.reduce(den))  # 0 where an entry found none
+        fits = 0 < m <= cap and m % 2 == 1 and (m % np.maximum(den, 1) == 0).all()
+        if fits:
+            u = g_min / m
+            k = np.rint(gaps / u)
+            resid = np.abs(gaps - k * u)
+            fits = ((k % 2 == 1) & (resid <= rel_tol * gaps)).all()
+        overflow = bool(fits and (k > cap).any())
+        if not fits or overflow:
+            return math.nan, np.zeros(gaps.size, dtype=np.int64), math.nan, overflow
+        return u, k.astype(np.int64), (resid / gaps).max(), False
 
 
 def _check_cap(cap) -> None:
@@ -164,72 +134,46 @@ def _check_cap(cap) -> None:
         raise ValueError(f"multiplier cap must be odd and in 1..{MAX_CAP} (got {cap})")
 
 
-def _certify_rows(
-    diagonal: np.ndarray,
-    couplings: np.ndarray,
-    *,
-    symmetry_tol: float,
-    max_multiplier: int,
-) -> _CertifiedRows:
-    """certify for stacked fields (S, N) and (S, N-1)."""
-    _check_cap(max_multiplier)
-    s, n = diagonal.shape
-    lam = np.full((s, n), np.nan)
-    t0, phi, max_resid = np.full(s, np.nan), np.full(s, np.nan), np.full(s, np.nan)
-    mult = np.zeros((s, n - 1), dtype=np.int64)
-    failure, errors = np.full(s, None, dtype=object), np.full(s, None, dtype=object)
-
-    symmetric = _mirror_symmetric_rows(diagonal, couplings, symmetry_tol)
-    failure[~symmetric] = "asymmetry"
-    rows = np.flatnonzero(symmetric)
-    lam[rows], errors[rows] = _eigenvalues_rows(diagonal[rows], couplings[rows])
-    rows = rows[np.equal(errors[rows], None)]
-
-    unit, found, resid, overflow = _minimal_unit_rows(
-        -np.diff(lam[rows], axis=1), max_multiplier, GAP_REL_TOL
-    )
-    fits = ~np.isnan(unit)
-    failure[rows[overflow]] = "multiplier-overflow"
-    failure[rows[~fits & ~overflow]] = "no-common-odd-unit"
-    rows, found, resid = rows[fits], found[fits], resid[fits]
-    times = math.pi / unit[fits]
-    spectra = lam[rows]
-    phases = _principal_phase(-spectra[:, 0] * times)
-    # the unit must also reproduce the phase condition
-    # e^{-i lambda_n t0} = (-1)^{n+1} e^{i phi}; residual accumulation across
-    # gaps can break it even when each gap passes individually.
-    signs = _alternating_signs(n)
-    deviation = np.abs(
-        np.exp(-1j * spectra * times[:, None]) - signs * np.exp(1j * phases)[:, None]
-    ).max(axis=1)
-    failure[rows[deviation > PHASE_TOL]] = "no-common-odd-unit"
-    ok = deviation <= PHASE_TOL
-    rows = rows[ok]
-    t0[rows], phi[rows] = times[ok], phases[ok]
-    mult[rows], max_resid[rows] = found[ok], resid[ok]
-    errors[failure == "multiplier-overflow"] = MultiplierOverflow(
-        f"gaps are commensurate only with an odd multiplier beyond "
-        f"{max_multiplier}; raise the cap or treat the spectrum as incommensurate"
-    )
-    for verdict in ("asymmetry", "no-common-odd-unit"):
-        errors[failure == verdict] = NotAdmissible(f"chain does not certify: {verdict}")
-    return _CertifiedRows(lam, t0, phi, mult, max_resid, failure, errors)
-
-
 def _certify_chain(
     chain: ChainSpec, *, symmetry_tol: float = SYMMETRY_TOL, max_multiplier: int = MAX_MULTIPLIER
 ):
     """certify on one chain, as (certificate, spectrum, error): the spectrum
     it solved, or None for an asymmetric chain, which is not solved, and the
     error audit_chain raises for a chain that does not certify, or None.  A
-    failed solve raises."""
-    rows = _certify_rows(chain.diagonal[None], chain.couplings[None],
-                         symmetry_tol=symmetry_tol, max_multiplier=max_multiplier)
-    failure, error = rows.failure[0], rows.errors[0]
-    if failure is None and error is not None:
-        raise error
-    lam = None if failure == "asymmetry" else rows.eigenvalues[0]
-    return rows.certificate(0), lam, error
+    failed solve raises.  The steps run in order, each outcome returning at
+    once: the cap, mirror symmetry, the eigenvalue solve, the unit search
+    at GAP_REL_TOL, and the phase check at PHASE_TOL."""
+    _check_cap(max_multiplier)
+    if not is_mirror_symmetric(chain, symmetry_tol):
+        return _refusal("asymmetry", None)
+    lam = eigenvalues_only(chain)
+    unit, multipliers, max_residual, overflow = _minimal_unit(-np.diff(lam), max_multiplier,
+                                                              GAP_REL_TOL)
+    if overflow:
+        error = MultiplierOverflow(
+            f"gaps are commensurate only with an odd multiplier beyond "
+            f"{max_multiplier}; raise the cap or treat the spectrum as incommensurate"
+        )
+        return PstCertificate(admissible=False, failure="multiplier-overflow"), lam, error
+    if math.isnan(unit):
+        return _refusal("no-common-odd-unit", lam)
+    t0 = math.pi / unit
+    phi = _principal_phase(-lam[0] * t0)
+    # the unit must also reproduce the phase condition
+    # e^{-i lambda_n t0} = (-1)^{n+1} e^{i phi}; residual accumulation across
+    # gaps can break it even when each gap passes individually.
+    signs = _alternating_signs(lam.size)
+    if np.abs(np.exp(-1j * lam * t0) - signs * np.exp(1j * phi)).max() > PHASE_TOL:
+        return _refusal("no-common-odd-unit", lam)
+    cert = PstCertificate(admissible=True, t0=float(t0), phi=float(phi),
+                          multipliers=multipliers, max_residual=float(max_residual))
+    return cert, lam, None
+
+
+def _refusal(verdict: str, lam: np.ndarray | None):
+    """_certify_chain's outcome for a chain that does not certify by `verdict`."""
+    cert = PstCertificate(admissible=False, failure=verdict)
+    return cert, lam, NotAdmissible(f"chain does not certify: {verdict}")
 
 
 def certify(

@@ -13,6 +13,7 @@ row per chain; `synthesize` is the batch of one.
 """
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -64,14 +65,12 @@ class SpectrumSpec:
             u = float(self.unit)
             if not (np.isfinite(u) and u > 0):
                 raise ValueError("field 'unit' must be finite and > 0")
-            m = np.array(self.multipliers, copy=True)
+            m = np.array(self.multipliers, dtype=object)
             if m.ndim != 1 or m.size < 1:
                 raise ValueError("field 'multipliers' must be a 1-d array, length >= 1")
-            if not np.issubdtype(m.dtype, np.integer):
-                if not np.all(m == np.rint(m)):
-                    raise ValueError("field 'multipliers' must be integers")
-                m = np.rint(m).astype(np.int64)
-            m = m.astype(np.int64)
+            if not all(map(_is_int64, m)):
+                raise ValueError("field 'multipliers' must be integers")
+            m = np.array([int(v) for v in m], dtype=np.int64)
             if np.any(m < 1) or np.any(m % 2 == 0):
                 raise ValueError("field 'multipliers' must be odd and >= 1")
             m.setflags(write=False)
@@ -113,6 +112,14 @@ class SpectrumSpec:
         return {"unit": self.unit, "multipliers": self.multipliers.tolist()}
 
 
+def _is_int64(value) -> bool:
+    """True for a whole number in int64's range; a bool is not one."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        return False
+    whole = isinstance(value, numbers.Integral) or float(value).is_integer()
+    return whole and -(2**63) <= int(value) < 2**63
+
+
 def _expand_rows(unit: float, multipliers: np.ndarray) -> np.ndarray:
     """SpectrumSpec.expand for stacked multiplier rows (S, N-1): the
     traceless spectra (S, N) with consecutive gaps multipliers * unit."""
@@ -139,16 +146,12 @@ def _synthesize_rows(lam: np.ndarray):
     """synthesize for stacked descending spectra (S, N).
 
     Returns (diagonal (S, N), couplings (S, N-1), errors): errors[r] is the
-    NumericalBreakdown of row r, or None; the fields of a broken row are
-    meaningless.  Every row runs the same arithmetic as a batch of one, so a
-    row's chain does not depend on the other rows of its batch.
+    NumericalBreakdown of row r, a non-finite field or a Lanczos breakdown,
+    or None; the fields of a broken row are meaningless.  Every row runs the
+    same arithmetic as a batch of one, so a row's chain does not depend on
+    the other rows of its batch.
     """
     s, n = lam.shape
-    if n > SAFE_SIZE:
-        warnings.warn(
-            f"synthesis at N={n} > {SAFE_SIZE} may lose accuracy in double precision",
-            stacklevel=3,
-        )
     floor = BREAKDOWN_TOL * (lam[:, 0] - lam[:, -1])
 
     # Lanczos on diag(lambda), full reorthogonalization (two passes) per step.
@@ -173,8 +176,11 @@ def _synthesize_rows(lam: np.ndarray):
             basis[:, k + 1] = r / np.maximum(beta[:, k], floor)[:, None]
 
     errors = [None] * s
+    finite = np.isfinite(alpha).all(axis=1) & np.isfinite(beta).all(axis=1)
+    for row in np.flatnonzero(~finite):
+        errors[row] = NumericalBreakdown("synthesized fields overflow double precision")
     broken = beta <= floor[:, None]
-    for row in np.flatnonzero(broken.any(axis=1)):
+    for row in np.flatnonzero(finite & broken.any(axis=1)):
         k = int(broken[row].argmax())
         errors[row] = NumericalBreakdown(
             f"Lanczos off-diagonal {beta[row, k]:.3e} at step {k + 1} "
@@ -191,11 +197,16 @@ def synthesize(spectrum: SpectrumSpec | np.ndarray) -> ChainSpec:
     round-trips through :func:`pstlab.eigensolve.decompose` to ~1e-12 of the
     spectral width for well-separated spectra at N <= 64; a warning is issued
     above that size.  Raises NumericalBreakdown when a Lanczos off-diagonal
-    underflows (spectrum numerically degenerate).
+    underflows (spectrum numerically degenerate) or a field overflows.
     """
     if not isinstance(spectrum, SpectrumSpec):
         spectrum = SpectrumSpec(eigenvalues=spectrum)
-    diagonal, couplings, errors = _synthesize_rows(spectrum.expand()[None])
+    if spectrum.n_sites > SAFE_SIZE:
+        warnings.warn(f"synthesis at N={spectrum.n_sites} > {SAFE_SIZE} may lose accuracy "
+                      "in double precision", stacklevel=2)
+    # an overflowing spectrum or field comes back as a NumericalBreakdown
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        diagonal, couplings, errors = _synthesize_rows(spectrum.expand()[None])
     if errors[0] is not None:
         raise errors[0]
     return ChainSpec(diagonal=diagonal[0], couplings=couplings[0])

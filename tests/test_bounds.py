@@ -2,14 +2,15 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from oracles import exact_substitution_gap, lanczos_chain
 
 import pstlab.bounds
-import pstlab.eigensolve
 import pstlab.pst
 from pstlab import (
     ChainSpec,
@@ -365,8 +366,8 @@ class TestFalsifySearch:
         def forbidden(*args, **kw):
             raise AssertionError("called")
 
-        monkeypatch.setattr(pstlab.eigensolve, "_eigvalsh_rows", forbidden)
-        monkeypatch.setattr(pstlab.pst, "_minimal_unit_rows", forbidden)
+        monkeypatch.setattr(scipy.linalg.lapack, "dsterf", forbidden)
+        monkeypatch.setattr(pstlab.pst, "_minimal_unit", forbidden)
         for n in (2, 5, 8):
             assert falsify_search(n, 50, 9, n).evaluated == 50
 
@@ -395,8 +396,10 @@ class TestFalsifySearch:
     @pytest.mark.parametrize("n", [448, 510])
     def test_large_chains_are_audited(self, n):
         # the lattice check reaches the largest N of a search; certification
-        # of the solved spectrum at GAP_REL_TOL audited 0 and 1 of 8 here
-        with pytest.warns(UserWarning, match="may lose accuracy"):
+        # of the solved spectrum at GAP_REL_TOL audited 0 and 1 of 8 here.
+        # The check proves each audited spectrum, so synthesis does not warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             report = falsify_search(n, 8, 9, 0)
         assert report.evaluated == 8 and report.failures == ()
 

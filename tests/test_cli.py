@@ -5,10 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import pstlab.bounds
 import pstlab.cli
-import pstlab.eigensolve
 import pstlab.pst
 from pstlab import (ChainSpec, EigensolveError, MultiplierOverflow, NotAdmissible, SpectrumSpec,
                     audit_chain, canonical_chain, certify, eigenvalues_only, first_perfect_time,
@@ -80,6 +80,17 @@ class TestAnalyze:
         assert main(["analyze", "--input", str(tmp_path / "nope.json")]) == 1
         assert "cannot read" in capsys.readouterr().err
 
+    def test_non_finite_report_is_refused(self, tmp_path, capsys):
+        # the chain certifies, but the audit's squares of J = 1e300 overflow,
+        # and strict JSON has no token for NaN or Infinity
+        chain = write_json(tmp_path / "chain.json", {"N": 3, "B": [0, 0, 0], "J": [1e300, 1e300]})
+        report = tmp_path / "report.json"
+        assert main(["analyze", "--input", chain, "--output", str(report)]) == 1
+        out, err = capsys.readouterr()
+        assert "certificate: ADMISSIBLE" in out
+        assert err.startswith(f"error: report {report} is not valid JSON")
+        assert not report.exists()
+
     def test_invalid_chain_exits_1(self, tmp_path, capsys):
         path = write_json(tmp_path / "short.json", {"N": 2})
         assert main(["analyze", "--input", path]) == 1
@@ -123,6 +134,22 @@ class TestSynth:
         spec = write_json(tmp_path / "spec.json", {"unit": 1.0})
         assert main(["synth", "--input", spec]) == 1
         assert "spectrum JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data, message", [
+        ({"unit": 1.0, "multipliers": ["1", "3"]}, "field 'multipliers' must be integers"),
+        ({"unit": 1.0, "multipliers": [100000000000000000000000000001]},
+         "field 'multipliers' must be integers"),
+        ({"unit": 1.0, "multipliers": [True, 3]}, "field 'multipliers' must be integers"),
+        ({"lambda": [1e200, 0, -1e200]}, "synthesized fields overflow double precision"),
+        ({"unit": 1e308, "multipliers": [1, 3, 5]}, "synthesized fields overflow double precision"),
+    ], ids=["strings", "beyond-int64", "bool", "lanczos-overflow", "spectrum-overflow"])
+    def test_bad_spectrum_is_a_typed_error(self, data, message, tmp_path, capsys):
+        spec = write_json(tmp_path / "spec.json", data)
+        assert main(["synth", "--input", spec]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.endswith(f"{message}\n")
+        assert err.count("\n") == 1
 
 
 class TestEvolve:
@@ -222,9 +249,8 @@ class TestFlagValidation:
 
 class TestOneSolvePerCommand:
     """analyze, evolve and first_perfect_time solve each chain once,
-    whatever the verdict: one eigenvalue row handed to the solver and no
-    full decomposition.  Rows, not calls, are counted: certification calls
-    the solver on an empty stack for an asymmetric chain."""
+    whatever the verdict: one call to LAPACK's dsterf and no full
+    decomposition."""
 
     CHAINS = {  # verdict: (chain, what analyze prints for it)
         "admissible": (lambda: synthesize(SpectrumSpec(unit=1.0, multipliers=[1, 3, 5, 3, 1] * 4)),
@@ -239,18 +265,18 @@ class TestOneSolvePerCommand:
 
     @pytest.fixture()
     def solves(self, monkeypatch):
-        count = {"rows": 0, "decompose": 0}
-        rows, decompose = pstlab.eigensolve._eigvalsh_rows, pstlab.pst.decompose
+        count = {"dsterf": 0, "decompose": 0}
+        dsterf, decompose = scipy.linalg.lapack.dsterf, pstlab.pst.decompose
 
-        def counted_rows(diagonal, couplings, errors):
-            count["rows"] += diagonal.shape[0]
-            return rows(diagonal, couplings, errors)
+        def counted_dsterf(diagonal, couplings):
+            count["dsterf"] += 1
+            return dsterf(diagonal, couplings)
 
         def counted_decompose(chain):
             count["decompose"] += 1
             return decompose(chain)
 
-        monkeypatch.setattr(pstlab.eigensolve, "_eigvalsh_rows", counted_rows)
+        monkeypatch.setattr(scipy.linalg.lapack, "dsterf", counted_dsterf)
         monkeypatch.setattr(pstlab.pst, "decompose", counted_decompose)
         return count
 
@@ -263,27 +289,27 @@ class TestOneSolvePerCommand:
         path = write_json(tmp_path / "chain.json", data)
         assert main(["analyze", "--input", path]) == (0 if verdict == "admissible" else 2)
         assert printed in capsys.readouterr().out
-        assert solves == {"rows": 1, "decompose": 0}
-        solves.update(rows=0)
+        assert solves == {"dsterf": 1, "decompose": 0}
+        solves.update(dsterf=0)
         # an asymmetric chain's transfer coefficients come from its one
-        # eigenvalue row too
+        # eigenvalue solve too
         assert main(["evolve", "--input", path, "--t-max", "3"]) == 0
         capsys.readouterr()
-        assert solves == {"rows": 1, "decompose": 0}
+        assert solves == {"dsterf": 1, "decompose": 0}
 
     def test_first_perfect_time_solves_an_asymmetric_chain_once(self, solves, disorder_corpus):
         _, cert, chain = disorder_corpus[0]
         assert not pstlab.pst.is_mirror_symmetric(chain)
         for horizon in (None, 20.0 * cert.t0):
             first_perfect_time(chain, threshold=1.0 - 1e-3, horizon=horizon)
-            assert solves == {"rows": 1, "decompose": 0}
-            solves.update(rows=0)
+            assert solves == {"dsterf": 1, "decompose": 0}
+            solves.update(dsterf=0)
 
 
 class TestOneOutcome:
-    """A certification outcome is built once, as a row's verdict and error
-    in _certify_rows, and certify, audit_chain, analyze, evolve and the
-    default horizon of first_perfect_time each read that one outcome."""
+    """A certification outcome is built once, as a chain's verdict and
+    error in _certify_chain, and certify, audit_chain, analyze, evolve and
+    the default horizon of first_perfect_time each read that one outcome."""
 
     OUTCOMES = {  # outcome: (chain, verdict, error type, start of its message)
         "admissible": (lambda: canonical_chain(5), None, None, None),
@@ -318,22 +344,24 @@ class TestOneOutcome:
         build, verdict, kind, message = self.OUTCOMES[outcome]
         chain = build()
         if outcome == "solver-failure":
-            real = pstlab.eigensolve._eigvalsh_rows
+            real = scipy.linalg.lapack.dsterf
 
-            def tied(diagonal, couplings, errors):
-                lam = real(diagonal, couplings, errors)
-                lam[:, 1] = lam[:, 0]
-                return lam
+            def tied(diagonal, couplings):  # the two lowest eigenvalues tie
+                lam, info = real(diagonal, couplings)
+                lam[1] = lam[0]
+                return lam, info
 
-            monkeypatch.setattr(pstlab.eigensolve, "_eigvalsh_rows", tied)
-        rows = pstlab.pst._certify_rows(chain.diagonal[None], chain.couplings[None],
-                                        symmetry_tol=pstlab.pst.SYMMETRY_TOL,
-                                        max_multiplier=pstlab.pst.MAX_MULTIPLIER)
-        error = rows.errors[0]
-        assert rows.failure[0] == verdict
-        assert (error is None) == (kind is None) == (not np.isnan(rows.t0[0]))
+            monkeypatch.setattr(scipy.linalg.lapack, "dsterf", tied)
+            with pytest.raises(kind) as raised:
+                pstlab.pst._certify_chain(chain)
+            error = raised.value
+        else:
+            cert, lam, error = pstlab.pst._certify_chain(chain)
+            assert cert.failure == verdict
+            assert (error is None) == (kind is None) == cert.admissible
+            assert (lam is None) == (verdict == "asymmetry")
 
-        # audit_chain raises the row's error
+        # audit_chain raises the chain's error
         if kind is not None:
             assert isinstance(error, kind) and str(error).startswith(message)
             with pytest.raises(kind) as raised:
@@ -346,8 +374,7 @@ class TestOneOutcome:
                 certify(chain)
             assert str(raised.value) == str(error)
         else:
-            cert = certify(chain)
-            assert cert.failure == verdict and cert.admissible == (verdict is None)
+            assert certify(chain).to_dict() == cert.to_dict()
 
         # analyze's exit code and evolve's footer
         path = write_json(tmp_path / "chain.json", chain.to_dict())

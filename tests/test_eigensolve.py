@@ -15,7 +15,9 @@ from pstlab import (
     EigensolveError,
     ParityViolation,
     SpectralData,
+    audit_chain,
     canonical_chain,
+    certify,
     classify_parity,
     decompose,
     eigenvalues_only,
@@ -98,45 +100,36 @@ class TestDecompose:
 
 
 class TestEigenvalueRows:
-    """Every row of a stack, a single chain being a stack of one, is solved
-    on its own by LAPACK's dsterf, the eigenvalue-only routine under scipy's
-    eigvalsh_tridiagonal."""
+    """eigenvalues_only solves a chain with one call to LAPACK's dsterf,
+    the eigenvalue-only routine under scipy's eigvalsh_tridiagonal, and
+    raises for a solve that does not converge."""
 
     def test_rows_equal_eigvalsh_tridiagonal_bit_for_bit(self):
         rng = np.random.default_rng(15)
         for n in range(2, 65):
-            chains = [random_chain(rng, n) for _ in range(3)]
-            lam, errors = pstlab.eigensolve._eigenvalues_rows(
-                np.array([c.diagonal for c in chains]), np.array([c.couplings for c in chains]))
-            assert errors == [None] * 3
-            for c, row in zip(chains, lam):
+            for _ in range(3):
+                c = random_chain(rng, n)
                 want = scipy.linalg.eigvalsh_tridiagonal(c.diagonal, c.couplings)[::-1]
-                np.testing.assert_array_equal(row, want)
-                # a row's bits do not depend on its batch
-                np.testing.assert_array_equal(row, eigenvalues_only(c))
+                np.testing.assert_array_equal(eigenvalues_only(c), want)
 
     @pytest.mark.parametrize("n", [4, 16])
-    def test_a_failed_row_fails_alone(self, n, monkeypatch):
+    def test_a_failed_solve_raises(self, n, monkeypatch):
         rng = np.random.default_rng(16)
-        chains = [random_chain(rng, n) for _ in range(3)]
-        fields = np.array([c.diagonal for c in chains]), np.array([c.couplings for c in chains])
-        clean, _ = pstlab.eigensolve._eigenvalues_rows(*fields)
+        chains = [random_chain(rng, n), canonical_chain(n)]
         real = scipy.linalg.lapack.dsterf
 
-        def dsterf(d, e):  # LAPACK's info = 1 (no convergence) on the middle chain only
-            vals, info = real(d, e)
-            return vals, 1 if np.array_equal(d, chains[1].diagonal) else info
+        def dsterf(d, e):  # LAPACK's info = 1: no convergence
+            return real(d, e)[0], 1
 
         monkeypatch.setattr(scipy.linalg.lapack, "dsterf", dsterf)
-        lam, errors = pstlab.eigensolve._eigenvalues_rows(*fields)
-        assert errors[0] is None and errors[2] is None
-        assert isinstance(errors[1], EigensolveError)
-        assert "did not converge" in str(errors[1])
-        assert np.isnan(lam[1]).all()
-        np.testing.assert_array_equal(lam[[0, 2]], clean[[0, 2]])
-        np.testing.assert_array_equal(eigenvalues_only(chains[0]), clean[0])
+        for chain in chains:
+            with pytest.raises(EigensolveError, match="did not converge: dsterf info=1"):
+                eigenvalues_only(chain)
+        # the canonical chain is symmetric, so certification solves it
         with pytest.raises(EigensolveError, match="did not converge"):
-            eigenvalues_only(chains[1])
+            certify(chains[1])
+        with pytest.raises(EigensolveError, match="did not converge"):
+            audit_chain(chains[1])
 
 
 class TestSturmCounts:

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -102,10 +103,10 @@ class TestCertify:
         assert not strict.admissible
         assert strict.failure == "no-common-odd-unit"
         # the per-gap test passes, so the rejection is the phase check's
-        gaps = -np.diff(pst.eigenvalues_only(chain))[None]
-        unit, mult, _, overflow = pst._minimal_unit_rows(gaps, 999, pst.GAP_REL_TOL)
-        assert not np.isnan(unit[0]) and not overflow[0]
-        np.testing.assert_array_equal(mult[0], [1, 999])
+        gaps = -np.diff(pst.eigenvalues_only(chain))
+        unit, mult, _, overflow = pst._minimal_unit(gaps, 999, pst.GAP_REL_TOL)
+        assert not np.isnan(unit) and not overflow
+        np.testing.assert_array_equal(mult, [1, 999])
 
     @settings(deadline=None, max_examples=60)
     @given(odd_multiplier_lists(), st.floats(0.5, 2.0))
@@ -166,14 +167,19 @@ def unit_search_rows(draw):
 
 
 def _assert_scan_agrees(gaps, cap):
-    unit, mult, resid, overflow = pst._minimal_unit_rows(gaps, cap, pst.GAP_REL_TOL)
-    for row, g in enumerate(gaps):
+    """Each row of `gaps` through _minimal_unit against the scan; the units
+    and overflow flags, one per row."""
+    units, overflows = [], []
+    for g in gaps:
+        unit, mult, resid, overflow = pst._minimal_unit(g, cap, pst.GAP_REL_TOL)
         ref = minimal_odd_unit(g, cap, pst.GAP_REL_TOL)
-        np.testing.assert_array_equal(unit[row], ref[0])
-        np.testing.assert_array_equal(mult[row], ref[1])
-        np.testing.assert_array_equal(resid[row], ref[2])
-        assert overflow[row] == ref[3]
-    return unit, overflow
+        np.testing.assert_array_equal(unit, ref[0])
+        np.testing.assert_array_equal(mult, ref[1])
+        np.testing.assert_array_equal(resid, ref[2])
+        assert overflow == ref[3]
+        units.append(unit)
+        overflows.append(overflow)
+    return np.array(units), np.array(overflows)
 
 
 class TestMinimalUnit:
@@ -355,9 +361,12 @@ class TestFirstPerfectTime:
         # t0 = pi, and the smallest-gap horizon returned None.  The default
         # certifies from the spectrum the fidelity uses, with no second solve
         chain = synthesize(SpectrumSpec(unit=1.0, multipliers=mult))
-        monkeypatch.setattr(pst, "eigenvalues_only", None)
+        calls, real = [], scipy.linalg.lapack.dsterf
+        monkeypatch.setattr(scipy.linalg.lapack, "dsterf",
+                            lambda d, e: calls.append(d.size) or real(d, e))
         monkeypatch.setattr(pst, "decompose", None)
         assert first_perfect_time(chain) == pytest.approx(math.pi, rel=1e-10)
+        assert calls == [chain.n_sites]
 
     def test_working_set_stays_under_budget(self):
         # N = 20, widths 1, 99, ..., 99, 1: the horizon 4 pi has

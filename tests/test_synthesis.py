@@ -68,6 +68,13 @@ class TestSpectrumSpec:
             SpectrumSpec(unit=1.0, multipliers=[-1])
         with pytest.raises(ValueError, match="integer"):
             SpectrumSpec(unit=1.0, multipliers=[1.5])
+        # whole floats are integers; strings, bools and values beyond int64 are not
+        np.testing.assert_array_equal(SpectrumSpec(unit=1.0, multipliers=[1.0, 3]).multipliers,
+                                      [1, 3])
+        for bad in (["1", "3"], [True, 3], np.array([True]), [10**29 + 1], [1e30], [math.inf],
+                    [math.nan], [None, 3]):
+            with pytest.raises(ValueError, match="must be integers"):
+                SpectrumSpec(unit=1.0, multipliers=bad)
         with pytest.raises(ValueError, match="unit"):
             SpectrumSpec(unit=0.0, multipliers=[1])
         with pytest.raises(ValueError, match="unit"):
@@ -133,10 +140,19 @@ class TestSynthesize:
         with pytest.raises(NumericalBreakdown, match="step"):
             synthesize(np.array([1.0, 1e-26, 0.0]))
 
+    @pytest.mark.parametrize("spectrum", [
+        np.array([1e200, 0.0, -1e200]),
+        SpectrumSpec(unit=1e308, multipliers=[1, 3, 5]),
+    ], ids=["lanczos-overflow", "spectrum-overflow"])
+    def test_overflowing_fields_break_down(self, spectrum):
+        with pytest.raises(NumericalBreakdown, match="overflow double precision"):
+            synthesize(spectrum)
+
     def test_warns_above_safe_size(self):
         lam = np.arange(65, 0, -1, dtype=float)
-        with pytest.warns(UserWarning, match="N=65"):
+        with pytest.warns(UserWarning, match="N=65") as record:
             synthesize(lam)
+        assert record[0].filename == __file__  # the warning points at the caller
 
 
 class TestCanonicalChain:
