@@ -15,12 +15,11 @@ every chain we can generate.  The audit therefore asserts only the provable
 steps and records that substitution gap signed, and the falsifier counts its
 negative occurrences as findings.
 
-The falsifier draws each spectrum as an exact lattice, so it does not solve
-the synthesized chain again: Sturm counts at the lattice points plus and
-minus a radius tied to PHASE_TOL enclose every eigenvalue next to its
-lattice point, and the audit runs on the lattice with t0 = pi / gcd of the
-multipliers.  Single chains (audit_chain, the scan) are certified from their
-solved spectrum.
+Chains whose spectrum is a known lattice (the falsifier's draws, t0 = pi /
+gcd of the multipliers; the scan's canonical chains, t0 = pi/2) are checked,
+not solved: Sturm counts at the lattice points plus and minus a radius tied
+to PHASE_TOL enclose every eigenvalue next to its lattice point, and the
+audit runs on the lattice.  audit_chain certifies from the solved spectrum.
 """
 from __future__ import annotations
 
@@ -33,7 +32,6 @@ import numpy as np
 from .chain import (ChainSpec, _alternating_signs, _alternating_sums, _check_rows,
                     _mirror_symmetric_rows, _mirror_traces_rows, _Record)
 from .eigensolve import _sturm_counts_rows
-from .errors import PstLabError
 from .pst import MAX_MULTIPLIER, PHASE_TOL, SYMMETRY_TOL, _certify_chain, _check_cap
 from .synthesis import _expand_rows, _synthesize_rows, canonical_chain, draw_multipliers
 
@@ -240,18 +238,32 @@ class ScanResult:
         return "\n".join(lines) + "\n"
 
 
+def _canonical_lattice(n_sites: int) -> np.ndarray:
+    """canonical_chain's spectrum as a lattice row (1, N): N-1, N-3, ..., -(N-1)."""
+    return _expand_rows(2.0, np.ones((1, n_sites - 1), np.int64))
+
+
 def saturation_scan(n_values) -> ScanResult:
-    """Audit the canonical chain for each N; failures are logged per row and
-    collected, never aborting the scan."""
+    """Check the canonical chain of each N in 2..MAX_SCAN_SITES against its
+    lattice, t0 = pi/2, and audit it there (_audit_lattice); failures are
+    logged per row and collected, never aborting the scan."""
     reports, failures = [], []
     for n in (int(n) for n in n_values):
         try:
-            report, _ = audit_chain(canonical_chain(n))
-        except (PstLabError, ValueError) as exc:
-            logger.warning("scan N=%d failed: %s", n, exc)
-            failures.append((n, str(exc)))
+            if n > MAX_SCAN_SITES:
+                raise ValueError(f"n_sites must be <= {MAX_SCAN_SITES}")
+            chain = canonical_chain(n)
+        except ValueError as exc:
+            failed = [(n, str(exc))]
         else:
-            reports.append(report)
+            *_, audit, failed = _audit_lattice(
+                np.array([n]), chain.diagonal[None], chain.couplings[None],
+                _canonical_lattice(n), np.array([math.pi / 2.0]))
+        if failed:
+            logger.warning("scan N=%d failed: %s", *failed[0])
+            failures += failed
+        else:
+            reports.append(_reports(audit, 0, n)[0])
     return ScanResult(reports=tuple(reports), failures=tuple(failures))
 
 
@@ -306,6 +318,15 @@ def _block_rows(n_sites: int) -> int:
 # the largest N whose one sample fits a block: (N + 2)^2 <= BLOCK_BYTES / 32 + 4
 MAX_SEARCH_SITES = math.isqrt(BLOCK_BYTES // 32 + 4) - 2
 
+# the largest N whose canonical row fits a block.  _audit_lattice's working
+# set for one row is O(N) float64 words: the fields B and J (2N), the
+# lattice (N), and in the Sturm counts the 2N shifts, pivots, quotient and
+# counts (8N), their copies of B and J^2 (2N) and a 2N-byte sign mask, about
+# 13.25N.  Counting 16N leaves the rest for the count check's and the audit's
+# temporaries, so 128 N <= BLOCK_BYTES.  The counts' error bound does not
+# limit N: beta ~ 5e-16 N against r = PHASE_TOL / (2 pi) ~ 1.6e-9.
+MAX_SCAN_SITES = BLOCK_BYTES // (8 * 16)
+
 
 def _enclosed_rows(diagonal, couplings, lattice, radius):
     """Per row of stacked fields (S, N) and (S, N-1), descending lattice
@@ -345,27 +366,32 @@ def _enclosed_rows(diagonal, couplings, lattice, radius):
 
 
 def _audit_block(mults: np.ndarray, start: int):
-    """Synthesize one block of multiplier rows (at unit 1), check each chain
-    against the lattice it was drawn from, and audit it on that lattice.
-
-    The lattice x has gaps the multipliers, so its transfer time is
-    t0 = pi / gcd(multipliers).  A chain passes if it is mirror-symmetric
-    (SYMMETRY_TOL) and its spectrum lies within 2r of x, r = PHASE_TOL / (4 t0)
-    (_enclosed_rows); every gap phase then differs by at most 4 r t0, so
-    certify's phase condition holds within PHASE_TOL.  Returns the sample
-    indices that were audited, their fields B and J, their audit rows (see
-    _audit_rows), and (index, message) for each sample that failed, in
-    sample order.
-    """
+    """Synthesize one block of multiplier rows (at unit 1) and check and audit
+    each chain on the lattice it was drawn from, t0 = pi / gcd(multipliers)
+    (_audit_lattice); the synthesis breakdowns join the failures."""
     index = np.arange(start, start + len(mults))
     lattice = _expand_rows(1.0, mults)
     diagonal, couplings, errors = _synthesize_rows(lattice)
-    failed = {int(i): str(exc) for i, exc in zip(index, errors) if exc is not None}
+    failed = [(int(i), str(exc)) for i, exc in zip(index, errors) if exc is not None]
     kept = np.array([exc is None for exc in errors], dtype=bool)
     index, diagonal, couplings = index[kept], diagonal[kept], couplings[kept]
     lattice, mults = lattice[kept], mults[kept]
     _check_rows(diagonal, couplings)
     t0 = math.pi / np.gcd.reduce(mults, axis=1)
+    *audited, checked = _audit_lattice(index, diagonal, couplings, lattice, t0)
+    return *audited, sorted(failed + checked)
+
+
+def _audit_lattice(index, diagonal, couplings, lattice, t0):
+    """Check stacked chains, fields (S, N) and (S, N-1), against their known
+    descending lattices x (S, N) with transfer times t0 (S,), and audit each
+    chain that passes on its lattice.  A chain passes if it is
+    mirror-symmetric (SYMMETRY_TOL) and its spectrum lies within 2r of x,
+    r = PHASE_TOL / (4 t0) (_enclosed_rows); every gap phase then differs by
+    at most 4 r t0, so certify's phase condition holds within PHASE_TOL.
+    Returns the passing rows' indices, fields B and J and audit rows (see
+    _audit_rows), and (index, message) for each failed row, in row order.
+    """
     one, sharp = _enclosed_rows(diagonal, couplings, lattice, PHASE_TOL / (4.0 * t0))
     symmetric = _mirror_symmetric_rows(diagonal, couplings, SYMMETRY_TOL)
     verdict = np.select(
@@ -376,10 +402,10 @@ def _audit_block(mults: np.ndarray, start: int):
         "",
     )
     ok = verdict == ""
-    failed.update((int(i), str(v)) for i, v in zip(index[~ok], verdict[~ok]))
+    failed = [(int(i), str(v)) for i, v in zip(index[~ok], verdict[~ok])]
     index, diagonal, couplings = index[ok], diagonal[ok], couplings[ok]
     audit = _audit_rows(diagonal, couplings, lattice[ok], t0[ok])
-    return index, diagonal, couplings, audit, sorted(failed.items())
+    return index, diagonal, couplings, audit, failed
 
 
 def _record(block: tuple, k: int, mults: np.ndarray) -> dict:

@@ -64,12 +64,16 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _dump_json(path: str | None, data: dict) -> None:
+def _json_text(path: str | None, data: dict) -> str:
+    """The report for `path` (stdout if None) as strict JSON text."""
     try:
-        text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
+        return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:  # NaN or an infinity, which strict JSON has no token for
         raise PstLabError(f"report {path or '<stdout>'} is not valid JSON: {exc}") from exc
-    _write_text(path, text + "\n")
+
+
+def _dump_json(path: str | None, data: dict) -> None:
+    _write_text(path, _json_text(path, data))
 
 
 def _checked(kind, accept, rule: str):
@@ -112,6 +116,9 @@ def _parse_range(text: str) -> range:
     raise _UsageError(f"--n expects 'A..B' or an integer, got {text!r}")
 
 
+# a chain whose analysis overflows prints inf or nan; _finish_analyze
+# refuses its report, with or without --output
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def cmd_analyze(args) -> int:
     chain = _load_chain(args.input)
     cert, lam, error = pst._certify_chain(chain, symmetry_tol=args.tol, max_multiplier=args.cap)
@@ -145,9 +152,7 @@ def cmd_analyze(args) -> int:
     print(f"  max gap residual = {cert.max_residual:.3e}")
     fid = pst._fidelity(*pst._transfer_terms(chain, lam), np.array([cert.t0]))[0]
     print(f"fidelity at t0: {fid:.12g}")
-    # an audit that overflows prints inf or nan; its JSON report is refused
-    with np.errstate(over="ignore", invalid="ignore"):
-        report, audit = bounds._audit_solved(chain, lam, cert.t0)
+    report, audit = bounds._audit_solved(chain, lam, cert.t0)
     print(
         f"bound: parity={report.parity} bound={report.bound:.12g} "
         f"product={report.product:.12g} ratio={report.ratio:.12g} "
@@ -166,8 +171,9 @@ def cmd_analyze(args) -> int:
 
 
 def _finish_analyze(args, result: dict) -> None:
+    text = _json_text(args.output, result)  # strict JSON, written or not
     if args.output is not None:
-        _dump_json(args.output, result)
+        _write_text(args.output, text)
 
 
 def cmd_synth(args) -> int:
@@ -175,8 +181,7 @@ def cmd_synth(args) -> int:
         raise _UsageError("synth needs exactly one of --input or --canonical")
     if args.canonical is not None:
         chain = synthesis.canonical_chain(args.canonical)
-        n = args.canonical
-        target = np.arange(n - 1, -n, -2, dtype=float)
+        target = bounds._canonical_lattice(args.canonical)[0]
     else:
         try:
             spectrum = synthesis.SpectrumSpec.from_dict(_load_json(args.input))
@@ -207,8 +212,8 @@ def cmd_evolve(args) -> int:
 
 def cmd_scan(args) -> int:
     n_values = _parse_range(args.n)
-    if n_values[0] < 2:
-        raise _UsageError("--n values must be >= 2")
+    if n_values[0] < 2 or n_values[-1] > bounds.MAX_SCAN_SITES:
+        raise _UsageError(f"--n values must be in 2..{bounds.MAX_SCAN_SITES}")
     result = bounds.saturation_scan(n_values)
     for report in result.reports:
         print(f"scan N={report.n_sites}: ratio={report.ratio:.12g}", file=sys.stderr)
@@ -275,7 +280,8 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("scan", help="canonical saturation table as CSV")
-    p.add_argument("--n", required=True, help="site range A..B (inclusive)")
+    p.add_argument("--n", required=True,
+                   help=f"site range A..B (inclusive), within 2..{bounds.MAX_SCAN_SITES}")
     p.add_argument("--output", help="CSV file (default stdout)")
     p.set_defaults(func=cmd_scan)
 

@@ -73,6 +73,9 @@ class SpectrumSpec:
             m = np.array([int(v) for v in m], dtype=np.int64)
             if np.any(m < 1) or np.any(m % 2 == 0):
                 raise ValueError("field 'multipliers' must be odd and >= 1")
+            # the expansion sums them in int64, which would wrap
+            if sum(int(v) for v in m) >= 2**63:
+                raise ValueError("field 'multipliers' must be at most 2^63 - 1 in sum")
             m.setflags(write=False)
             object.__setattr__(self, "unit", u)
             object.__setattr__(self, "multipliers", m)
@@ -214,7 +217,9 @@ def synthesize(spectrum: SpectrumSpec | np.ndarray) -> ChainSpec:
 
 def canonical_chain(n_sites: int) -> ChainSpec:
     """The B = 0, J_n = sqrt(n (N-n)) chain: spectrum equally spaced with gap
-    2 (so t0 = pi/2), and the speed bounds hold with equality."""
+    2 (so t0 = pi/2), and the speed bounds hold with equality.  The
+    saturation scan checks it against that lattice
+    (bounds._canonical_lattice) instead of solving it."""
     if n_sites < 2:
         raise ValueError("n_sites must be >= 2")
     k = np.arange(1, n_sites, dtype=float)

@@ -16,7 +16,6 @@ from pstlab import (
     ChainSpec,
     MultiplierOverflow,
     NotAdmissible,
-    PstLabError,
     SpectrumSpec,
     audit_chain,
     bound_value,
@@ -28,6 +27,7 @@ from pstlab import (
 )
 from pstlab.bounds import (
     BLOCK_BYTES,
+    MAX_SCAN_SITES,
     MAX_SEARCH_SITES,
     RATIO_SLACK,
     SCAN_CSV_HEADER,
@@ -178,17 +178,62 @@ class TestSaturationScan:
         assert len(lines) == 3
 
     def test_failures_are_collected_not_raised(self, monkeypatch):
-        real = pstlab.bounds.audit_chain
+        # a second eigenvalue in the top window of N = 3's Sturm counts
+        real = pstlab.bounds._sturm_counts_rows
 
-        def flaky(chain, **kw):
-            if chain.n_sites == 3:
-                raise PstLabError("synthetic failure")
-            return real(chain, **kw)
+        def tied(diagonal, couplings, shifts):
+            counts = real(diagonal, couplings, shifts)
+            if diagonal.shape[1] == 3:
+                counts[:, 3] += 1
+            return counts
 
-        monkeypatch.setattr(pstlab.bounds, "audit_chain", flaky)
+        monkeypatch.setattr(pstlab.bounds, "_sturm_counts_rows", tied)
         result = saturation_scan([2, 3, 4])
         assert [r.n_sites for r in result.reports] == [2, 4]
-        assert result.failures == ((3, "synthetic failure"),)
+        assert result.failures == ((3, "spectrum leaves the windows of its drawn lattice"),)
+
+    def test_sites_out_of_range_are_failure_rows(self):
+        assert saturation_scan([1, 2]).failures == ((1, "n_sites must be >= 2"),)
+        assert len(saturation_scan([1, 2]).reports) == 1
+        result = saturation_scan([MAX_SCAN_SITES + 1, 2])
+        assert result.failures == ((MAX_SCAN_SITES + 1, f"n_sites must be <= {MAX_SCAN_SITES}"),)
+        assert [r.n_sites for r in result.reports] == [2]
+
+    @pytest.mark.parametrize("n", [753, 780, 1000, 2000])
+    def test_large_canonical_chains_saturate(self, n):
+        # certifying the solved spectrum failed here (absolute PHASE_TOL);
+        # the lattice is known, so t0 is exactly pi/2
+        result = saturation_scan([n])
+        assert result.failures == ()
+        (report,) = result.reports
+        assert report.n_sites == n
+        assert report.t0 == math.pi / 2.0
+        assert abs(report.ratio - 1.0) <= 1e-12
+
+    def test_scan_solves_no_spectrum(self, monkeypatch):
+        # the scan checks the known lattice by counts; it runs neither the
+        # eigensolve nor the unit search of certify
+        def forbidden(*args, **kw):
+            raise AssertionError("called")
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dsterf", forbidden)
+        monkeypatch.setattr(pstlab.pst, "_minimal_unit", forbidden)
+        result = saturation_scan(range(2, 40))
+        assert result.failures == ()
+        assert len(result.reports) == 38
+
+    def test_working_set_is_linear_in_n(self):
+        # the model behind MAX_SCAN_SITES: 16 float64 words per site
+        n = 8192
+        saturation_scan([n])
+        tracemalloc.start()
+        try:
+            result = saturation_scan([n])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.failures == ()
+        assert peak < BLOCK_BYTES * n // MAX_SCAN_SITES
 
 
 def _nudged(audit_rows):

@@ -91,6 +91,18 @@ class TestAnalyze:
         assert err.startswith(f"error: report {report} is not valid JSON")
         assert not report.exists()
 
+    @pytest.mark.parametrize("data", [
+        {"N": 3, "B": [0, 0, 0], "J": [1e300, 1e300]},  # the audit's squares overflow
+        {"N": 2, "J": [1e-310]},  # t0 = pi / 2e-310 overflows, and the ratio with it
+    ], ids=["audit-overflow", "t0-overflow"])
+    def test_non_finite_analysis_is_refused_without_output(self, data, tmp_path, capsys):
+        chain = write_json(tmp_path / "chain.json", data)
+        assert main(["analyze", "--input", chain]) == 1
+        out, err = capsys.readouterr()
+        assert "certificate: ADMISSIBLE" in out
+        assert err.startswith("error: report <stdout> is not valid JSON")
+        assert err.count("\n") == 1
+
     def test_invalid_chain_exits_1(self, tmp_path, capsys):
         path = write_json(tmp_path / "short.json", {"N": 2})
         assert main(["analyze", "--input", path]) == 1
@@ -142,7 +154,10 @@ class TestSynth:
         ({"unit": 1.0, "multipliers": [True, 3]}, "field 'multipliers' must be integers"),
         ({"lambda": [1e200, 0, -1e200]}, "synthesized fields overflow double precision"),
         ({"unit": 1e308, "multipliers": [1, 3, 5]}, "synthesized fields overflow double precision"),
-    ], ids=["strings", "beyond-int64", "bool", "lanczos-overflow", "spectrum-overflow"])
+        ({"unit": 1, "multipliers": [2**62 + 1] * 3},
+         "field 'multipliers' must be at most 2^63 - 1 in sum"),
+    ], ids=["strings", "beyond-int64", "bool", "lanczos-overflow", "spectrum-overflow",
+            "sum-beyond-int64"])
     def test_bad_spectrum_is_a_typed_error(self, data, message, tmp_path, capsys):
         spec = write_json(tmp_path / "spec.json", data)
         assert main(["synth", "--input", spec]) == 1
@@ -427,6 +442,22 @@ class TestScan:
         assert main(["scan", "--n", "5..3"]) == 1
         assert main(["scan", "--n", "x"]) == 1
         capsys.readouterr()
+
+    def test_large_canonical_chain_scans(self, tmp_path, capsys):
+        # the solved spectrum's unit failed the absolute PHASE_TOL from N = 753
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--n", "2000", "--output", str(out)]) == 0
+        assert "FAILED" not in capsys.readouterr().err
+        assert out.read_text().split("\n")[1].startswith("2000,even,1000,1.57079632679,")
+
+    def test_range_beyond_the_limit_is_refused_before_any_work(self, monkeypatch, capsys):
+        def forbidden(*args, **kw):
+            raise AssertionError("called")
+
+        monkeypatch.setattr(pstlab.bounds, "saturation_scan", forbidden)
+        limit = pstlab.bounds.MAX_SCAN_SITES
+        assert main(["scan", "--n", f"2..{limit + 1}"]) == 1
+        assert capsys.readouterr().err == f"error: --n values must be in 2..{limit}\n"
 
 
 class TestSearch:

@@ -75,6 +75,11 @@ class TestSpectrumSpec:
                     [math.nan], [None, 3]):
             with pytest.raises(ValueError, match="must be integers"):
                 SpectrumSpec(unit=1.0, multipliers=bad)
+        # each fits int64, but the expansion's int64 partial sums would wrap
+        big = 2**62 + 1
+        with pytest.raises(ValueError, match=r"must be at most 2\^63 - 1 in sum"):
+            SpectrumSpec(unit=1.0, multipliers=[big, big, big])
+        assert SpectrumSpec(unit=1.0, multipliers=[2**63 - 5, 3, 1]).multipliers.sum() == 2**63 - 1
         with pytest.raises(ValueError, match="unit"):
             SpectrumSpec(unit=0.0, multipliers=[1])
         with pytest.raises(ValueError, match="unit"):
