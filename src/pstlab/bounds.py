@@ -29,11 +29,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .chain import (ChainSpec, _alternating_signs, _alternating_sums, _check_rows,
-                    _mirror_symmetric_rows, _mirror_traces_rows, _Record)
+from .chain import (ChainSpec, _alternating_signs, _alternating_sums, _mirror_symmetric_rows,
+                    _mirror_traces_rows, _Record)
 from .eigensolve import _sturm_counts_rows
-from .pst import MAX_MULTIPLIER, PHASE_TOL, SYMMETRY_TOL, _certify_chain, _check_cap
-from .synthesis import _expand_rows, _synthesize_rows, canonical_chain, draw_multipliers
+from .pst import MAX_MULTIPLIER, PHASE_TOL, _certify_chain, _check_cap
+from .synthesis import _lattice_rows, _synthesize_rows, canonical_chain, draw_multipliers
 
 __all__ = [
     "BoundReport",
@@ -238,15 +238,12 @@ class ScanResult:
         return "\n".join(lines) + "\n"
 
 
-def _canonical_lattice(n_sites: int) -> np.ndarray:
-    """canonical_chain's spectrum as a lattice row (1, N): N-1, N-3, ..., -(N-1)."""
-    return _expand_rows(2.0, np.ones((1, n_sites - 1), np.int64))
-
-
 def saturation_scan(n_values) -> ScanResult:
     """Check the canonical chain of each N in 2..MAX_SCAN_SITES against its
-    lattice, t0 = pi/2, and audit it there (_audit_lattice); failures are
-    logged per row and collected, never aborting the scan."""
+    lattice N-1, N-3, ..., -(N-1) (gaps 2, t0 = pi/2), and audit it there
+    (_audit_lattice); failures are logged per row and collected, never
+    aborting the scan.  Memory is O(N) a row, but time is O(N^2): the Sturm
+    counts take N steps over 2N shifts."""
     reports, failures = [], []
     for n in (int(n) for n in n_values):
         try:
@@ -256,9 +253,9 @@ def saturation_scan(n_values) -> ScanResult:
         except ValueError as exc:
             failed = [(n, str(exc))]
         else:
+            lattice, t0 = _lattice_rows(2.0, np.ones((1, n - 1), np.int64))
             *_, audit, failed = _audit_lattice(
-                np.array([n]), chain.diagonal[None], chain.couplings[None],
-                _canonical_lattice(n), np.array([math.pi / 2.0]))
+                np.array([n]), chain.diagonal[None], chain.couplings[None], lattice, t0)
         if failed:
             logger.warning("scan N=%d failed: %s", *failed[0])
             failures += failed
@@ -370,14 +367,12 @@ def _audit_block(mults: np.ndarray, start: int):
     each chain on the lattice it was drawn from, t0 = pi / gcd(multipliers)
     (_audit_lattice); the synthesis breakdowns join the failures."""
     index = np.arange(start, start + len(mults))
-    lattice = _expand_rows(1.0, mults)
+    lattice, t0 = _lattice_rows(1.0, mults)
     diagonal, couplings, errors = _synthesize_rows(lattice)
     failed = [(int(i), str(exc)) for i, exc in zip(index, errors) if exc is not None]
     kept = np.array([exc is None for exc in errors], dtype=bool)
     index, diagonal, couplings = index[kept], diagonal[kept], couplings[kept]
-    lattice, mults = lattice[kept], mults[kept]
-    _check_rows(diagonal, couplings)
-    t0 = math.pi / np.gcd.reduce(mults, axis=1)
+    lattice, t0 = lattice[kept], t0[kept]
     *audited, checked = _audit_lattice(index, diagonal, couplings, lattice, t0)
     return *audited, sorted(failed + checked)
 
@@ -393,7 +388,7 @@ def _audit_lattice(index, diagonal, couplings, lattice, t0):
     _audit_rows), and (index, message) for each failed row, in row order.
     """
     one, sharp = _enclosed_rows(diagonal, couplings, lattice, PHASE_TOL / (4.0 * t0))
-    symmetric = _mirror_symmetric_rows(diagonal, couplings, SYMMETRY_TOL)
+    symmetric = _mirror_symmetric_rows(diagonal, couplings)
     verdict = np.select(
         [~symmetric, ~sharp, ~one],
         ["chain does not certify: asymmetry",

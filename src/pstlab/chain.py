@@ -136,27 +136,26 @@ class ChainSpec:
         }
 
 
-def _mirror_symmetric_rows(
-    diagonal: np.ndarray, couplings: np.ndarray, tol: float = SYMMETRY_TOL
-) -> np.ndarray:
-    """is_mirror_symmetric per row of stacked fields (S, N) and (S, N-1)."""
+def _mirror_symmetric_rows(diagonal: np.ndarray, couplings: np.ndarray) -> np.ndarray:
+    """is_mirror_symmetric per row of stacked fields (S, N) and (S, N-1):
+    the one mirror-symmetry rule, at SYMMETRY_TOL."""
     scale = np.maximum(np.abs(diagonal).max(axis=1), np.abs(couplings).max(axis=1))
     asym = np.maximum(
         np.abs(diagonal - diagonal[:, ::-1]).max(axis=1),
         np.abs(couplings - couplings[:, ::-1]).max(axis=1),
     )
-    return asym <= tol * np.maximum(scale, 1.0)
+    return asym <= SYMMETRY_TOL * np.maximum(scale, 1.0)
 
 
-def is_mirror_symmetric(chain: ChainSpec, tol: float = SYMMETRY_TOL) -> bool:
-    """True when B and J are palindromes to a relative tolerance.
+def is_mirror_symmetric(chain: ChainSpec) -> bool:
+    """True when B and J are palindromes to SYMMETRY_TOL = 1e-10, relative.
 
     The deviation is measured against max(|B|_inf, |J|_inf, 1), so exact
-    zeros on the diagonal are compared absolutely against tol * (scale of J).
+    zeros on the diagonal are compared absolutely against SYMMETRY_TOL *
+    (scale of J).  certify, the search's and the scan's lattice checks and
+    the transfer fallback all apply this one rule.
     """
-    return bool(
-        _mirror_symmetric_rows(chain.diagonal[None], chain.couplings[None], tol)[0]
-    )
+    return bool(_mirror_symmetric_rows(chain.diagonal[None], chain.couplings[None])[0])
 
 
 def _mirror_traces_rows(diagonal: np.ndarray, couplings: np.ndarray):

@@ -94,7 +94,6 @@ def _checked(kind, accept, rule: str):
 
 _odd_int = _checked(int, lambda m: m >= 1 and m % 2 == 1, "an odd integer >= 1")
 _odd_cap = _checked(_odd_int, lambda m: m <= pst.MAX_CAP, f"at most {pst.MAX_CAP}")
-_tolerance = _checked(float, lambda x: math.isfinite(x) and x >= 0.0, "finite and >= 0")
 _t_max = _checked(float, lambda x: math.isfinite(x) and x > 0.0, "finite and > 0")
 _steps = _checked(int, lambda n: 2 <= n <= MAX_STEPS, f"an integer in 2..{MAX_STEPS}")
 _samples = _checked(int, lambda n: n >= 1, "an integer >= 1")
@@ -121,7 +120,7 @@ def _parse_range(text: str) -> range:
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def cmd_analyze(args) -> int:
     chain = _load_chain(args.input)
-    cert, lam, error = pst._certify_chain(chain, symmetry_tol=args.tol, max_multiplier=args.cap)
+    cert, lam, error = pst._certify_chain(chain, max_multiplier=args.cap)
     # certification solves every chain except an asymmetric one
     symmetric = lam is not None
     if not symmetric:
@@ -181,7 +180,8 @@ def cmd_synth(args) -> int:
         raise _UsageError("synth needs exactly one of --input or --canonical")
     if args.canonical is not None:
         chain = synthesis.canonical_chain(args.canonical)
-        target = bounds._canonical_lattice(args.canonical)[0]
+        lattice, _ = synthesis._lattice_rows(2.0, np.ones((1, args.canonical - 1), np.int64))
+        target = lattice[0]
     else:
         try:
             spectrum = synthesis.SpectrumSpec.from_dict(_load_json(args.input))
@@ -257,8 +257,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("analyze", help="certify and speed-audit a chain JSON")
     p.add_argument("--input", required=True, help="chain JSON file")
     p.add_argument("--output", help="write the full report as JSON")
-    p.add_argument("--tol", type=_tolerance, default=pst.SYMMETRY_TOL,
-                   help="mirror-symmetry tolerance")
     p.add_argument("--cap", type=_odd_cap, default=pst.MAX_MULTIPLIER,
                    help="odd multiplier cap")
     p.set_defaults(func=cmd_analyze)

@@ -150,9 +150,7 @@ def eigenvalues_only(chain: ChainSpec) -> np.ndarray:
     return _descending(lam)
 
 
-def classify_parity(
-    spectral: SpectralData, chain: ChainSpec, tol: float = PARITY_TOL
-) -> SpectralData:
+def classify_parity(spectral: SpectralData, chain: ChainSpec) -> SpectralData:
     """Attach mirror parity signs: sigma_n with S v_n = sigma_n v_n.
 
     Each eigenvector of a mirror-symmetric chain is even or odd under S with
@@ -160,10 +158,11 @@ def classify_parity(
     solver mixes the two parities of a near-degenerate pair at roughly
     (machine eps) / (relative gap), so each vector is projected onto its
     dominant parity component and the purified basis is re-validated
-    (orthonormality and eigenpair residual at `tol`); for clean vectors the
-    projection is the identity.  Raises ParityViolation for vectors with no
-    dominant parity, for purified bases that fail re-validation (asymmetric
-    input, or a solver failure), and for breaks in the alternating pattern.
+    (orthonormality and eigenpair residual at PARITY_TOL = 1e-8, a module
+    constant); for clean vectors the projection is the identity.  Raises
+    ParityViolation for vectors with no dominant parity, for purified bases
+    that fail re-validation (asymmetric input, or a solver failure), and for
+    breaks in the alternating pattern.
 
     Transfer fidelity takes its coefficients from the spectrum (pstlab.pst)
     and comes here only for mirror-symmetric spectra too near degenerate.
@@ -172,10 +171,10 @@ def classify_parity(
     mirrored = vec[::-1, :]
     d_even = np.linalg.norm(mirrored - vec, axis=0)
     d_odd = np.linalg.norm(mirrored + vec, axis=0)
-    if np.minimum(d_even, d_odd).max() > tol and not is_mirror_symmetric(chain):
+    if np.minimum(d_even, d_odd).max() > PARITY_TOL and not is_mirror_symmetric(chain):
         i = int(np.argmax(np.minimum(d_even, d_odd)))
         raise ParityViolation(
-            f"eigenvector {i} fails ||S v - sigma v|| <= {tol:.1e} for both "
+            f"eigenvector {i} fails ||S v - sigma v|| <= {PARITY_TOL:.1e} for both "
             f"signs (best {min(d_even[i], d_odd[i]):.3e}); chain is not "
             "mirror-symmetric"
         )
@@ -194,11 +193,11 @@ def classify_parity(
     lam = spectral.eigenvalues
     scale = max(abs(lam[0]), abs(lam[-1]), np.finfo(float).tiny)
     resid = np.linalg.norm(_tridiagonal_matvec(chain, pure) - pure * lam, axis=0)
-    if gram_err > tol or resid.max() > tol * scale:
+    if gram_err > PARITY_TOL or resid.max() > PARITY_TOL * scale:
         raise ParityViolation(
             f"parity-purified basis fails re-validation (orthonormality "
             f"{gram_err:.3e}, eigenpair residual {resid.max() / scale:.3e} "
-            f"at tol {tol:.1e})"
+            f"at tol {PARITY_TOL:.1e})"
         )
     expected = _alternating_signs(signs.size)
     if np.any(signs != expected):

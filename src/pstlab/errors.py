@@ -21,8 +21,9 @@ class MultiplierOverflow(PstLabError):
 
 
 class NumericalBreakdown(PstLabError):
-    """Lanczos off-diagonal underflow: the target spectrum is too close to
-    degenerate for a double-precision reconstruction."""
+    """Double precision cannot hold the result: a Lanczos off-diagonal
+    underflows (the target spectrum is too close to degenerate), or a
+    synthesized field or a certified transfer time overflows."""
 
 
 class NotAdmissible(PstLabError):

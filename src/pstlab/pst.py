@@ -24,15 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import (
-    SYMMETRY_TOL,
-    ChainSpec,
-    _alternating_signs,
-    _Record,
-    is_mirror_symmetric,
-)
+from .chain import ChainSpec, _alternating_signs, _Record, is_mirror_symmetric
 from .eigensolve import classify_parity, decompose, eigenvalues_only
-from .errors import MultiplierOverflow, NotAdmissible
+from .errors import MultiplierOverflow, NotAdmissible, NumericalBreakdown
 
 __all__ = [
     "PstCertificate",
@@ -78,15 +72,15 @@ def _principal_phase(x: np.ndarray) -> np.ndarray:
     return np.where(y == -math.pi, math.pi, y)
 
 
-def _minimal_unit(gaps: np.ndarray, cap: int, rel_tol: float):
+def _minimal_unit(gaps: np.ndarray, cap: int):
     """For one chain's positive gaps: the largest u with all gaps odd
-    multiples of u within rel_tol, as (u, multipliers, max_residual,
+    multiples of u within GAP_REL_TOL, as (u, multipliers, max_residual,
     overflow).  u and max_residual are NaN and the multipliers zero where no
     unit fits; overflow marks a unit that passed but for a multiplier above
     the cap.
 
     Every ratio g/g_min runs at once through its continued-fraction
-    convergents p/q to the first within rel_tol of it or to q > cap, and
+    convergents p/q to the first within GAP_REL_TOL of it or to q > cap, and
     u = g_min/m for m the lcm of the q, kept only if m is odd, <= cap and a
     multiple of each q (np.lcm wraps silently) and every gap passes the
     per-gap test.  README, "Numerical notes", says when this m is the least
@@ -96,7 +90,7 @@ def _minimal_unit(gaps: np.ndarray, cap: int, rel_tol: float):
     g_min = gaps.min()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = gaps / g_min
-        reach = rel_tol * ratio
+        reach = GAP_REL_TOL * ratio
         p = np.floor(ratio)
         frac = ratio - p
         p_prev, q, q_prev = 1.0, 1.0, 0.0
@@ -121,7 +115,7 @@ def _minimal_unit(gaps: np.ndarray, cap: int, rel_tol: float):
             u = g_min / m
             k = np.rint(gaps / u)
             resid = np.abs(gaps - k * u)
-            fits = ((k % 2 == 1) & (resid <= rel_tol * gaps)).all()
+            fits = ((k % 2 == 1) & (resid <= GAP_REL_TOL * gaps)).all()
         overflow = bool(fits and (k > cap).any())
         if not fits or overflow:
             return math.nan, np.zeros(gaps.size, dtype=np.int64), math.nan, overflow
@@ -134,21 +128,19 @@ def _check_cap(cap) -> None:
         raise ValueError(f"multiplier cap must be odd and in 1..{MAX_CAP} (got {cap})")
 
 
-def _certify_chain(
-    chain: ChainSpec, *, symmetry_tol: float = SYMMETRY_TOL, max_multiplier: int = MAX_MULTIPLIER
-):
+def _certify_chain(chain: ChainSpec, *, max_multiplier: int = MAX_MULTIPLIER):
     """certify on one chain, as (certificate, spectrum, error): the spectrum
     it solved, or None for an asymmetric chain, which is not solved, and the
     error audit_chain raises for a chain that does not certify, or None.  A
-    failed solve raises.  The steps run in order, each outcome returning at
-    once: the cap, mirror symmetry, the eigenvalue solve, the unit search
-    at GAP_REL_TOL, and the phase check at PHASE_TOL."""
+    failed solve raises, and so does a transfer time pi/u that overflows
+    (NumericalBreakdown).  The steps run in order, each outcome returning at
+    once: the cap, mirror symmetry at SYMMETRY_TOL, the eigenvalue solve,
+    the unit search at GAP_REL_TOL, and the phase check at PHASE_TOL."""
     _check_cap(max_multiplier)
-    if not is_mirror_symmetric(chain, symmetry_tol):
+    if not is_mirror_symmetric(chain):
         return _refusal("asymmetry", None)
     lam = eigenvalues_only(chain)
-    unit, multipliers, max_residual, overflow = _minimal_unit(-np.diff(lam), max_multiplier,
-                                                              GAP_REL_TOL)
+    unit, multipliers, max_residual, overflow = _minimal_unit(-np.diff(lam), max_multiplier)
     if overflow:
         error = MultiplierOverflow(
             f"gaps are commensurate only with an odd multiplier beyond "
@@ -157,7 +149,9 @@ def _certify_chain(
         return PstCertificate(admissible=False, failure="multiplier-overflow"), lam, error
     if math.isnan(unit):
         return _refusal("no-common-odd-unit", lam)
-    t0 = math.pi / unit
+    t0 = math.pi / float(unit)  # float division: inf without a warning
+    if math.isinf(t0):
+        raise NumericalBreakdown(f"transfer time pi/u overflows double precision (u = {unit:.3e})")
     phi = _principal_phase(-lam[0] * t0)
     # the unit must also reproduce the phase condition
     # e^{-i lambda_n t0} = (-1)^{n+1} e^{i phi}; residual accumulation across
@@ -176,20 +170,19 @@ def _refusal(verdict: str, lam: np.ndarray | None):
     return cert, lam, NotAdmissible(f"chain does not certify: {verdict}")
 
 
-def certify(
-    chain: ChainSpec, *, symmetry_tol: float = SYMMETRY_TOL, max_multiplier: int = MAX_MULTIPLIER
-) -> PstCertificate:
+def certify(chain: ChainSpec, *, max_multiplier: int = MAX_MULTIPLIER) -> PstCertificate:
     """Decide PST admissibility and report the minimal transfer time.
 
-    Keywords: symmetry_tol (SYMMETRY_TOL = 1e-10, relative), and
-    max_multiplier (999), the odd multiplier cap, at most MAX_CAP = 2^31 - 1,
-    else ValueError.  Gaps are tested to GAP_REL_TOL and the phase to
-    PHASE_TOL.  A chain that does not certify comes back with its verdict in
-    `failure`, except that MultiplierOverflow is raised where an odd m <= cap
-    fits but a multiplier exceeds it; a failed solve raises EigensolveError.
+    Keyword: max_multiplier (999), the odd multiplier cap, at most
+    MAX_CAP = 2^31 - 1, else ValueError.  The tolerances are module
+    constants: mirror symmetry at chain.SYMMETRY_TOL (1e-10, relative), gaps
+    at GAP_REL_TOL and the phase at PHASE_TOL.  A chain that does not certify
+    comes back with its verdict in `failure`, except that MultiplierOverflow
+    is raised where an odd m <= cap fits but a multiplier exceeds it; a
+    failed solve raises EigensolveError, and a transfer time that overflows
+    NumericalBreakdown.
     """
-    cert, _, error = _certify_chain(chain, symmetry_tol=symmetry_tol,
-                                    max_multiplier=max_multiplier)
+    cert, _, error = _certify_chain(chain, max_multiplier=max_multiplier)
     if isinstance(error, MultiplierOverflow):
         raise error
     return cert

@@ -13,6 +13,7 @@ row per chain; `synthesize` is the batch of one.
 """
 from __future__ import annotations
 
+import math
 import numbers
 import warnings
 from dataclasses import dataclass
@@ -134,6 +135,14 @@ def _expand_rows(unit: float, multipliers: np.ndarray) -> np.ndarray:
     return tails - tails.mean(axis=1, keepdims=True)
 
 
+def _lattice_rows(unit: float, multipliers: np.ndarray):
+    """The known lattices of stacked multiplier rows (S, N-1) at `unit`: the
+    traceless spectra (S, N) and their transfer times
+    t0 = pi / (unit * gcd(multipliers)) (S,)."""
+    t0 = math.pi / (unit * np.gcd.reduce(multipliers, axis=1))
+    return _expand_rows(unit, multipliers), t0
+
+
 def _end_weights(lam: np.ndarray) -> np.ndarray:
     """End weights a_n^2 per row of descending spectra (S, N)."""
     diff = lam[:, :, None] - lam[:, None, :]
@@ -218,8 +227,8 @@ def synthesize(spectrum: SpectrumSpec | np.ndarray) -> ChainSpec:
 def canonical_chain(n_sites: int) -> ChainSpec:
     """The B = 0, J_n = sqrt(n (N-n)) chain: spectrum equally spaced with gap
     2 (so t0 = pi/2), and the speed bounds hold with equality.  The
-    saturation scan checks it against that lattice
-    (bounds._canonical_lattice) instead of solving it."""
+    saturation scan checks it against that lattice (_lattice_rows at unit 2,
+    all multipliers 1) instead of solving it."""
     if n_sites < 2:
         raise ValueError("n_sites must be >= 2")
     k = np.arange(1, n_sites, dtype=float)

@@ -10,9 +10,11 @@ import scipy.linalg
 import pstlab.bounds
 import pstlab.cli
 import pstlab.pst
-from pstlab import (ChainSpec, EigensolveError, MultiplierOverflow, NotAdmissible, SpectrumSpec,
-                    audit_chain, canonical_chain, certify, eigenvalues_only, first_perfect_time,
-                    synthesize)
+import pstlab.synthesis
+from pstlab import (ChainSpec, EigensolveError, MultiplierOverflow, NotAdmissible,
+                    NumericalBreakdown, SpectrumSpec, audit_chain, canonical_chain, certify,
+                    eigenvalues_only, first_perfect_time, synthesize)
+from pstlab.chain import SYMMETRY_TOL
 from pstlab.cli import MAX_STEPS, main
 
 
@@ -93,8 +95,7 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("data", [
         {"N": 3, "B": [0, 0, 0], "J": [1e300, 1e300]},  # the audit's squares overflow
-        {"N": 2, "J": [1e-310]},  # t0 = pi / 2e-310 overflows, and the ratio with it
-    ], ids=["audit-overflow", "t0-overflow"])
+    ], ids=["audit-overflow"])
     def test_non_finite_analysis_is_refused_without_output(self, data, tmp_path, capsys):
         chain = write_json(tmp_path / "chain.json", data)
         assert main(["analyze", "--input", chain]) == 1
@@ -231,10 +232,13 @@ class TestFlagValidation:
         err = self._usage_error(command.format(canonical4).split() + ["--cap", huge], capsys)
         assert f"--cap: must be at most {pstlab.pst.MAX_CAP}, got '{huge}'" in err
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-10", "x"])
-    def test_analyze_tolerance(self, canonical4, tol, capsys):
-        err = self._usage_error(["analyze", "--input", canonical4, f"--tol={tol}"], capsys)
-        assert "--tol: must be finite and >= 0" in err
+    def test_analyze_takes_no_tolerance(self, canonical4, monkeypatch, capsys):
+        # the symmetry tolerance is chain.SYMMETRY_TOL, not a flag
+        monkeypatch.setattr(pstlab.cli, "_load_chain", None)  # the body never runs
+        assert main(["analyze", "--input", canonical4, "--tol", "1e-6"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: unrecognized arguments: --tol 1e-6\n"
 
     @pytest.mark.parametrize("t_max", ["nan", "inf", "-1"])
     def test_evolve_horizon(self, canonical4, t_max, capsys):
@@ -338,7 +342,10 @@ class TestOneOutcome:
                                 "gaps are commensurate only with an odd multiplier beyond 999"),
         "solver-failure": (lambda: canonical_chain(4), None, EigensolveError,
                            "degenerate or unordered eigenvalues"),
+        "t0-overflow": (lambda: ChainSpec.from_dict({"N": 2, "J": [1e-310]}), None,
+                        NumericalBreakdown, "transfer time pi/u overflows double precision"),
     }
+    RAISED = ("solver-failure", "t0-overflow")  # _certify_chain raises these
 
     @staticmethod
     def _scan_starts(monkeypatch, chain, **kwargs):
@@ -367,6 +374,7 @@ class TestOneOutcome:
                 return lam, info
 
             monkeypatch.setattr(scipy.linalg.lapack, "dsterf", tied)
+        if outcome in self.RAISED:
             with pytest.raises(kind) as raised:
                 pstlab.pst._certify_chain(chain)
             error = raised.value
@@ -384,7 +392,7 @@ class TestOneOutcome:
             assert str(raised.value) == str(error)
 
         # certify returns a certificate, and raises for an overflow or a failed solve
-        if outcome in ("multiplier-overflow", "solver-failure"):
+        if outcome == "multiplier-overflow" or outcome in self.RAISED:
             with pytest.raises(kind) as raised:
                 certify(chain)
             assert str(raised.value) == str(error)
@@ -396,11 +404,12 @@ class TestOneOutcome:
         code = main(["analyze", "--input", path])
         evolved = main(["evolve", "--input", path, "--t-max", "3"])
         out, err = capsys.readouterr()
-        if outcome == "solver-failure":
+        if outcome in self.RAISED:
             assert (code, evolved) == (1, 1)
-            assert err == f"error: {error}\nerror: {error}\n"
-            with pytest.raises(EigensolveError):
+            assert (out, err) == ("", f"error: {error}\nerror: {error}\n")
+            with pytest.raises(kind) as raised:
                 first_perfect_time(chain)
+            assert str(raised.value) == str(error)
             return
         footer = f"certificate t0 = {cert.t0:.12g}" if kind is None else f"no certificate: {verdict}"
         assert (code, evolved) == (0 if kind is None else 2, 0)
@@ -416,6 +425,43 @@ class TestOneOutcome:
         np.testing.assert_allclose(self._scan_starts(monkeypatch, chain),
                                    self._scan_starts(monkeypatch, chain, horizon=horizon),
                                    rtol=1e-12)
+
+
+class TestOneSymmetryAnswer:
+    """Mirror symmetry is one rule at one tolerance, chain.SYMMETRY_TOL:
+    certify, audit_chain, analyze and the lattice check of the search and the
+    scan agree on a chain moved just inside it and just outside it."""
+
+    @pytest.mark.parametrize("shift, symmetric", [(0.5, True), (2.0, False)],
+                             ids=["inside", "outside"])
+    def test_every_caller_agrees(self, shift, symmetric, tmp_path, capsys):
+        spec = SpectrumSpec(unit=1.0, multipliers=[1, 3, 5, 3, 1])
+        clean = synthesize(spec)
+        scale = max(np.abs(clean.diagonal).max(), clean.couplings.max(), 1.0)
+        b = clean.diagonal.copy()
+        b[0] += shift * SYMMETRY_TOL * scale
+        chain = ChainSpec(diagonal=b, couplings=clean.couplings)
+
+        cert = certify(chain)
+        assert cert.admissible == symmetric
+        assert (cert.failure == "asymmetry") != symmetric
+        if symmetric:
+            assert audit_chain(chain)[0].t0 == cert.t0
+        else:
+            with pytest.raises(NotAdmissible, match="asymmetry"):
+                audit_chain(chain)
+
+        path = write_json(tmp_path / "chain.json", chain.to_dict())
+        report = tmp_path / "report.json"
+        code = main(["analyze", "--input", path, "--output", str(report)])
+        capsys.readouterr()
+        assert code == (0 if symmetric else 2)
+        assert json.loads(report.read_text())["mirror_symmetric"] == symmetric
+
+        lattice, t0 = pstlab.synthesis._lattice_rows(spec.unit, spec.multipliers[None])
+        *_, failed = pstlab.bounds._audit_lattice(
+            np.array([0]), chain.diagonal[None], chain.couplings[None], lattice, t0)
+        assert failed == ([] if symmetric else [(0, "chain does not certify: asymmetry")])
 
 
 class TestScan:

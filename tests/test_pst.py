@@ -34,6 +34,7 @@ from pstlab import (
     synthesize,
 )
 from pstlab import pst
+from pstlab.chain import SYMMETRY_TOL
 
 HALF_PI = math.pi / 2.0
 
@@ -104,7 +105,7 @@ class TestCertify:
         assert strict.failure == "no-common-odd-unit"
         # the per-gap test passes, so the rejection is the phase check's
         gaps = -np.diff(pst.eigenvalues_only(chain))
-        unit, mult, _, overflow = pst._minimal_unit(gaps, 999, pst.GAP_REL_TOL)
+        unit, mult, _, overflow = pst._minimal_unit(gaps, 999)
         assert not np.isnan(unit) and not overflow
         np.testing.assert_array_equal(mult, [1, 999])
 
@@ -171,7 +172,7 @@ def _assert_scan_agrees(gaps, cap):
     and overflow flags, one per row."""
     units, overflows = [], []
     for g in gaps:
-        unit, mult, resid, overflow = pst._minimal_unit(g, cap, pst.GAP_REL_TOL)
+        unit, mult, resid, overflow = pst._minimal_unit(g, cap)
         ref = minimal_odd_unit(g, cap, pst.GAP_REL_TOL)
         np.testing.assert_array_equal(unit, ref[0])
         np.testing.assert_array_equal(mult, ref[1])
@@ -594,7 +595,7 @@ def _eigenvector_terms(chain):
     """The transfer terms by the eigenvector route: decompose, then the
     classified parity signs for a mirror-symmetric chain."""
     spectral = decompose(chain)
-    if pst.is_mirror_symmetric(chain, pst.SYMMETRY_TOL):
+    if pst.is_mirror_symmetric(chain):
         spectral = classify_parity(spectral, chain)
     return eigenvector_transfer_terms(
         spectral.eigenvalues, spectral.eigenvectors, spectral.parity_signs
@@ -606,7 +607,7 @@ def _nearly_symmetric(chain):
     at the scale is_mirror_symmetric measures against."""
     scale = max(np.abs(chain.diagonal).max(), chain.couplings.max(), 1.0)
     b = chain.diagonal.copy()
-    b[0] += 0.5 * pst.SYMMETRY_TOL * scale
+    b[0] += 0.5 * SYMMETRY_TOL * scale
     nearly = ChainSpec(diagonal=b, couplings=chain.couplings)
     assert nearly.diagonal[0] != nearly.diagonal[-1]
     assert pst.is_mirror_symmetric(nearly)
