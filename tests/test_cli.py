@@ -232,13 +232,14 @@ class TestFlagValidation:
         err = self._usage_error(command.format(canonical4).split() + ["--cap", huge], capsys)
         assert f"--cap: must be at most {pstlab.pst.MAX_CAP}, got '{huge}'" in err
 
-    def test_analyze_takes_no_tolerance(self, canonical4, monkeypatch, capsys):
-        # the symmetry tolerance is chain.SYMMETRY_TOL, not a flag
-        monkeypatch.setattr(pstlab.cli, "_load_chain", None)  # the body never runs
-        assert main(["analyze", "--input", canonical4, "--tol", "1e-6"]) == 1
+    @pytest.mark.parametrize("tol", ["1e-6", "nan", "inf", "-1e-10", "x"])
+    def test_analyze_tolerance(self, canonical4, tol, capsys):
+        # the symmetry tolerance is chain.SYMMETRY_TOL, not a flag: any --tol,
+        # valid-looking or not, is an unrecognized argument
+        assert main(["analyze", "--input", canonical4, f"--tol={tol}"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "error: unrecognized arguments: --tol 1e-6\n"
+        assert err == f"error: unrecognized arguments: --tol={tol}\n"
 
     @pytest.mark.parametrize("t_max", ["nan", "inf", "-1"])
     def test_evolve_horizon(self, canonical4, t_max, capsys):
