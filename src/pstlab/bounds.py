@@ -15,11 +15,11 @@ every chain we can generate.  The audit therefore asserts only the provable
 steps and records that substitution gap signed, and the falsifier counts its
 negative occurrences as findings.
 
-Chains whose spectrum is a known lattice (the falsifier's draws, t0 = pi /
-gcd of the multipliers; the scan's canonical chains, t0 = pi/2) are checked,
-not solved: Sturm counts at the lattice points plus and minus a radius tied
-to PHASE_TOL enclose every eigenvalue next to its lattice point, and the
-audit runs on the lattice.  audit_chain certifies from the solved spectrum.
+Every audit runs on a lattice that the one rule pst._on_lattice accepted:
+the one certification proposed (audit_chain, analyze), or the known lattice
+of a falsifier draw (t0 = pi / gcd of the multipliers) or a canonical chain
+(t0 = pi/2), which is checked, not solved: Sturm counts at x_k +- r put each
+eigenvalue within r + beta of x_k, so the offsets spread by 2 (r + beta).
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ import numpy as np
 from .chain import (ChainSpec, _alternating_signs, _alternating_sums, _mirror_symmetric_rows,
                     _mirror_traces_rows, _Record)
 from .eigensolve import _sturm_counts_rows
-from .pst import MAX_MULTIPLIER, PHASE_TOL, _certify_chain, _check_cap
+from .pst import MAX_MULTIPLIER, PHASE_TOL, _certify_chain, _check_cap, _on_lattice
 from .synthesis import _lattice_rows, _synthesize_rows, canonical_chain, draw_multipliers
 
 __all__ = [
@@ -97,7 +97,7 @@ class BoundReport(_Record):
 @dataclass(frozen=True)
 class ProofAudit(_Record):
     """Per-step record of the bound derivation on one certified chain, on the
-    traceless shift.
+    traceless shift of its fields and of its accepted lattice (pst._on_lattice).
 
     Asserted steps (slack >= -1e-9 at the natural scale on every admissible
     chain): the trace identity match, the gap floor, the lambda_N tail
@@ -124,19 +124,19 @@ class ProofAudit(_Record):
 
 
 def _audit_rows(
-    diagonal: np.ndarray, couplings: np.ndarray, lam: np.ndarray, t0: np.ndarray
+    diagonal: np.ndarray, couplings: np.ndarray, lattice: np.ndarray, t0: np.ndarray
 ) -> dict:
     """The audit of stacked certified chains: fields (S, N) and (S, N-1),
-    their descending spectra (S, N) and transfer times (S,).
+    their accepted descending lattices (S, N) and transfer times (S,).
 
     Returns one (S,) array per ProofAudit field other than `parity` (None
     where the field does not apply to the parity), plus `j_max`, `t0`,
     `product` and `lambda_min_ok`.  The mirror traces of the traceless shift
     come from its central entries (chain._mirror_traces_rows) and its
-    spectrum (chain._alternating_sums).
+    lattice (chain._alternating_sums).
     """
-    n = lam.shape[1]
-    lam0 = lam - lam.mean(axis=1, keepdims=True)
+    n = lattice.shape[1]
+    lam0 = lattice - lattice.mean(axis=1, keepdims=True)
     b0 = diagonal - diagonal.mean(axis=1, keepdims=True)
     trace_sh, trace_sh2 = _mirror_traces_rows(b0, couplings)
     eigen_sh, eigen_sh2 = _alternating_sums(lam0, _alternating_signs(n))
@@ -186,19 +186,14 @@ def audit_chain(
     Raises the certification's error for a chain that does not certify:
     NotAdmissible, or MultiplierOverflow where a multiplier exceeds the cap;
     a failed solve raises EigensolveError.  The audit works on the traceless
-    shift (the derivations assume sum lambda = 0); gaps, t0 and J_max are
-    shift-invariant.
+    shift (the derivations assume sum lambda = 0) and the accepted lattice
+    (see ProofAudit); gaps, t0 and J_max are shift-invariant.
     """
-    cert, lam, error = _certify_chain(chain, max_multiplier=max_multiplier)
+    cert, _, lattice, error = _certify_chain(chain, max_multiplier=max_multiplier)
     if error is not None:
         raise error
-    return _audit_solved(chain, lam, cert.t0)
-
-
-def _audit_solved(chain: ChainSpec, lam: np.ndarray, t0: float) -> tuple[BoundReport, ProofAudit]:
-    """audit_chain on a certified chain whose spectrum `lam` and transfer
-    time t0 are already known."""
-    rows = _audit_rows(chain.diagonal[None], chain.couplings[None], lam[None], np.array([t0]))
+    rows = _audit_rows(chain.diagonal[None], chain.couplings[None], lattice[None],
+                       np.array([cert.t0]))
     return _reports(rows, 0, chain.n_sites)
 
 
@@ -327,11 +322,10 @@ MAX_SCAN_SITES = BLOCK_BYTES // (8 * 16)
 
 def _enclosed_rows(diagonal, couplings, lattice, radius):
     """Per row of stacked fields (S, N) and (S, N-1), descending lattice
-    points x (S, N) and radii r (S,): (one, sharp), where `one` says the
+    points x (S, N) and radii r (S,): (one, beta), where `one` says the
     Sturm counts at x_k - r and x_k + r put exactly one eigenvalue in each
-    window [x_k - r, x_k + r], and `sharp` that the counts' error bound
-    beta is below r.  Where both hold, every eigenvalue lies within
-    r + beta < 2r of its lattice point.
+    window [x_k - r, x_k + r], and beta is the counts' error bound.  Where
+    `one` holds, every eigenvalue lies within r + beta of its lattice point.
 
     beta: with u = eps / 2 and Higham's gamma_k = k u / (1 - k u), which
     bounds |prod of k factors (1 + delta)^(+-1) - 1| for |delta| <= u, the
@@ -359,7 +353,7 @@ def _enclosed_rows(diagonal, couplings, lattice, radius):
     gamma5, gamma2 = 5 * u / (1 - 5 * u), 2 * u / (1 - 2 * u)
     beta = (2.0 * gamma5 / (2.0 - gamma5) * couplings.max(axis=1)
             + gamma2 * (np.abs(lattice).max(axis=1) + radius))
-    return one, beta < radius
+    return one, beta
 
 
 def _audit_block(mults: np.ndarray, start: int):
@@ -380,17 +374,16 @@ def _audit_block(mults: np.ndarray, start: int):
 def _audit_lattice(index, diagonal, couplings, lattice, t0):
     """Check stacked chains, fields (S, N) and (S, N-1), against their known
     descending lattices x (S, N) with transfer times t0 (S,), and audit each
-    chain that passes on its lattice.  A chain passes if it is
-    mirror-symmetric (SYMMETRY_TOL) and its spectrum lies within 2r of x,
-    r = PHASE_TOL / (4 t0) (_enclosed_rows); every gap phase then differs by
-    at most 4 r t0, so certify's phase condition holds within PHASE_TOL.
-    Returns the passing rows' indices, fields B and J and audit rows (see
-    _audit_rows), and (index, message) for each failed row, in row order.
+    chain that passes on its lattice.  A chain passes if it is mirror-symmetric
+    (SYMMETRY_TOL), _on_lattice accepts the spread 2 (r + beta) of windows
+    r = PHASE_TOL / (4 t0) (_enclosed_rows), and each window holds one
+    eigenvalue.  Returns the passing rows' indices, fields B and J and audit
+    rows (see _audit_rows), and (index, message) per failed row, in order.
     """
-    one, sharp = _enclosed_rows(diagonal, couplings, lattice, PHASE_TOL / (4.0 * t0))
-    symmetric = _mirror_symmetric_rows(diagonal, couplings)
+    radius = PHASE_TOL / (4.0 * t0)
+    one, beta = _enclosed_rows(diagonal, couplings, lattice, radius)
     verdict = np.select(
-        [~symmetric, ~sharp, ~one],
+        [~_mirror_symmetric_rows(diagonal, couplings), ~_on_lattice(2.0 * (radius + beta), t0), ~one],
         ["chain does not certify: asymmetry",
          "the Sturm counts' error bound reaches the lattice window",
          "spectrum leaves the windows of its drawn lattice"],
@@ -423,16 +416,15 @@ def falsify_search(n_sites: int, samples: int, cap: int, seed: int) -> SearchRep
     up to `cap` (odd and at most MAX_CAP, else ValueError), the same rows as
     one batch drawn at once, so the corpus depends only on the seed; the
     report records the cap as `max_multiplier`.  Each sample's chain is
-    checked against the lattice it was drawn from by Sturm counts (see
-    _audit_block), never solved, and audited on that lattice with
-    t0 = pi / gcd(multipliers), so no sample fails for the size of its
-    multipliers.  Samples are synthesized, checked and audited in blocks
-    whose working set stays under BLOCK_BYTES (so N is at most
-    MAX_SEARCH_SITES); a block holds the Lanczos arrays and then two
-    (S, 2N) count arrays, and every sample's numbers are those of a batch
-    of one.  A sample that fails is
-    recorded as (index, message) and the others go on.  Each block is
-    reduced as it goes, and every record is built from its block's rows.
+    checked against the lattice it was drawn from by Sturm counts and the
+    lattice rule (see _audit_lattice), never solved, and audited on that
+    lattice with t0 = pi / gcd(multipliers).  Samples are synthesized,
+    checked and audited in blocks whose working set stays under BLOCK_BYTES
+    (so N is at most MAX_SEARCH_SITES); a block holds the Lanczos arrays and
+    then two (S, 2N) count arrays, and every sample's numbers are those of a
+    batch of one.  A sample that fails is recorded as (index, message) and
+    the others go on.  Each block is reduced as it goes, and every record is
+    built from its block's rows.
     The witness candidates are the strict prefix minima of the ratio within
     RATIO_SLACK of the running minimum; the first one left is the lowest
     index within RATIO_SLACK of the minimum.  A substitution gap counts as

@@ -120,7 +120,7 @@ def _parse_range(text: str) -> range:
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def cmd_analyze(args) -> int:
     chain = _load_chain(args.input)
-    cert, lam, error = pst._certify_chain(chain, max_multiplier=args.cap)
+    cert, lam, lattice, error = pst._certify_chain(chain, max_multiplier=args.cap)
     # certification solves every chain except an asymmetric one
     symmetric = lam is not None
     if not symmetric:
@@ -151,7 +151,9 @@ def cmd_analyze(args) -> int:
     print(f"  max gap residual = {cert.max_residual:.3e}")
     fid = pst._fidelity(*pst._transfer_terms(chain, lam), np.array([cert.t0]))[0]
     print(f"fidelity at t0: {fid:.12g}")
-    report, audit = bounds._audit_solved(chain, lam, cert.t0)
+    rows = bounds._audit_rows(chain.diagonal[None], chain.couplings[None], lattice[None],
+                              np.array([cert.t0]))
+    report, audit = bounds._reports(rows, 0, chain.n_sites)
     print(
         f"bound: parity={report.parity} bound={report.bound:.12g} "
         f"product={report.product:.12g} ratio={report.ratio:.12g} "
@@ -201,7 +203,7 @@ def cmd_synth(args) -> int:
 def cmd_evolve(args) -> int:
     chain = _load_chain(args.input)
     times = np.linspace(0.0, args.t_max, args.steps)
-    cert, lam, _ = pst._certify_chain(chain, max_multiplier=args.cap)
+    cert, lam, *_ = pst._certify_chain(chain, max_multiplier=args.cap)
     fidelity = pst._fidelity(*pst._transfer_terms(chain, lam), times)
     trace = pst.FidelityTrace(times=times, fidelity=fidelity)
     footer = (f"certificate t0 = {cert.t0:.12g}" if cert.admissible

@@ -1,11 +1,11 @@
 """Perfect-state-transfer certification and fidelity dynamics.
 
 A chain transfers site 1 to site N perfectly at time t0 iff it is
-mirror-symmetric and consecutive eigenvalue gaps are odd multiples of a
-common unit u = pi/t0.  Certification therefore reduces to finding the
-largest unit dividing all gaps with odd quotients, u = g_min/m for the
-least odd m, the lcm of the reduced denominators of the ratios g/g_min;
-continued fractions give it in O(N log cap) operations.
+mirror-symmetric and its spectrum sits on an odd lattice of unit u = pi/t0.
+Certification proposes the lattice of the largest unit dividing all gaps
+with odd quotients, u = g_min/m for the least odd m, the lcm of the reduced
+denominators of the ratios g/g_min (continued fractions give it in
+O(N log cap) operations), and accepts it by the one rule _on_lattice.
 
 Fidelity against time is f(t) = |z(t)|, z(t) = sum_n c_n e^{-i lambda_n t},
 c_n = <N|lambda_n><lambda_n|1>.  As (x - h)^{-1} has (1, N) entry
@@ -27,6 +27,7 @@ import numpy as np
 from .chain import ChainSpec, _alternating_signs, _Record, is_mirror_symmetric
 from .eigensolve import classify_parity, decompose, eigenvalues_only
 from .errors import MultiplierOverflow, NotAdmissible, NumericalBreakdown
+from .synthesis import _expand_rows
 
 __all__ = [
     "PstCertificate",
@@ -37,7 +38,7 @@ __all__ = [
 ]
 
 GAP_REL_TOL = 1e-9       # |g_n - m_n u| <= tol * g_n per gap
-PHASE_TOL = 1e-8         # |e^{-i lambda t0} - sigma e^{i phi}| acceptance
+PHASE_TOL = 1e-8         # spread of the lattice offsets, times t0 (_on_lattice)
 MAX_MULTIPLIER = 999
 MAX_CAP = 2**31 - 1      # so caps, denominators, multipliers are exact floats, lcm steps int64
 FIDELITY_BYTES = 4 * 2**20  # working-set budget of one chunk of fidelity evaluations
@@ -128,14 +129,22 @@ def _check_cap(cap) -> None:
         raise ValueError(f"multiplier cap must be odd and in 1..{MAX_CAP} (got {cap})")
 
 
+def _on_lattice(spread, t0):
+    """The PST acceptance rule, on scalars or rows: the offsets of any two
+    eigenvalues from their odd lattice points of unit pi/t0, which differ by
+    at most `spread`, differ by at most PHASE_TOL / t0.  Then every
+    e^{-i lambda_n t0} is (-1)^{n+1} e^{-i lambda_1 t0} within PHASE_TOL."""
+    return spread <= PHASE_TOL / t0
+
+
 def _certify_chain(chain: ChainSpec, *, max_multiplier: int = MAX_MULTIPLIER):
-    """certify on one chain, as (certificate, spectrum, error): the spectrum
-    it solved, or None for an asymmetric chain, which is not solved, and the
-    error audit_chain raises for a chain that does not certify, or None.  A
-    failed solve raises, and so does a transfer time pi/u that overflows
-    (NumericalBreakdown).  The steps run in order, each outcome returning at
-    once: the cap, mirror symmetry at SYMMETRY_TOL, the eigenvalue solve,
-    the unit search at GAP_REL_TOL, and the phase check at PHASE_TOL."""
+    """certify on one chain, as (certificate, spectrum, lattice, error): the
+    solved spectrum (None for an asymmetric chain), the accepted traceless
+    lattice or None, and the error audit_chain raises for a chain that does
+    not certify, or None.  A failed solve raises, and so does a transfer time
+    pi/u that overflows (NumericalBreakdown).  The steps run in order, each
+    returning at once: the cap, mirror symmetry at SYMMETRY_TOL, the solve,
+    the unit search at GAP_REL_TOL proposing the lattice, and _on_lattice."""
     _check_cap(max_multiplier)
     if not is_mirror_symmetric(chain):
         return _refusal("asymmetry", None)
@@ -146,28 +155,24 @@ def _certify_chain(chain: ChainSpec, *, max_multiplier: int = MAX_MULTIPLIER):
             f"gaps are commensurate only with an odd multiplier beyond "
             f"{max_multiplier}; raise the cap or treat the spectrum as incommensurate"
         )
-        return PstCertificate(admissible=False, failure="multiplier-overflow"), lam, error
+        return PstCertificate(admissible=False, failure="multiplier-overflow"), lam, None, error
     if math.isnan(unit):
         return _refusal("no-common-odd-unit", lam)
     t0 = math.pi / float(unit)  # float division: inf without a warning
     if math.isinf(t0):
         raise NumericalBreakdown(f"transfer time pi/u overflows double precision (u = {unit:.3e})")
-    phi = _principal_phase(-lam[0] * t0)
-    # the unit must also reproduce the phase condition
-    # e^{-i lambda_n t0} = (-1)^{n+1} e^{i phi}; residual accumulation across
-    # gaps can break it even when each gap passes individually.
-    signs = _alternating_signs(lam.size)
-    if np.abs(np.exp(-1j * lam * t0) - signs * np.exp(1j * phi)).max() > PHASE_TOL:
+    lattice = _expand_rows(unit, multipliers[None])[0]
+    if not _on_lattice(np.ptp(lam - lam.mean() - lattice), t0):
         return _refusal("no-common-odd-unit", lam)
-    cert = PstCertificate(admissible=True, t0=float(t0), phi=float(phi),
+    cert = PstCertificate(admissible=True, t0=float(t0), phi=float(_principal_phase(-lam[0] * t0)),
                           multipliers=multipliers, max_residual=float(max_residual))
-    return cert, lam, None
+    return cert, lam, lattice, None
 
 
 def _refusal(verdict: str, lam: np.ndarray | None):
     """_certify_chain's outcome for a chain that does not certify by `verdict`."""
     cert = PstCertificate(admissible=False, failure=verdict)
-    return cert, lam, NotAdmissible(f"chain does not certify: {verdict}")
+    return cert, lam, None, NotAdmissible(f"chain does not certify: {verdict}")
 
 
 def certify(chain: ChainSpec, *, max_multiplier: int = MAX_MULTIPLIER) -> PstCertificate:
@@ -176,13 +181,13 @@ def certify(chain: ChainSpec, *, max_multiplier: int = MAX_MULTIPLIER) -> PstCer
     Keyword: max_multiplier (999), the odd multiplier cap, at most
     MAX_CAP = 2^31 - 1, else ValueError.  The tolerances are module
     constants: mirror symmetry at chain.SYMMETRY_TOL (1e-10, relative), gaps
-    at GAP_REL_TOL and the phase at PHASE_TOL.  A chain that does not certify
-    comes back with its verdict in `failure`, except that MultiplierOverflow
-    is raised where an odd m <= cap fits but a multiplier exceeds it; a
-    failed solve raises EigensolveError, and a transfer time that overflows
-    NumericalBreakdown.
+    at GAP_REL_TOL and the lattice offsets at PHASE_TOL (_on_lattice).  A
+    chain that does not certify comes back with its verdict in `failure`,
+    except that MultiplierOverflow is raised where an odd m <= cap fits but a
+    multiplier exceeds it; a failed solve raises EigensolveError, and a
+    transfer time that overflows NumericalBreakdown.
     """
-    cert, _, error = _certify_chain(chain, max_multiplier=max_multiplier)
+    cert, *_, error = _certify_chain(chain, max_multiplier=max_multiplier)
     if isinstance(error, MultiplierOverflow):
         raise error
     return cert
@@ -220,14 +225,14 @@ class FidelityTrace:
 def _spectral_coefficients(lam: np.ndarray, couplings: np.ndarray) -> np.ndarray | None:
     """c_n = <N|n><n|1> (module docstring) from a descending spectrum and the
     couplings, in logs in units of the spectral width and cut to sum |c_n| <= 1
-    (Cauchy-Schwarz), or None if off by more than WEIGHT_TOL: to first order
-    in eigenvalue errors d = eps max|lambda|, no c_n moves by more than
-    4 d sum_n |c_n| S_n, S_n = sum_{m != n} 1/|lambda_n - lambda_m|."""
+    (Cauchy-Schwarz), or None unless within WEIGHT_TOL: to first order in
+    eigenvalue errors d = eps max|lambda|, no c_n moves by more than
+    4 (d / width) sum_n |c_n| S_n, S_n = sum_{m != n} width / |lambda_n - lambda_m|."""
     width = lam[0] - lam[-1]
     distance = np.abs(np.subtract.outer(lam, lam)) / width + np.eye(lam.size)  # 1 on the diagonal
     mag = np.exp(np.log(couplings / width).sum() - np.log(distance).sum(axis=1))
-    spread = mag @ ((1.0 / distance).sum(axis=1) - 1.0) / width
-    if 4.0 * np.finfo(float).eps * np.abs(lam).max() * spread > WEIGHT_TOL:
+    spread = mag @ ((1.0 / distance).sum(axis=1) - 1.0)
+    if not 4.0 * np.finfo(float).eps * (np.abs(lam).max() / width) * spread <= WEIGHT_TOL:
         return None
     return _alternating_signs(lam.size) * mag / max(1.0, mag.sum())
 
@@ -402,14 +407,13 @@ def first_perfect_time(
     """
     if not (0.0 < threshold <= 1.0):
         raise ValueError("threshold must be in (0, 1]")
-    cert, lam, _ = (None, None, None) if horizon is not None else _certify_chain(chain)
+    cert, lam = (None, None) if horizon is not None else _certify_chain(chain)[:2]
     lam, coeff = _transfer_terms(chain, lam)
     if horizon is None:
         horizon = cert.t0 or 4.0 * math.pi / float((-np.diff(lam)).min())
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError("horizon must be finite and > 0")
-    step = math.pi / (8.0 * (lam[0] - lam[-1]))
-    n_steps = max(int(math.ceil(horizon / step)), 2)
+    n_steps = max(math.ceil(horizon * (8.0 * float(lam[0] - lam[-1]) / math.pi)), 2)
     # the samples of np.linspace(horizon / n_steps, horizon, n_steps)
     first = horizon / n_steps
     spacing = (horizon - first) / (n_steps - 1)

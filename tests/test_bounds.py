@@ -36,8 +36,9 @@ from pstlab.bounds import (
     _block_rows,
     _record,
 )
+from pstlab.eigensolve import eigenvalues_only
 from pstlab.pst import MAX_CAP, PHASE_TOL
-from pstlab.synthesis import _expand_rows, _synthesize_rows, draw_multipliers
+from pstlab.synthesis import _expand_rows, _lattice_rows, _synthesize_rows, draw_multipliers
 
 
 class TestBoundValue:
@@ -161,6 +162,50 @@ class TestAuditChain:
             "min_substitution_gap", "violations", "failures",
         ]
         assert json.loads(json.dumps(search)) == search
+
+
+class TestOneLatticeRule:
+    """certify (on the solved spectrum) and the Sturm-count check (on the
+    windows of a known lattice) accept a spectrum by one rule,
+    pst._on_lattice, so they agree on a synthesized odd lattice plus a
+    centred drift linear in the site index."""
+
+    MULTIPLIERS = ([1, 3, 1, 3, 3, 1, 3, 1], [1, 3, 5, 3, 1, 1, 3, 5, 3, 1])
+
+    @staticmethod
+    def _drifted(mults, factor):
+        """The chain of the lattice (unit 1) whose eigenvalues drift by a
+        spread of factor * PHASE_TOL / t0, with the lattice and t0."""
+        lattice, t0 = _lattice_rows(1.0, np.array([mults]))
+        n = lattice.shape[1]
+        drift = factor * PHASE_TOL / t0[0] * (np.arange(n) / (n - 1) - 0.5)
+        return synthesize(lattice[0] + drift), lattice, t0
+
+    @pytest.mark.parametrize("mults", MULTIPLIERS)
+    @pytest.mark.parametrize("factor, admissible", [(0.25, True), (2.0, False)])
+    def test_both_enclosures_agree(self, mults, factor, admissible):
+        chain, lattice, t0 = self._drifted(mults, factor)
+        # every gap passes the unit search, so the verdict is the lattice rule's
+        unit, *_ = pstlab.pst._minimal_unit(-np.diff(eigenvalues_only(chain)), 999)
+        assert not math.isnan(unit)
+        cert = certify(chain)
+        *_, failed = pstlab.bounds._audit_lattice(
+            np.array([0]), chain.diagonal[None], chain.couplings[None], lattice, t0)
+        assert cert.admissible == admissible
+        if admissible:
+            assert failed == []
+        else:
+            assert cert.failure == "no-common-odd-unit"
+            assert failed == [(0, "spectrum leaves the windows of its drawn lattice")]
+
+    def test_audit_chain_audits_the_certified_lattice(self):
+        chain, *_ = self._drifted(self.MULTIPLIERS[0], 0.25)
+        cert, lam, lattice, _ = pstlab.pst._certify_chain(chain)
+        _, audit = audit_chain(chain)
+        tail = -(lattice.size - 1) * (math.pi / cert.t0) / 2.0
+        assert audit.lambda_min_slack == pytest.approx(tail - lattice[-1], rel=0, abs=1e-14)
+        # the solved spectrum's lowest eigenvalue sits off that lattice point
+        assert abs(audit.lambda_min_slack - (tail - (lam[-1] - lam.mean()))) > 1e-11
 
 
 class TestSaturationScan:
@@ -309,8 +354,9 @@ class TestFalsifySearch:
     def test_records_equal_the_batch_of_one_rebuild(self, monkeypatch):
         # the witness and every violation are the sample run on its own, as a
         # one-sample block, bit for bit; the chain is synthesize's and the
-        # report audit_chain's, whose t0 comes from the solved spectrum
-        # rather than the lattice, so its floats agree to rel 1e-12
+        # report audit_chain's, whose t0 comes from the unit certify fits to
+        # the solved smallest gap rather than from the drawn gcd, so its
+        # floats agree to rel 1e-12
         def check(record, cap):
             mults = np.array([record["multipliers"]])
             assert record == _record(_audit_block(mults, record["index"]), 0, mults[0])

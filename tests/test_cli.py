@@ -380,10 +380,11 @@ class TestOneOutcome:
                 pstlab.pst._certify_chain(chain)
             error = raised.value
         else:
-            cert, lam, error = pstlab.pst._certify_chain(chain)
+            cert, lam, lattice, error = pstlab.pst._certify_chain(chain)
             assert cert.failure == verdict
             assert (error is None) == (kind is None) == cert.admissible
             assert (lam is None) == (verdict == "asymmetry")
+            assert (lattice is None) == (kind is not None)
 
         # audit_chain raises the chain's error
         if kind is not None:

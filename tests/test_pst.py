@@ -303,6 +303,13 @@ class TestEvolveFidelity:
             want = spectral_fidelity(lam, coeff)(times[:, None])
             assert np.array_equal(evolve_fidelity(chain, times).fidelity, want)
 
+    def test_tiny_chain_needs_no_overflowing_step(self):
+        # the spectral width 2e-310 is subnormal: the weight bound and the
+        # grid's step count stay finite, so no RuntimeWarning is raised
+        chain = ChainSpec.from_dict({"N": 2, "J": [1e-310]})
+        assert evolve_fidelity(chain, [1.0]).fidelity[0] == pytest.approx(1e-310, rel=1e-9, abs=0)
+        assert first_perfect_time(chain, horizon=1.0) is None
+
     def test_certified_chains_reach_unity(self):
         rng = np.random.default_rng(23)
         for _ in range(10):
