@@ -298,11 +298,11 @@ class SearchReport(_Record):
 
 def _block_rows(n_sites: int) -> int:
     """Samples per block, so that a block's working set stays under
-    BLOCK_BYTES: per sample three (N, N) arrays (the Lanczos basis, the
-    end-weight differences and their logarithms), and later the Sturm
-    counts' two (S, 2N) arrays, pivots and counts, with the shifts and a
-    quotient of the same shape.  The formula counts four (N, N) arrays and
-    sixteen rows of N, so the budget holds one array of headroom."""
+    BLOCK_BYTES: per sample two (N, N) arrays (the end-weight differences
+    and their logarithms) and the (N//2 + 1, N) Lanczos basis, and later the
+    Sturm counts' two (S, 2N) arrays, pivots and counts, with the shifts and
+    a quotient of the same shape.  The formula counts four (N, N) arrays and
+    sixteen rows of N, so the budget holds 1.5 arrays of headroom."""
     n = n_sites
     return BLOCK_BYTES // (8 * (4 * n * n + 16 * n))
 

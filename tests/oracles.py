@@ -5,7 +5,9 @@ materialized as dense arrays, eigenproblems go through numpy's dense
 symmetric solver instead of the tridiagonal one, time evolution goes through
 an explicit matrix exponential instead of spectral summation, and the mirror
 traces are literal antidiagonal sums.  The minimal odd unit is found by
-trying every odd multiplier in turn.  The fidelity peak search is one
+trying every odd multiplier in turn.  The chain of a structured spectrum is
+built in exact rational arithmetic by the discrete Stieltjes procedure, and
+the float Lanczos reference runs all N steps.  The fidelity peak search is one
 unchunked scan of the whole grid for sign changes of the slope
 h = Re(conj(z) z'), each bracket solved by scipy's brentq, a different root
 finder from the package's Newton iteration, given the eigenvalues and
@@ -15,6 +17,7 @@ Agreement between these routes and the package is evidence, not tautology,
 so nothing in this file may import pstlab.
 """
 import math
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
@@ -132,6 +135,35 @@ def lanczos_chain(lam) -> tuple[np.ndarray, np.ndarray]:
             beta[k] = np.linalg.norm(r)
             basis[k + 1] = r / beta[k]
     return alpha, beta
+
+
+def exact_chain(multipliers) -> tuple[list[Fraction], list[Fraction]]:
+    """(B, J^2) of the mirror-symmetric chain whose traceless spectrum has
+    consecutive gaps `multipliers` (unit 1), as exact Fractions, by the
+    discrete Stieltjes procedure.  With tail sums T_n = m_n + ... + m_{N-1},
+    lambda_n = T_n - mean(T) and the end weights are 1 / prod_{m != n}
+    |T_n - T_m|, rational and free of the shift.  The monic orthogonal
+    polynomials are carried as their values at the nodes:
+    B_k = <x p_k, p_k> / <p_k, p_k>, J_k^2 = <p_{k+1}, p_{k+1}> / <p_k, p_k>
+    and p_{k+1} = (x - B_k) p_k - J_{k-1}^2 p_{k-1}."""
+    m = [int(x) for x in multipliers]
+    n = len(m) + 1
+    tails = [sum(m[i:]) for i in range(n)]
+    lam = [Fraction(n * t - sum(tails), n) for t in tails]
+    weights = [Fraction(1, math.prod(abs(t - s) for s in tails if s != t)) for t in tails]
+    prev, poly = [Fraction(0)] * n, [Fraction(1)] * n
+    norm = sum(weights)
+    b, j2 = [], []
+    for k in range(n):
+        b.append(sum(w * x * p * p for w, x, p in zip(weights, lam, poly)) / norm)
+        if k == n - 1:
+            break
+        last_j2 = j2[-1] if j2 else Fraction(0)
+        prev, poly = poly, [(x - b[-1]) * p - last_j2 * q for x, p, q in zip(lam, poly, prev)]
+        new_norm = sum(w * p * p for w, p in zip(weights, poly))
+        j2.append(new_norm / norm)
+        norm = new_norm
+    return b, j2
 
 
 def eigenvector_transfer_terms(eigenvalues, eigenvectors, parity_signs=None):

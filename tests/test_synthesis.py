@@ -1,12 +1,13 @@
 """Spectrum specifications and the inverse eigenvalue problem."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_decompose
+from oracles import dense_decompose, exact_chain
 
 from pstlab import (
     NumericalBreakdown,
@@ -16,7 +17,8 @@ from pstlab import (
     is_mirror_symmetric,
     synthesize,
 )
-from pstlab.synthesis import draw_multipliers
+from pstlab.bounds import _block_rows
+from pstlab.synthesis import _expand_rows, _synthesize_rows, draw_multipliers
 
 
 def descending_spectra(max_sites=12):
@@ -158,6 +160,47 @@ class TestSynthesize:
         with pytest.warns(UserWarning, match="N=65") as record:
             synthesize(lam)
         assert record[0].filename == __file__  # the warning points at the caller
+
+
+class TestSynthesizeRows:
+    """The stacked core against exact chains, and its mirrored second half."""
+
+    def test_rows_are_bitwise_persymmetric(self):
+        # Lanczos runs to the centre and the rest is its mirror image
+        rng = np.random.default_rng(31)
+        spectra = []
+        for n in range(2, 17):
+            spectra += [_expand_rows(1.0, draw_multipliers(rng, n, 9, count=20)),
+                        np.cumsum(rng.uniform(1.0, 100.0, (20, n)), axis=1)[:, ::-1].copy()]
+        # and one search block at N = 448
+        spectra.append(_expand_rows(1.0, draw_multipliers(rng, 448, 9, count=_block_rows(448))))
+        for lam in spectra:
+            diagonal, couplings, errors = _synthesize_rows(lam)
+            assert errors == [None] * len(lam)
+            assert np.array_equal(diagonal, diagonal[:, ::-1]), lam.shape
+            assert np.array_equal(couplings, couplings[:, ::-1]), lam.shape
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_rows_match_the_exact_chain(self, n):
+        rows = [[1] * (n - 1)] + [[3 if i == k else 1 for i in range(n - 1)] for k in range(n - 1)]
+        if n == 5:
+            rows.append([1, 5, 5, 1])
+        mults = np.vstack([rows, draw_multipliers(np.random.default_rng(n), n, 9, count=20)])
+        lam = _expand_rows(1.0, mults)
+        diagonal, couplings, errors = _synthesize_rows(lam)
+        assert errors == [None] * len(mults)
+        for row, m in enumerate(mults):
+            b, j2 = exact_chain(m)
+            tol = 1e-13 * (lam[row, 0] - lam[row, -1])
+            assert np.abs(diagonal[row] - [float(x) for x in b]).max() <= tol, m
+            assert np.abs(couplings[row] - np.sqrt([float(x) for x in j2])).max() <= tol, m
+
+    def test_exact_chain_of_known_spectra(self):
+        # gaps (1, 3) and the all-ones lattice, J_k^2 = k (N - k) / 4 at gap 1
+        assert exact_chain([1, 3]) == ([Fraction(2, 3), Fraction(-4, 3), Fraction(2, 3)],
+                                       [Fraction(3, 2), Fraction(3, 2)])
+        b, j2 = exact_chain([1] * 5)
+        assert b == [0] * 6 and j2 == [Fraction(k * (6 - k), 4) for k in range(1, 6)]
 
 
 class TestCanonicalChain:
