@@ -33,7 +33,6 @@ from .eigensolve import (
 )
 from .errors import (
     EigensolveError,
-    MultiplierOverflow,
     NotAdmissible,
     NumericalBreakdown,
     ParityViolation,
@@ -59,7 +58,6 @@ __all__ = [
     "ChainSpec",
     "EigensolveError",
     "FidelityTrace",
-    "MultiplierOverflow",
     "NotAdmissible",
     "NumericalBreakdown",
     "ParityViolation",

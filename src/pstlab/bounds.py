@@ -32,6 +32,7 @@ import numpy as np
 from .chain import (ChainSpec, _alternating_signs, _alternating_sums, _mirror_symmetric_rows,
                     _mirror_traces_rows, _Record)
 from .eigensolve import _sturm_counts_rows
+from .errors import NotAdmissible
 from .pst import MAX_MULTIPLIER, PHASE_TOL, _certify_chain, _check_cap, _on_lattice
 from .synthesis import _lattice_rows, _synthesize_rows, canonical_chain, draw_multipliers
 
@@ -56,17 +57,14 @@ BLOCK_BYTES = 8 * 2**20  # working-set budget of one block of falsify_search sam
 SCAN_CSV_HEADER = "N,parity,J_max,t0,product,bound,ratio,lambda_min_ok,central_field"
 
 
-def bound_value(n_sites: int, t0: float = 1.0) -> float:
-    """The parity-appropriate lower bound on J_max for transfer time t0:
-    pi N / (4 t0) for even N, pi sqrt(N^2 - 1) / (4 t0) for odd N.  At the
-    default t0 = 1 this is the floor on the product J_max * t0."""
+def bound_value(n_sites: int) -> float:
+    """The parity-appropriate floor on the product J_max * t0: pi N / 4 for
+    even N, pi sqrt(N^2 - 1) / 4 for odd N."""
     if n_sites < 2:
         raise ValueError("n_sites must be >= 2")
-    if not t0 > 0:
-        raise ValueError("t0 must be > 0")
     if n_sites % 2 == 0:
-        return math.pi * n_sites / (4.0 * t0)
-    return math.pi * math.sqrt(n_sites * n_sites - 1.0) / (4.0 * t0)
+        return math.pi * n_sites / 4.0
+    return math.pi * math.sqrt(n_sites * n_sites - 1.0) / 4.0
 
 
 @dataclass(frozen=True)
@@ -180,18 +178,18 @@ def _audit_rows(
 def audit_chain(
     chain: ChainSpec, *, max_multiplier: int = MAX_MULTIPLIER
 ) -> tuple[BoundReport, ProofAudit]:
-    """Certify at the multiplier cap `max_multiplier`, then measure every
-    step of the parity-appropriate bound proof.
+    """Certify with the unit search capped at `max_multiplier` (see
+    pst.certify), then measure every step of the parity-appropriate bound
+    proof.
 
-    Raises the certification's error for a chain that does not certify:
-    NotAdmissible, or MultiplierOverflow where a multiplier exceeds the cap;
-    a failed solve raises EigensolveError.  The audit works on the traceless
-    shift (the derivations assume sum lambda = 0) and the accepted lattice
-    (see ProofAudit); gaps, t0 and J_max are shift-invariant.
+    Raises NotAdmissible, naming the verdict, for a chain that does not
+    certify; a failed solve raises EigensolveError.  The audit works on the
+    traceless shift (the derivations assume sum lambda = 0) and the accepted
+    lattice (see ProofAudit); gaps, t0 and J_max are shift-invariant.
     """
-    cert, _, lattice, error = _certify_chain(chain, max_multiplier=max_multiplier)
-    if error is not None:
-        raise error
+    cert, _, lattice = _certify_chain(chain, max_multiplier=max_multiplier)
+    if not cert.admissible:
+        raise NotAdmissible(f"chain does not certify: {cert.failure}")
     rows = _audit_rows(chain.diagonal[None], chain.couplings[None], lattice[None],
                        np.array([cert.t0]))
     return _reports(rows, 0, chain.n_sites)

@@ -14,16 +14,10 @@ class ParityViolation(PstLabError):
     alternating sign pattern is broken."""
 
 
-class MultiplierOverflow(PstLabError):
-    """Some odd m <= cap makes every gap an odd multiple of g_min / m, but a
-    multiplier exceeds the cap.  Gaps that no odd m <= cap fits read
-    "no-common-odd-unit" instead, even where a larger cap would fit them."""
-
-
 class NumericalBreakdown(PstLabError):
-    """Double precision cannot hold the result: a Lanczos off-diagonal
-    underflows (the target spectrum is too close to degenerate), or a
-    synthesized field or a certified transfer time overflows."""
+    """Double precision cannot hold the result: an end weight or a Lanczos
+    off-diagonal underflows (the target spectrum is too close to degenerate),
+    or a synthesized field or a certified transfer time overflows."""
 
 
 class NotAdmissible(PstLabError):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .chain import ChainSpec, _alternating_signs, _Record, is_mirror_symmetric
 from .eigensolve import classify_parity, decompose, eigenvalues_only
-from .errors import MultiplierOverflow, NotAdmissible, NumericalBreakdown
+from .errors import NumericalBreakdown
 from .synthesis import _expand_rows
 
 __all__ = [
@@ -40,7 +40,7 @@ __all__ = [
 GAP_REL_TOL = 1e-9       # |g_n - m_n u| <= tol * g_n per gap
 PHASE_TOL = 1e-8         # spread of the lattice offsets, times t0 (_on_lattice)
 MAX_MULTIPLIER = 999
-MAX_CAP = 2**31 - 1      # so caps, denominators, multipliers are exact floats, lcm steps int64
+MAX_CAP = 2**31 - 1      # so caps and denominators are exact floats, lcm steps int64
 FIDELITY_BYTES = 4 * 2**20  # working-set budget of one chunk of fidelity evaluations
 WEIGHT_TOL = 1e-11       # error bound up to which fidelity weights come from the spectrum
 
@@ -51,8 +51,7 @@ class PstCertificate(_Record):
     transfer phase phi in (-pi, pi], the odd gap multipliers, and the worst
     relative gap residual |g_n - m_n u| / g_n.  When not: the numeric fields
     are None and `failure` is the verdict, "asymmetry" or
-    "no-common-odd-unit"; a third, "multiplier-overflow", reaches only the
-    CLI, since certify raises MultiplierOverflow in its place."""
+    "no-common-odd-unit"."""
 
     admissible: bool
     t0: float | None = None
@@ -74,11 +73,11 @@ def _principal_phase(x: np.ndarray) -> np.ndarray:
 
 
 def _minimal_unit(gaps: np.ndarray, cap: int):
-    """For one chain's positive gaps: the largest u with all gaps odd
-    multiples of u within GAP_REL_TOL, as (u, multipliers, max_residual,
-    overflow).  u and max_residual are NaN and the multipliers zero where no
-    unit fits; overflow marks a unit that passed but for a multiplier above
-    the cap.
+    """For one chain's positive gaps: the largest u = g_min/m, odd m <= cap,
+    with all gaps odd multiples of u within GAP_REL_TOL, as (u, multipliers,
+    max_residual).  u and max_residual are NaN and the multipliers zero where
+    no unit fits.  The cap bounds m alone; the other multipliers are bounded
+    only by representability, a sum below 2^53 (exact in float64 and int64).
 
     Every ratio g/g_min runs at once through its continued-fraction
     convergents p/q to the first within GAP_REL_TOL of it or to q > cap, and
@@ -116,11 +115,11 @@ def _minimal_unit(gaps: np.ndarray, cap: int):
             u = g_min / m
             k = np.rint(gaps / u)
             resid = np.abs(gaps - k * u)
-            fits = ((k % 2 == 1) & (resid <= GAP_REL_TOL * gaps)).all()
-        overflow = bool(fits and (k > cap).any())
-        if not fits or overflow:
-            return math.nan, np.zeros(gaps.size, dtype=np.int64), math.nan, overflow
-        return u, k.astype(np.int64), (resid / gaps).max(), False
+            # a float sum of whole k >= 0 reaches 2^53 exactly when the true sum does
+            fits = ((k % 2 == 1) & (resid <= GAP_REL_TOL * gaps)).all() and k.sum() < 2.0**53
+        if not fits:
+            return math.nan, np.zeros(gaps.size, dtype=np.int64), math.nan
+        return u, k.astype(np.int64), (resid / gaps).max()
 
 
 def _check_cap(cap) -> None:
@@ -138,59 +137,44 @@ def _on_lattice(spread, t0):
 
 
 def _certify_chain(chain: ChainSpec, *, max_multiplier: int = MAX_MULTIPLIER):
-    """certify on one chain, as (certificate, spectrum, lattice, error): the
-    solved spectrum (None for an asymmetric chain), the accepted traceless
-    lattice or None, and the error audit_chain raises for a chain that does
-    not certify, or None.  A failed solve raises, and so does a transfer time
-    pi/u that overflows (NumericalBreakdown).  The steps run in order, each
-    returning at once: the cap, mirror symmetry at SYMMETRY_TOL, the solve,
-    the unit search at GAP_REL_TOL proposing the lattice, and _on_lattice."""
+    """certify on one chain, as (certificate, spectrum, lattice): the solved
+    spectrum (None for an asymmetric chain) and the accepted traceless
+    lattice (None unless admissible).  A failed solve raises, and so does a
+    transfer time pi/u that overflows (NumericalBreakdown).  The steps run in
+    order, each returning at once: the cap, mirror symmetry at SYMMETRY_TOL,
+    the solve, the unit search at GAP_REL_TOL proposing the lattice, and
+    _on_lattice."""
     _check_cap(max_multiplier)
     if not is_mirror_symmetric(chain):
-        return _refusal("asymmetry", None)
+        return PstCertificate(admissible=False, failure="asymmetry"), None, None
     lam = eigenvalues_only(chain)
-    unit, multipliers, max_residual, overflow = _minimal_unit(-np.diff(lam), max_multiplier)
-    if overflow:
-        error = MultiplierOverflow(
-            f"gaps are commensurate only with an odd multiplier beyond "
-            f"{max_multiplier}; raise the cap or treat the spectrum as incommensurate"
-        )
-        return PstCertificate(admissible=False, failure="multiplier-overflow"), lam, None, error
+    unit, multipliers, max_residual = _minimal_unit(-np.diff(lam), max_multiplier)
+    refusal = PstCertificate(admissible=False, failure="no-common-odd-unit"), lam, None
     if math.isnan(unit):
-        return _refusal("no-common-odd-unit", lam)
+        return refusal
     t0 = math.pi / float(unit)  # float division: inf without a warning
     if math.isinf(t0):
         raise NumericalBreakdown(f"transfer time pi/u overflows double precision (u = {unit:.3e})")
     lattice = _expand_rows(unit, multipliers[None])[0]
     if not _on_lattice(np.ptp(lam - lam.mean() - lattice), t0):
-        return _refusal("no-common-odd-unit", lam)
+        return refusal
     cert = PstCertificate(admissible=True, t0=float(t0), phi=float(_principal_phase(-lam[0] * t0)),
                           multipliers=multipliers, max_residual=float(max_residual))
-    return cert, lam, lattice, None
-
-
-def _refusal(verdict: str, lam: np.ndarray | None):
-    """_certify_chain's outcome for a chain that does not certify by `verdict`."""
-    cert = PstCertificate(admissible=False, failure=verdict)
-    return cert, lam, None, NotAdmissible(f"chain does not certify: {verdict}")
+    return cert, lam, lattice
 
 
 def certify(chain: ChainSpec, *, max_multiplier: int = MAX_MULTIPLIER) -> PstCertificate:
     """Decide PST admissibility and report the minimal transfer time.
 
-    Keyword: max_multiplier (999), the odd multiplier cap, at most
-    MAX_CAP = 2^31 - 1, else ValueError.  The tolerances are module
-    constants: mirror symmetry at chain.SYMMETRY_TOL (1e-10, relative), gaps
-    at GAP_REL_TOL and the lattice offsets at PHASE_TOL (_on_lattice).  A
-    chain that does not certify comes back with its verdict in `failure`,
-    except that MultiplierOverflow is raised where an odd m <= cap fits but a
-    multiplier exceeds it; a failed solve raises EigensolveError, and a
-    transfer time that overflows NumericalBreakdown.
+    Keyword: max_multiplier (999), the cap on the odd m of the unit
+    u = g_min/m, at most MAX_CAP = 2^31 - 1, else ValueError; the other
+    multipliers are not capped.  The tolerances are module constants: mirror
+    symmetry at chain.SYMMETRY_TOL (1e-10, relative), gaps at GAP_REL_TOL and
+    the lattice offsets at PHASE_TOL (_on_lattice).  A chain that does not
+    certify comes back with its verdict in `failure`; a failed solve raises
+    EigensolveError, and a transfer time that overflows NumericalBreakdown.
     """
-    cert, *_, error = _certify_chain(chain, max_multiplier=max_multiplier)
-    if isinstance(error, MultiplierOverflow):
-        raise error
-    return cert
+    return _certify_chain(chain, max_multiplier=max_multiplier)[0]
 
 
 @dataclass(frozen=True)

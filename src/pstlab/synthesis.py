@@ -159,19 +159,22 @@ def _synthesize_rows(lam: np.ndarray):
     """synthesize for stacked descending spectra (S, N).
 
     Returns (diagonal (S, N), couplings (S, N-1), errors): errors[r] is the
-    NumericalBreakdown of row r, a non-finite field or a Lanczos breakdown,
-    or None; the fields of a broken row are meaningless.  Lanczos takes
-    ceil(N/2) steps on an (S, N//2 + 1, N) basis and the rest of B and J is
-    mirrored.  Every row runs the same arithmetic as a batch of one, so a
-    row's chain does not depend on the other rows of its batch.
+    NumericalBreakdown of row r, a non-finite field, an end weight that
+    underflows to 0 or a Lanczos breakdown, or None; the fields of a broken
+    row are meaningless.  Lanczos takes ceil(N/2) steps on an
+    (S, N//2 + 1, N) basis and the rest of B and J is mirrored, so a zero
+    weight, which full Lanczos would meet as a late breakdown, is refused up
+    front.  Every row runs the same arithmetic as a batch of one, so a row's
+    chain does not depend on the other rows of its batch.
     """
     s, n = lam.shape
     half = n // 2
     floor = BREAKDOWN_TOL * (lam[:, 0] - lam[:, -1])
 
     # Lanczos on diag(lambda) to the centre, full reorthogonalization (two passes) per step.
+    weights = _end_weights(lam)
     basis = np.zeros((s, half + 1, n))
-    basis[:, 0] = np.sqrt(_end_weights(lam))
+    basis[:, 0] = np.sqrt(weights)
     alpha = np.zeros((s, n))
     beta = np.zeros((s, n - 1))
     for k in range(n - half):
@@ -197,8 +200,12 @@ def _synthesize_rows(lam: np.ndarray):
     finite = np.isfinite(alpha).all(axis=1) & np.isfinite(beta).all(axis=1)
     for row in np.flatnonzero(~finite):
         errors[row] = NumericalBreakdown("synthesized fields overflow double precision")
+    underflow = finite & (weights == 0.0).any(axis=1)
+    for row in np.flatnonzero(underflow):
+        errors[row] = NumericalBreakdown(
+            "an end weight underflows double precision; spectrum too close to degenerate")
     broken = beta <= floor[:, None]
-    for row in np.flatnonzero(finite & broken.any(axis=1)):
+    for row in np.flatnonzero(finite & ~underflow & broken.any(axis=1)):
         k = int(broken[row].argmax())
         errors[row] = NumericalBreakdown(
             f"Lanczos off-diagonal {beta[row, k]:.3e} at step {k + 1} "
@@ -214,8 +221,9 @@ def synthesize(spectrum: SpectrumSpec | np.ndarray) -> ChainSpec:
     Accepts a SpectrumSpec or a raw strictly-descending array.  The result
     round-trips through :func:`pstlab.eigensolve.decompose` to ~1e-14 of the
     spectral width for well-separated spectra at N <= 64; a warning is issued
-    above that size.  Raises NumericalBreakdown when a Lanczos off-diagonal
-    underflows (spectrum numerically degenerate) or a field overflows.
+    above that size.  Raises NumericalBreakdown when an end weight or a
+    Lanczos off-diagonal underflows (spectrum numerically degenerate) or a
+    field overflows.
     """
     if not isinstance(spectrum, SpectrumSpec):
         spectrum = SpectrumSpec(eigenvalues=spectrum)

@@ -85,26 +85,20 @@ def exact_substitution_gap(multipliers) -> int:
 
 
 def minimal_odd_unit(gaps, cap: int, rel_tol: float):
-    """(u, multipliers, max_residual, overflow) for one row of positive gaps,
-    by trying u = g_min/m for m = 1, 3, ..., cap in turn: the first u under
-    which every gap g is an odd multiple k of u with |g - k u| <= rel_tol * g
-    and k <= cap.  u and max_residual are NaN and the multipliers zero if
-    none is; overflow is whether a candidate before it passed but for a
-    multiplier above cap."""
+    """(u, multipliers, max_residual) for one row of positive gaps, by trying
+    u = g_min/m for m = 1, 3, ..., cap in turn: the first u under which every
+    gap g is an odd multiple k of u with |g - k u| <= rel_tol * g.  The cap
+    bounds m alone, not k.  u and max_residual are NaN and the multipliers
+    zero if none is."""
     g = np.asarray(gaps, dtype=float)
     g_min = g.min()
-    overflow = False
     for m in range(1, cap + 1, 2):
         u = g_min / m
         k = np.rint(g / u)
         resid = np.abs(g - k * u)
-        if not ((k % 2 == 1).all() and (resid <= rel_tol * g).all()):
-            continue
-        if (k > cap).any():
-            overflow = True
-            continue
-        return u, k.astype(np.int64), float((resid / g).max()), overflow
-    return math.nan, np.zeros(g.size, dtype=np.int64), math.nan, overflow
+        if (k % 2 == 1).all() and (resid <= rel_tol * g).all():
+            return u, k.astype(np.int64), float((resid / g).max())
+    return math.nan, np.zeros(g.size, dtype=np.int64), math.nan
 
 
 def lanczos_chain(lam) -> tuple[np.ndarray, np.ndarray]:

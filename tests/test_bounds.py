@@ -14,7 +14,6 @@ import pstlab.bounds
 import pstlab.pst
 from pstlab import (
     ChainSpec,
-    MultiplierOverflow,
     NotAdmissible,
     SpectrumSpec,
     audit_chain,
@@ -52,13 +51,20 @@ class TestBoundValue:
         assert bound_value(5) == pytest.approx(math.pi * math.sqrt(24.0) / 4.0)
 
     def test_scales_inversely_with_time(self):
-        assert bound_value(6, t0=2.0) == pytest.approx(bound_value(6) / 2.0)
+        # the bound is a floor on J_max t0, which takes no time: scaling a
+        # chain by 2 halves t0 and leaves the bound and the ratio alone
+        chain = canonical_chain(6)
+        fast = ChainSpec(diagonal=chain.diagonal, couplings=2.0 * chain.couplings)
+        (slow_report, _), (fast_report, _) = audit_chain(chain), audit_chain(fast)
+        assert fast_report.t0 == pytest.approx(slow_report.t0 / 2.0, rel=1e-12)
+        assert fast_report.bound == slow_report.bound == bound_value(6)
+        assert fast_report.ratio == pytest.approx(slow_report.ratio, rel=1e-12)
+        with pytest.raises(TypeError):
+            bound_value(6, t0=2.0)
 
     def test_validates_arguments(self):
         with pytest.raises(ValueError):
             bound_value(1)
-        with pytest.raises(ValueError):
-            bound_value(4, t0=0.0)
 
 
 class TestAuditChain:
@@ -121,10 +127,14 @@ class TestAuditChain:
             audit_chain(ChainSpec(diagonal=[0.0, 0.0, 0.0], couplings=[1.0, 2.0]))
 
     def test_overflow_propagates(self):
+        # a multiplier beyond the cap is audited; a unit g_min/m with m beyond
+        # it is not found, and that verdict propagates as NotAdmissible
         lam = np.array([102.0, 101.0, 0.0])
-        chain = synthesize(lam - lam.mean())
-        with pytest.raises(MultiplierOverflow):
-            audit_chain(chain, max_multiplier=99)
+        report, _ = audit_chain(synthesize(lam - lam.mean()), max_multiplier=99)
+        assert report.t0 == pytest.approx(math.pi, rel=1e-12)
+        lam = np.array([204.0, 103.0, 0.0])
+        with pytest.raises(NotAdmissible, match="no-common-odd-unit"):
+            audit_chain(synthesize(lam - lam.mean()), max_multiplier=99)
 
     def test_report_dict_and_csv_row(self):
         report, _ = audit_chain(canonical_chain(4))
@@ -200,7 +210,7 @@ class TestOneLatticeRule:
 
     def test_audit_chain_audits_the_certified_lattice(self):
         chain, *_ = self._drifted(self.MULTIPLIERS[0], 0.25)
-        cert, lam, lattice, _ = pstlab.pst._certify_chain(chain)
+        cert, lam, lattice = pstlab.pst._certify_chain(chain)
         _, audit = audit_chain(chain)
         tail = -(lattice.size - 1) * (math.pi / cert.t0) / 2.0
         assert audit.lambda_min_slack == pytest.approx(tail - lattice[-1], rel=0, abs=1e-14)
@@ -477,8 +487,8 @@ class TestFalsifySearch:
         assert report.min_ratio == pytest.approx(1.0, abs=1e-12)
 
     def test_search_certifies_at_its_draw_cap(self):
-        # certified at a fixed cap of 999, most patterns drawn up to 2001
-        # read no-common-odd-unit (35 of 200 were audited)
+        # the search checks each chain against the lattice it drew, so draws
+        # up to 2001 are all audited, whatever certify's default cap
         report = falsify_search(4, 200, 2001, 0)
         assert report.max_multiplier == 2001
         assert report.evaluated == 200

@@ -11,11 +11,13 @@ import pstlab.bounds
 import pstlab.cli
 import pstlab.pst
 import pstlab.synthesis
-from pstlab import (ChainSpec, EigensolveError, MultiplierOverflow, NotAdmissible,
-                    NumericalBreakdown, SpectrumSpec, audit_chain, canonical_chain, certify,
-                    eigenvalues_only, first_perfect_time, synthesize)
+from pstlab import (ChainSpec, EigensolveError, NotAdmissible, NumericalBreakdown, SpectrumSpec,
+                    audit_chain, canonical_chain, certify, eigenvalues_only, first_perfect_time,
+                    synthesize)
 from pstlab.chain import SYMMETRY_TOL
 from pstlab.cli import MAX_STEPS, main
+
+MAX_SCAN = pstlab.bounds.MAX_SCAN_SITES  # 65536, the largest N of scan and synth --canonical
 
 
 def write_json(path, data):
@@ -60,17 +62,25 @@ class TestAnalyze:
         assert "asymmetry" in out
 
     def test_multiplier_overflow_exits_2(self, tmp_path, capsys):
-        lam = np.array([102.0, 101.0, 0.0])
-        chain = synthesize(lam - lam.mean())
-        path = write_json(tmp_path / "wide.json", chain.to_dict())
+        # --cap bounds the m of the unit g_min/m: gaps (101, 103) need
+        # m = 101, so at cap 99 no unit fits and the report is the full one
+        # of that verdict; gaps (1, 101) fit at m = 1 and certify there
+        lam = np.array([204.0, 103.0, 0.0])
+        path = write_json(tmp_path / "wide.json", synthesize(lam - lam.mean()).to_dict())
         report = tmp_path / "report.json"
         assert main(["analyze", "--input", path, "--cap", "99",
                      "--output", str(report)]) == 2
-        assert "NOT ADMISSIBLE at cap 99" in capsys.readouterr().out
+        assert "NOT ADMISSIBLE (no-common-odd-unit)" in capsys.readouterr().out
         data = json.loads(report.read_text())
         assert data["certificate"] == {
-            "admissible": False, "failure": "multiplier-overflow",
+            "admissible": False, "failure": "no-common-odd-unit", "t0": None, "phi": None,
+            "multipliers": None, "max_residual": None,
         }
+        assert main(["analyze", "--input", path]) == 0
+        lam = np.array([102.0, 101.0, 0.0])
+        path = write_json(tmp_path / "one.json", synthesize(lam - lam.mean()).to_dict())
+        assert main(["analyze", "--input", path, "--cap", "99"]) == 0
+        assert "multipliers = 1 101" in capsys.readouterr().out
 
     def test_malformed_json_exits_1(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -255,8 +265,10 @@ class TestFlagValidation:
         ("search --n 3 --samples 1 --seed -1", "--seed: must be an integer >= 0, got '-1'"),
         ("search --n 3 --samples 1 --seed x", "--seed: must be an integer >= 0, got 'x'"),
         ("search --n 3 --samples 0", "--samples: must be an integer >= 1, got '0'"),
-        ("synth --canonical 1", "--canonical: must be an integer >= 2, got '1'"),
-    ], ids=["negative-seed", "non-integer-seed", "no-samples", "canonical-1"])
+        ("synth --canonical 1", f"--canonical: must be an integer in 2..{MAX_SCAN}, got '1'"),
+        (f"synth --canonical {MAX_SCAN + 1}",
+         f"--canonical: must be an integer in 2..{MAX_SCAN}, got '{MAX_SCAN + 1}'"),
+    ], ids=["negative-seed", "non-integer-seed", "no-samples", "canonical-1", "canonical-65537"])
     def test_search_and_synth_numbers(self, argv, rule, monkeypatch, capsys):
         def refuse(*args, **kwargs):
             raise AssertionError("the command ran")
@@ -272,15 +284,15 @@ class TestOneSolvePerCommand:
     whatever the verdict: one call to LAPACK's dsterf and no full
     decomposition."""
 
-    CHAINS = {  # verdict: (chain, what analyze prints for it)
+    CHAINS = {  # verdict or case: (chain, what analyze prints for it)
         "admissible": (lambda: synthesize(SpectrumSpec(unit=1.0, multipliers=[1, 3, 5, 3, 1] * 4)),
                        "certificate: ADMISSIBLE"),
         "asymmetry": (lambda: synthesize(SpectrumSpec(unit=1.0, multipliers=[1, 3, 1])),
                       "NOT ADMISSIBLE (asymmetry)"),
         "no-common-odd-unit": (lambda: synthesize(np.array([1.0, 0.0, -math.sqrt(2.0)])),
                                "NOT ADMISSIBLE (no-common-odd-unit)"),
-        "multiplier-overflow": (lambda: synthesize(SpectrumSpec(unit=1.0, multipliers=[1, 1001, 1])),
-                                "NOT ADMISSIBLE at cap 999"),
+        "large-multiplier": (lambda: synthesize(SpectrumSpec(unit=1.0, multipliers=[1, 1001, 1])),
+                             "multipliers = 1 1001 1"),
     }
 
     @pytest.fixture()
@@ -307,7 +319,8 @@ class TestOneSolvePerCommand:
         if verdict == "asymmetry":
             data["B"][0] += 0.01
         path = write_json(tmp_path / "chain.json", data)
-        assert main(["analyze", "--input", path]) == (0 if verdict == "admissible" else 2)
+        admissible = verdict in ("admissible", "large-multiplier")
+        assert main(["analyze", "--input", path]) == (0 if admissible else 2)
         assert printed in capsys.readouterr().out
         assert solves == {"dsterf": 1, "decompose": 0}
         solves.update(dsterf=0)
@@ -327,9 +340,9 @@ class TestOneSolvePerCommand:
 
 
 class TestOneOutcome:
-    """A certification outcome is built once, as a chain's verdict and
-    error in _certify_chain, and certify, audit_chain, analyze, evolve and
-    the default horizon of first_perfect_time each read that one outcome."""
+    """A certification outcome is built once, as a chain's certificate in
+    _certify_chain, and certify, audit_chain, analyze, evolve and the default
+    horizon of first_perfect_time each read that one outcome."""
 
     OUTCOMES = {  # outcome: (chain, verdict, error type, start of its message)
         "admissible": (lambda: canonical_chain(5), None, None, None),
@@ -338,9 +351,8 @@ class TestOneOutcome:
         "no-common-odd-unit": (lambda: synthesize(np.array([1.0, 0.0, -3.0 * math.sqrt(2.0)])),
                                "no-common-odd-unit", NotAdmissible,
                                "chain does not certify: no-common-odd-unit"),
-        "multiplier-overflow": (lambda: synthesize(SpectrumSpec(unit=1.0, multipliers=[1, 1001, 1])),
-                                "multiplier-overflow", MultiplierOverflow,
-                                "gaps are commensurate only with an odd multiplier beyond 999"),
+        "large-multiplier": (lambda: synthesize(SpectrumSpec(unit=1.0, multipliers=[1, 1001, 1])),
+                             None, None, None),
         "solver-failure": (lambda: canonical_chain(4), None, EigensolveError,
                            "degenerate or unordered eigenvalues"),
         "t0-overflow": (lambda: ChainSpec.from_dict({"N": 2, "J": [1e-310]}), None,
@@ -379,22 +391,22 @@ class TestOneOutcome:
             with pytest.raises(kind) as raised:
                 pstlab.pst._certify_chain(chain)
             error = raised.value
+            assert str(error).startswith(message)
         else:
-            cert, lam, lattice, error = pstlab.pst._certify_chain(chain)
+            cert, lam, lattice = pstlab.pst._certify_chain(chain)
             assert cert.failure == verdict
-            assert (error is None) == (kind is None) == cert.admissible
+            assert (kind is None) == cert.admissible
             assert (lam is None) == (verdict == "asymmetry")
             assert (lattice is None) == (kind is not None)
 
-        # audit_chain raises the chain's error
+        # audit_chain raises the certification's error, or NotAdmissible naming the verdict
         if kind is not None:
-            assert isinstance(error, kind) and str(error).startswith(message)
             with pytest.raises(kind) as raised:
                 audit_chain(chain)
-            assert str(raised.value) == str(error)
+            assert str(raised.value).startswith(message)
 
-        # certify returns a certificate, and raises for an overflow or a failed solve
-        if outcome == "multiplier-overflow" or outcome in self.RAISED:
+        # certify returns a certificate, and raises for a failed solve
+        if outcome in self.RAISED:
             with pytest.raises(kind) as raised:
                 certify(chain)
             assert str(raised.value) == str(error)
@@ -603,10 +615,10 @@ class TestTopLevel:
     def test_consecutive_calls_parse_their_own_subcommand(self, tmp_path, capsys):
         # one parser serves every call: a flag given to one call must not
         # become the next call's value
-        lam = np.array([102.0, 101.0, 0.0])
+        lam = np.array([204.0, 103.0, 0.0])
         path = write_json(tmp_path / "wide.json", synthesize(lam - lam.mean()).to_dict())
         assert main(["analyze", "--input", path, "--cap", "99"]) == 2
-        assert "NOT ADMISSIBLE at cap 99" in capsys.readouterr().out
+        assert "NOT ADMISSIBLE (no-common-odd-unit)" in capsys.readouterr().out
         assert main(["evolve", "--input", path, "--t-max", "1", "--steps", "3"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("time,fidelity")

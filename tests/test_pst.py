@@ -23,7 +23,6 @@ from oracles import (
 from pstlab import (
     ChainSpec,
     FidelityTrace,
-    MultiplierOverflow,
     SpectrumSpec,
     canonical_chain,
     certify,
@@ -80,13 +79,28 @@ class TestCertify:
         assert cert.failure == "no-common-odd-unit"
 
     def test_multiplier_overflow(self):
+        # the cap bounds only the m of the unit g_min/m: gaps (1, 101) fit at
+        # m = 1 and certify at cap 99 with a multiplier beyond it, while gaps
+        # (101, 103) need m = 101 and certify only once the cap reaches it
         lam = np.array([102.0, 101.0, 0.0])
-        chain = synthesize(lam - lam.mean())
-        with pytest.raises(MultiplierOverflow, match="99"):
-            certify(chain, max_multiplier=99)
-        cert = certify(chain, max_multiplier=101)
+        cert = certify(synthesize(lam - lam.mean()), max_multiplier=99)
         assert cert.admissible
         np.testing.assert_array_equal(cert.multipliers, [1, 101])
+        lam = np.array([204.0, 103.0, 0.0])
+        chain = synthesize(lam - lam.mean())
+        assert certify(chain, max_multiplier=99).failure == "no-common-odd-unit"
+        cert = certify(chain)
+        assert cert.admissible
+        np.testing.assert_array_equal(cert.multipliers, [101, 103])
+        assert cert.t0 == pytest.approx(math.pi, rel=1e-12)
+        # the smallest gap 1023 needs m = 1023, beyond the default cap
+        chain = synthesize(SpectrumSpec(unit=1.0, multipliers=[1703, 1275, 1023]))
+        assert certify(chain).failure == "no-common-odd-unit"
+        assert certify(chain, max_multiplier=1023).admissible
+        # and a multiplier above the default cap certifies at it
+        cert = certify(synthesize(SpectrumSpec(unit=1.0, multipliers=[1, 1001, 1])))
+        np.testing.assert_array_equal(cert.multipliers, [1, 1001, 1])
+        assert cert.t0 == pytest.approx(math.pi, rel=1e-12)
 
     def test_rejects_even_cap(self):
         with pytest.raises(ValueError, match="odd"):
@@ -105,8 +119,8 @@ class TestCertify:
         assert strict.failure == "no-common-odd-unit"
         # the per-gap test passes, so the rejection is the phase check's
         gaps = -np.diff(pst.eigenvalues_only(chain))
-        unit, mult, _, overflow = pst._minimal_unit(gaps, 999)
-        assert not np.isnan(unit) and not overflow
+        unit, mult, _ = pst._minimal_unit(gaps, 999)
+        assert not np.isnan(unit)
         np.testing.assert_array_equal(mult, [1, 999])
 
     @settings(deadline=None, max_examples=60)
@@ -135,7 +149,7 @@ def unit_search_rows(draw):
     """(gaps (S, N-1), cap).  A row's smallest multiplier is an odd base,
     composite for some rows so that its ratios reduce to several
     denominators; the others are odd, drawn up to 9, 99 or 3 cap + 2 above
-    it (past the ratio cap/3 where overflow begins), all times a common odd
+    it (past the cap, which bounds only the smallest), all times a common odd
     factor and a unit.  A row may carry relative noise just below or just
     above GAP_REL_TOL on its gaps above the smallest, a gap broken by
     sqrt(2), or an even multiplier (an even numerator, or an even lcm where
@@ -168,19 +182,17 @@ def unit_search_rows(draw):
 
 
 def _assert_scan_agrees(gaps, cap):
-    """Each row of `gaps` through _minimal_unit against the scan; the units
-    and overflow flags, one per row."""
-    units, overflows = [], []
+    """Each row of `gaps` through _minimal_unit against the scan; the units,
+    one per row."""
+    units = []
     for g in gaps:
-        unit, mult, resid, overflow = pst._minimal_unit(g, cap)
+        unit, mult, resid = pst._minimal_unit(g, cap)
         ref = minimal_odd_unit(g, cap, pst.GAP_REL_TOL)
         np.testing.assert_array_equal(unit, ref[0])
         np.testing.assert_array_equal(mult, ref[1])
         np.testing.assert_array_equal(resid, ref[2])
-        assert overflow == ref[3]
         units.append(unit)
-        overflows.append(overflow)
-    return np.array(units), np.array(overflows)
+    return np.array(units)
 
 
 class TestMinimalUnit:
@@ -193,13 +205,13 @@ class TestMinimalUnit:
 
     def test_lcm_of_distinct_denominators(self):
         # ratios 7/5 and 5/3: the unit is g_min/15, a denominator of neither
-        unit, _ = _assert_scan_agrees(np.array([[15.0, 21.0, 25.0]]), 999)
+        unit = _assert_scan_agrees(np.array([[15.0, 21.0, 25.0]]), 999)
         assert unit[0] == 1.0
 
     def test_even_lcm(self):
         # ratios 3/2 and 5/2: no odd m makes them integers
-        unit, overflow = _assert_scan_agrees(np.array([[2.0, 3.0, 5.0]]), 999)
-        assert np.isnan(unit[0]) and not overflow[0]
+        unit = _assert_scan_agrees(np.array([[2.0, 3.0, 5.0]]), 999)
+        assert np.isnan(unit[0])
 
     def test_lcm_beyond_int64(self):
         # ratios (p + 2)/p for eight primes near 999: their lcm wraps in int64
@@ -207,8 +219,20 @@ class TestMinimalUnit:
         assert math.lcm(*primes) > 2**63
         assert np.lcm.reduce(np.array(primes)) != math.lcm(*primes)
         gaps = np.array([[1.0] + [(p + 2) / p for p in primes]])
-        unit, overflow = _assert_scan_agrees(gaps, 999)
-        assert np.isnan(unit[0]) and not overflow[0]
+        unit = _assert_scan_agrees(gaps, 999)
+        assert np.isnan(unit[0])
+
+    @pytest.mark.parametrize("gaps, fits", [
+        ([1.0, 2.0**53 - 3], True),
+        ([1.0, 2.0**53 - 1], False),
+        ([1.0, 2.0**52 + 1, 2.0**52 + 1], False),
+    ], ids=["sum-below", "sum-at", "several-gaps"])
+    def test_multipliers_sum_below_2_53(self, gaps, fits):
+        # every multiplier is odd and exact, but a sum of 2^53 or more would
+        # not be exact in the lattice's float tail sums: no unit fits
+        unit, mult, _ = pst._minimal_unit(np.array(gaps), 999)
+        assert np.isnan(unit) != fits
+        assert mult.sum() == (sum(int(g) for g in gaps) if fits else 0)
 
     def test_memory_does_not_scale_with_cap(self):
         # an array of the 500,001 odd candidates alone would take 4 MB

@@ -14,6 +14,7 @@ from pstlab import (
     SpectrumSpec,
     canonical_chain,
     decompose,
+    eigenvalues_only,
     is_mirror_symmetric,
     synthesize,
 )
@@ -154,6 +155,26 @@ class TestSynthesize:
     def test_overflowing_fields_break_down(self, spectrum):
         with pytest.raises(NumericalBreakdown, match="overflow double precision"):
             synthesize(spectrum)
+
+    @pytest.mark.parametrize("multipliers", [
+        [1] * 1079,
+        [1] * 412 + [999] * 199 + [1] * 412,
+    ], ids=["all-ones-1080", "central-999-1024"])
+    def test_zero_end_weight_breaks_down(self, multipliers):
+        # an end weight below the smallest double is 0; Lanczos, which stops
+        # at the centre, would never reach the off-diagonal it breaks, and
+        # would return a chain off its spectrum by 7.5e-4 and 0.49 of the width
+        with pytest.warns(UserWarning, match="may lose accuracy"), \
+                pytest.raises(NumericalBreakdown, match="end weight underflows"):
+            synthesize(SpectrumSpec(unit=1.0, multipliers=multipliers))
+
+    def test_smallest_end_weights_still_round_trip(self):
+        # at N = 1024 the all-ones end weights reach 1.1e-308 and stay nonzero
+        spec = SpectrumSpec(unit=1.0, multipliers=[1] * 1023)
+        with pytest.warns(UserWarning, match="N=1024"):
+            chain = synthesize(spec)
+        lam = spec.expand()
+        assert np.abs(eigenvalues_only(chain) - lam).max() <= 1e-14 * (lam[0] - lam[-1])
 
     def test_warns_above_safe_size(self):
         lam = np.arange(65, 0, -1, dtype=float)
