@@ -15,7 +15,8 @@ one; de Boor & Golub 1978).  So one eigenvalue solve serves a chain's
 certificate, fidelity and audit; only spectra too near degenerate for these
 coefficients are decomposed.  The peak scan takes its time grid as one
 complex matrix product per chunk, keeping the slope at every sample and f^2
-only at bracket ends; evolution and peak refinement sum each time's row.
+only at bracket ends, and only where sum |c_n|, a bound on every |z(t)|,
+reaches the threshold; evolution and peak refinement sum each time's row.
 """
 from __future__ import annotations
 
@@ -311,18 +312,21 @@ def _newton_terms(z, dz, d2z):
     return (z.conj() * dz).real, np.abs(dz) ** 2 + (z.conj() * d2z).real, np.abs(z)
 
 
+def _rounding_slack(lam, b):
+    """64 N eps (1 + b max|lambda|): the rounding of f^2 (sum |c| <= 1) at times
+    up to b, in phases and sums; a length-N dot product errs by at most about
+    N eps sum |c| in any order, so the scan's matrix product stays within it."""
+    return 64.0 * lam.size * np.finfo(float).eps * (1.0 + b * np.abs(lam).max())
+
+
 def _peak_ceilings(lam, coeff, a, b, f2_a, f2_b):
     """Bounds on f^2 at a peak t* in each bracket [a, b], from f^2 at its
     ends: h(t*) = 0, so f^2(t*) <= max(f^2(a), f^2(b)) + M (b - a)^2 / 8 for
     M >= |(f^2)''| = 2 |h'|, bounded through |z|, |z'|, |z''| on the centred
-    spectrum (a shift moves no f).  The slack 64 N eps (1 + b max|lambda|)
-    covers the rounding of f^2 (sum |c| <= 1) in the phases and the sums; a
-    length-N dot product errs by at most about N eps sum |c| in any
-    summation order, so the scan's matrix product stays within it too."""
+    spectrum (a shift moves no f), plus _rounding_slack."""
     mag, centred = np.abs(coeff), np.abs(lam - 0.5 * (lam[0] + lam[-1]))
     curvature = 2.0 * ((mag @ centred) ** 2 + mag.sum() * (mag @ centred**2))
-    slack = 64.0 * lam.size * np.finfo(float).eps * (1.0 + b * np.abs(lam).max())
-    return np.maximum(f2_a, f2_b) + curvature * (b - a) ** 2 / 8.0 + slack
+    return np.maximum(f2_a, f2_b) + curvature * (b - a) ** 2 / 8.0 + _rounding_slack(lam, b)
 
 
 def _refine_peaks(lam: np.ndarray, coeff: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -366,19 +370,20 @@ def first_perfect_time(
 ) -> float | None:
     """Time of the earliest fidelity peak reaching `threshold`, or None.
 
-    Samples the slope h = Re(conj(z) z') = (f^2)'/2 of the fidelity on
-    (0, horizon] at step pi/(8 * spectral width) -- at least 16 samples per
-    period of the fastest phase -- and takes every fall of h from > 0 to <= 0
-    between consecutive samples as a peak's bracket.  f(0) = 0, so h counts
-    as rising at t = 0, and a fidelity still rising at the horizon peaks
-    there.  A bracket whose ceiling on f^2 (see _peak_ceilings) is below
-    threshold^2 cannot hold a hit and is skipped; every other peak is refined
-    to the root of h (see _refine_peaks) before it is compared with the
-    threshold, so near-miss peaks are never mistaken for hits and certified
-    chains return t0 itself rather than a flank crossing.  Default horizon:
-    t0 for a chain that certifies (at certify's defaults, on the spectrum
-    the fidelity uses), as f(t0) = 1 reaches any threshold; else 4 pi /
-    (smallest gap), one full revival period of the slowest phase pair.
+    None at once, after the argument checks, if (sum |c_n|)^2 plus the
+    rounding slack is below threshold^2.  Else samples the slope
+    h = Re(conj(z) z') = (f^2)'/2 of the fidelity on (0, horizon] at step
+    pi/(8 * spectral width) -- at least 16 samples per period of the fastest
+    phase -- and takes every fall of h from > 0 to <= 0 between consecutive
+    samples as a peak's bracket.  f(0) = 0, so h counts as rising at t = 0,
+    and a fidelity still rising at the horizon peaks there.  A bracket whose
+    ceiling on f^2 (see _peak_ceilings) is below threshold^2 cannot hold a
+    hit and is skipped; every other peak is refined to the root of h (see
+    _refine_peaks) before it is compared with the threshold, so near-miss
+    peaks are never taken for hits and certified chains return t0, not a
+    flank crossing.  Default horizon: t0 for a chain that certifies (at
+    certify's defaults, on the spectrum the fidelity uses), as f(t0) = 1
+    reaches any threshold; else 4 pi / (smallest gap), one revival of the slowest pair.
 
     The grid is scanned in chunks of whole blocks of B samples, a start plus
     B offsets aligned to the sample index, each chunk one matrix product
@@ -397,12 +402,17 @@ def first_perfect_time(
         horizon = cert.t0 or 4.0 * math.pi / float((-np.diff(lam)).min())
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError("horizon must be finite and > 0")
+    # |z(t)| <= sum |c_n| at every t (triangle inequality), and no computed f^2
+    # exceeds (sum |c_n|)^2 by more than the rounding slack, so no f is a hit
+    if np.abs(coeff).sum() ** 2 + _rounding_slack(lam, horizon) < threshold**2:
+        return None
     n_steps = max(math.ceil(horizon * (8.0 * float(lam[0] - lam[-1]) / math.pi)), 2)
     # the samples of np.linspace(horizon / n_steps, horizon, n_steps)
     first = horizon / n_steps
     spacing = (horizon - first) / (n_steps - 1)
-    # a chunk of Q blocks of B samples takes Q N exps and a (Q, N) x (N, 2B) product
-    block = math.isqrt(_chunk_rows(lam.size))
+    # B N exps once, and a chunk of Q blocks Q N exps and a (Q, N) x (N, 2B) product;
+    # B N + n_steps N / B is least at B = sqrt(n_steps)
+    block = math.isqrt(min(_chunk_rows(lam.size), n_steps))
     span = max(1, (_chunk_rows(lam.size) - block) // (block + 1)) * block
     terms = _grid_scan(lam, coeff, np.arange(block) * spacing)
     scan = np.empty((2, 1 + span))  # t, h; column 0 is the sample before the chunk

@@ -447,15 +447,22 @@ class TestBatchedRefinement:
     """The chunked scan and the batched refinement against the scalar
     reference in oracles.py."""
 
-    def test_disordered_chains_match_the_reference(self, disorder_corpus):
+    def test_disordered_chains_match_the_reference(self, disorder_corpus, monkeypatch):
+        scans, real = [], pst._grid_scan
+        monkeypatch.setattr(pst, "_grid_scan", lambda *args: scans.append(1) or real(*args))
+        scanned = 0
         for k, (_, cert, perturbed) in enumerate(disorder_corpus):
-            # criterion 7's threshold refines every peak and finds none;
-            # 0.9 stops at a peak below 1
+            # criterion 7's threshold: the global ceiling sum |c_n| decides
+            # most copies and the scan finds no hit on the rest; 0.9 stops at
+            # a peak below 1
             for threshold in (1.0 - 1e-3, 0.9) if k % 5 == 0 else (1.0 - 1e-3,):
+                scans.clear()
                 got = first_perfect_time(perturbed, threshold=threshold,
                                          horizon=20.0 * cert.t0)
                 want = _reference(perturbed, threshold, 20.0 * cert.t0)
                 assert _same_time(got, want), (threshold, got, want)
+                scanned += threshold == 1.0 - 1e-3 and bool(scans)
+        assert scanned >= 1  # the scan itself still meets criterion 7's threshold
 
     def test_certified_chains_match_the_reference(self):
         for chain, t0 in _certified_chains():
@@ -529,6 +536,46 @@ class TestBatchedRefinement:
         for (c, _, _), trace in zip(cases, traces):
             np.testing.assert_allclose(evolve_fidelity(c, times).fidelity, trace,
                                        rtol=0, atol=1e-15)
+
+
+class TestGlobalCeiling:
+    """|z(t)| <= sum |c_n| at every t: below that ceiling first_perfect_time
+    returns None without scanning, and with the answer the scan would give."""
+
+    # sum |c_n| = 0.8, reached at t = pi / sqrt(5), where all three phases align
+    ASYMMETRIC = ChainSpec(diagonal=[0.0, 0.0, 0.0], couplings=[1.0, 2.0])
+
+    def test_chains_below_the_ceiling_are_not_scanned(self, disorder_corpus, monkeypatch):
+        threshold = 1.0 - 1e-3
+        below = [
+            (cert, chain) for _, cert, chain in disorder_corpus
+            if np.abs(pst._transfer_terms(chain)[1]).sum() < threshold
+        ]
+        assert len(below) == 46
+
+        def scan(*args):
+            raise AssertionError("scanned a chain below the ceiling")
+
+        monkeypatch.setattr(pst, "_grid_scan", scan)
+        for cert, chain in below:
+            assert first_perfect_time(chain, threshold=threshold, horizon=20.0 * cert.t0) is None
+
+    def test_thresholds_at_the_ceiling_match_the_reference(self, disorder_corpus):
+        cases = [(self.ASYMMETRIC, 10.0)]
+        cases += [(chain, 20.0 * cert.t0) for _, cert, chain in disorder_corpus[::10]]
+        for chain, horizon in cases:
+            ceiling = np.abs(pst._transfer_terms(chain)[1]).sum()
+            for threshold in (ceiling * (1.0 - 1e-9), ceiling * (1.0 + 1e-9)):
+                got = first_perfect_time(chain, threshold=threshold, horizon=horizon)
+                want = _reference(chain, threshold, horizon)
+                assert _same_time(got, want), (threshold, got, want)
+        assert first_perfect_time(self.ASYMMETRIC, threshold=0.8 * (1.0 - 1e-9),
+                                  horizon=10.0) == pytest.approx(math.pi / math.sqrt(5.0))
+
+    def test_bad_horizons_still_raise(self):
+        for horizon in (-1.0, math.inf):
+            with pytest.raises(ValueError, match="horizon"):
+                first_perfect_time(self.ASYMMETRIC, horizon=horizon)
 
 
 class TestGridScan:
