@@ -1,25 +1,29 @@
 """Speed bounds on perfect state transfer: J_max * t0 >= pi N / 4 for even N
 and pi sqrt(N^2 - 1) / 4 for odd N, audited step by step and stress-tested.
 
-Both bounds follow from mirror-trace identities on the traceless chain.
-Even N: 2 J_{N/2} = Tr(S h) = sum of the N/2 odd-indexed gaps, each an odd
-multiple of pi/t0, so 2 J_max >= (N/2)(pi/t0).  Odd N:
-B_c^2 + 4 J_{(N-1)/2}^2 = Tr(S h^2) = sum_n (-1)^{n+1} lambda_n^2, combined
-with the tail-sum constraint lambda_N <= -(N-1) pi / (2 t0).
+Both bounds follow from mirror-trace identities on the traceless chain,
+with u = pi/t0 and consecutive gaps g_i, each an odd multiple of u.  Even N:
+2 J_{N/2} = Tr(S h) = sum of the N/2 odd-indexed gaps, so 2 J_max >= (N/2) u.
+Odd N = 2M + 1, centre c, in this repository's reconstruction, in keeping
+with the even case: Tr(S h) = B_c and Tr(S h^2) = B_c^2 + (J_{c-1} + J_c)^2,
+so (J_{c-1} + J_c)^2 = Tr(S h^2) - Tr(S h)^2 = 2 sum_{i odd < j even} g_i g_j,
+M(M+1)/2 products of at least u^2 each.  Hence
+2 J_max >= J_{c-1} + J_c >= sqrt(N^2 - 1) u / 2, the second with equality
+only where every reduced multiplier is 1.
 
-One textbook reduction step in the odd case -- replacing the alternating
-square sum by lambda_N^2 - (pi/t0) lambda_N via per-pair substitution -- is
-NOT valid for every admissible spectrum (multipliers (1,5,5,1) at N=5 give
-alternating sum 22 u^2 against 42 u^2), even though the final bound holds on
-every chain we can generate.  The audit therefore asserts only the provable
-steps and records that substitution gap signed, and the falsifier counts its
-negative occurrences as findings.
+The classical odd-N route instead bounds the alternating square sum
+sum_n (-1)^{n+1} lambda_n^2 through the tail lambda_N <= -(N-1) u / 2, and
+one of its steps -- replacing that sum by lambda_N^2 - u lambda_N via
+per-pair substitution -- is NOT valid for every admissible spectrum
+(multipliers (1,5,5,1) at N=5 give 22 u^2 against 42 u^2).  The audit
+asserts the pair-product step, records that substitution gap signed, and the
+falsifier counts its negative occurrences as findings.
 
 Every audit runs on a lattice that the one rule pst._on_lattice accepted:
-the one certification proposed (audit_chain, analyze), or the known lattice
-of a falsifier draw (t0 = pi / gcd of the multipliers) or a canonical chain
-(t0 = pi/2), which is checked, not solved: Sturm counts at x_k +- r put each
-eigenvalue within r + beta of x_k, so the offsets spread by 2 (r + beta).
+the one certification proposed (audit_chain, analyze), or a known lattice,
+never solved: a falsifier draw's (t0 = pi / gcd of the multipliers), where
+Sturm counts at x_k +- r put each eigenvalue within r + beta of x_k, or a
+canonical chain's (t0 = pi/2), within eps J_max of each eigenvalue a priori.
 """
 from __future__ import annotations
 
@@ -51,7 +55,7 @@ logger = logging.getLogger(__name__)
 
 RATIO_SLACK = 1e-9       # ratio >= 1 - RATIO_SLACK counts as satisfying the bound
 LAMBDA_MIN_SLACK = 1e-9  # slack on lambda_N <= -(N-1)pi/(2 t0), in units of width
-SUBSTITUTION_GAP_SLACK = 1e-9  # gap < -SUBSTITUTION_GAP_SLACK * (pi/t0)^2 counts as negative
+SUBSTITUTION_GAP_SLACK = 1e-9  # a gap or pair-product slack < -this * (pi/t0)^2 counts as negative
 BLOCK_BYTES = 8 * 2**20  # working-set budget of one block of falsify_search samples
 
 SCAN_CSV_HEADER = "N,parity,J_max,t0,product,bound,ratio,lambda_min_ok,central_field"
@@ -100,10 +104,11 @@ class ProofAudit(_Record):
     Asserted steps (slack >= -1e-9 at the natural scale on every admissible
     chain): the trace identity match, the gap floor, the lambda_N tail
     constraint, J_max against the central coupling, the even-N half-chain
-    pair sum, and the final ratio.  `substitution_gap` (odd N) is the signed
-    margin of the alternating square sum over lambda_N^2 - (pi/t0) lambda_N;
-    it is recorded, not asserted, because admissible spectra with large inner
-    multipliers drive it negative while the final bound still holds.
+    sum, the odd-N pair-product sum, and the final ratio.  `substitution_gap`
+    (odd N) is the signed margin of the alternating square sum over
+    lambda_N^2 - (pi/t0) lambda_N; it is recorded, not asserted, because
+    admissible spectra with large inner multipliers drive it negative while
+    the final bound still holds.
     """
 
     parity: str
@@ -119,6 +124,7 @@ class ProofAudit(_Record):
     central_field: float | None = None      # odd N: traceless B_c
     substitution_value: float | None = None  # odd N: lambda_N^2 - (pi/t0) lambda_N
     substitution_gap: float | None = None    # odd N: eigen side - substitution value
+    pair_product_slack: float | None = None  # odd N: (J_{c-1} + J_c)^2 - (N^2 - 1) u^2 / 4
 
 
 def _audit_rows(
@@ -157,6 +163,7 @@ def _audit_rows(
         "central_field": None,
         "substitution_value": None,
         "substitution_gap": None,
+        "pair_product_slack": None,
     }
     center = couplings[:, n // 2 - 1]  # J_{N/2} for even N, J_{c-1} for odd N
     if n % 2 == 0:
@@ -168,6 +175,8 @@ def _audit_rows(
         rows["central_field"] = trace_sh
         rows["substitution_value"] = substitution_value
         rows["substitution_gap"] = eigen_side - substitution_value
+        pair = couplings[:, n // 2 - 1] + couplings[:, n // 2]
+        rows["pair_product_slack"] = pair**2 - (n * n - 1) * u**2 / 4.0
     rows["identity_matrix_side"] = matrix_side
     rows["identity_eigen_side"] = eigen_side
     rows["identity_abs_err"] = np.abs(matrix_side - eigen_side)
@@ -232,28 +241,29 @@ class ScanResult:
 
 
 def saturation_scan(n_values) -> ScanResult:
-    """Check the canonical chain of each N in 2..MAX_SCAN_SITES against its
-    lattice N-1, N-3, ..., -(N-1) (gaps 2, t0 = pi/2), and audit it there
-    (_audit_lattice); failures are logged per row and collected, never
-    aborting the scan.  Memory is O(N) a row, but time is O(N^2): the Sturm
-    counts take N steps over 2N shifts."""
+    """Audit the canonical chain of each N in 2..MAX_SCAN_SITES on its
+    lattice N-1, N-3, ..., -(N-1) (gaps 2, t0 = pi/2), enclosed a priori, not
+    solved or counted; failures are logged per row and collected, never
+    aborting the scan.  Time and memory are O(N) a row."""
     reports, failures = [], []
     for n in (int(n) for n in n_values):
         try:
             if n > MAX_SCAN_SITES:
                 raise ValueError(f"n_sites must be <= {MAX_SCAN_SITES}")
             chain = canonical_chain(n)
-        except ValueError as exc:
-            failed = [(n, str(exc))]
-        else:
             lattice, t0 = _lattice_rows(2.0, np.ones((1, n - 1), np.int64))
-            *_, audit, failed = _audit_lattice(
-                np.array([n]), chain.diagonal[None], chain.couplings[None], lattice, t0)
-        if failed:
-            logger.warning("scan N=%d failed: %s", *failed[0])
-            failures += failed
+            # J = sqrt(n (N - n)) has exactly this spectrum (Christandl et al.
+            # 2004); n (N - n) is exact below 2^53 and sqrt rounds correctly, so
+            # each float J is within eps/2 J_max of it, and by Weyl every
+            # eigenvalue is within eps J_max of its lattice point
+            if not _on_lattice(2.0 * np.finfo(float).eps * chain.j_max, t0[0]):
+                raise ValueError("the a priori spread 2 eps J_max exceeds the lattice rule")
+        except ValueError as exc:
+            logger.warning("scan N=%d failed: %s", n, exc)
+            failures.append((n, str(exc)))
         else:
-            reports.append(_reports(audit, 0, n)[0])
+            rows = _audit_rows(chain.diagonal[None], chain.couplings[None], lattice, t0)
+            reports.append(_reports(rows, 0, n)[0])
     return ScanResult(reports=tuple(reports), failures=tuple(failures))
 
 
@@ -271,6 +281,9 @@ class SearchReport(_Record):
     substitution gap below -SUBSTITUTION_GAP_SLACK * u^2 (1e-9 at the natural
     scale u = pi/t0); gaps that are zero up to roundoff are not counted.
     That is a reportable finding about the derivation, not about the bound.
+    `pair_product_violations` counts odd-N samples whose pair-product slack
+    (ProofAudit) is below the same -SUBSTITUTION_GAP_SLACK * u^2; that step
+    is asserted, so the count is expected to be 0.
     When no sample is audited, the three minima are None (JSON null),
     `min_ratio_index` is -1 and the witness is empty.
     """
@@ -292,6 +305,7 @@ class SearchReport(_Record):
     min_substitution_gap: float | None
     violations: tuple[dict, ...]
     failures: tuple[tuple[int, str], ...]
+    pair_product_violations: int
 
 
 def _block_rows(n_sites: int) -> int:
@@ -308,13 +322,12 @@ def _block_rows(n_sites: int) -> int:
 # the largest N whose one sample fits a block: (N + 2)^2 <= BLOCK_BYTES / 32 + 4
 MAX_SEARCH_SITES = math.isqrt(BLOCK_BYTES // 32 + 4) - 2
 
-# the largest N whose canonical row fits a block.  _audit_lattice's working
-# set for one row is O(N) float64 words: the fields B and J (2N), the
-# lattice (N), and in the Sturm counts the 2N shifts, pivots, quotient and
-# counts (8N), their copies of B and J^2 (2N) and a 2N-byte sign mask, about
-# 13.25N.  Counting 16N leaves the rest for the count check's and the audit's
-# temporaries, so 128 N <= BLOCK_BYTES.  The counts' error bound does not
-# limit N: beta ~ 5e-16 N against r = PHASE_TOL / (2 pi) ~ 1.6e-9.
+# the largest N whose canonical row fits a block.  saturation_scan's working
+# set for one row is O(N) float64 words: the fields, the lattice and the
+# audit's traceless copies and temporaries, about 8N (tracemalloc).  Counting
+# 16N leaves headroom, so 128 N <= BLOCK_BYTES.  Accuracy binds far later:
+# n (N - n) < 2^53 up to N ~ 1.9e8, and the spread 2 eps J_max ~ eps N stays
+# under PHASE_TOL / t0 up to N ~ 2.8e7.
 MAX_SCAN_SITES = BLOCK_BYTES // (8 * 16)
 
 
@@ -435,7 +448,7 @@ def falsify_search(n_sites: int, samples: int, cap: int, seed: int) -> SearchRep
         raise ValueError(f"n_sites must be in 2..{MAX_SEARCH_SITES}")
     _check_cap(cap)
     rng = np.random.default_rng(seed)
-    evaluated = lambda_min_violations = negatives = 0
+    evaluated = lambda_min_violations = negatives = pair_violations = 0
     min_ratio = min_final_slack = min_gap = math.inf
     near, violations, failures = [], [], []  # near: records of the witness candidates
     size = _block_rows(n_sites)
@@ -451,6 +464,8 @@ def falsify_search(n_sites: int, samples: int, cap: int, seed: int) -> SearchRep
         if gap is not None:
             u2 = (math.pi / audit["t0"]) ** 2
             negatives += int((gap < -SUBSTITUTION_GAP_SLACK * u2).sum())
+            pair = audit["pair_product_slack"]
+            pair_violations += int((pair < -SUBSTITUTION_GAP_SLACK * u2).sum())
             min_gap = float(gap.min(initial=min_gap))
         bad = np.flatnonzero(ratio < 1.0 - RATIO_SLACK)
         violations += [_record(block, k, mults[index[k] - start]) for k in bad]
@@ -477,4 +492,5 @@ def falsify_search(n_sites: int, samples: int, cap: int, seed: int) -> SearchRep
         min_substitution_gap=min_gap if evaluated and n_sites % 2 else None,
         violations=tuple(violations),
         failures=tuple(failures),
+        pair_product_violations=pair_violations,
     )

@@ -152,8 +152,8 @@ def is_mirror_symmetric(chain: ChainSpec) -> bool:
 
     The deviation is measured against max(|B|_inf, |J|_inf, 1), so exact
     zeros on the diagonal are compared absolutely against SYMMETRY_TOL *
-    (scale of J).  certify, the search's and the scan's lattice checks and
-    the transfer fallback all apply this one rule.
+    (scale of J).  certify, the search's lattice check and the transfer
+    fallback all apply this one rule.
     """
     return bool(_mirror_symmetric_rows(chain.diagonal[None], chain.couplings[None])[0])
 

@@ -303,8 +303,12 @@ def _grid_scan(lam, coeff, offsets):
 
 
 def _fidelity(lam: np.ndarray, coeff: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """|sum_n c_n e^{-i lambda_n t}| for each t in the 1-d array `times`."""
-    return _phase_sums(lam, coeff, times, 0, np.abs, np.empty(times.size))
+    """|sum_n c_n e^{-i lambda_n t}| for each t in the 1-d array `times`;
+    NumericalBreakdown where a phase lambda t or a coefficient overflows."""
+    f = _phase_sums(lam, coeff, times, 0, np.abs, np.empty(times.size))
+    if not np.isfinite(f).all():
+        raise NumericalBreakdown("fidelity is not finite: the phases or weights overflow")
+    return f
 
 
 def _newton_terms(z, dz, d2z):
@@ -384,6 +388,8 @@ def first_perfect_time(
     flank crossing.  Default horizon: t0 for a chain that certifies (at
     certify's defaults, on the spectrum the fidelity uses), as f(t0) = 1
     reaches any threshold; else 4 pi / (smallest gap), one revival of the slowest pair.
+    A default horizon or a sample count beyond double precision raises
+    NumericalBreakdown; a given horizon not finite and > 0, ValueError.
 
     The grid is scanned in chunks of whole blocks of B samples, a start plus
     B offsets aligned to the sample index, each chunk one matrix product
@@ -399,14 +405,19 @@ def first_perfect_time(
     cert, lam = (None, None) if horizon is not None else _certify_chain(chain)[:2]
     lam, coeff = _transfer_terms(chain, lam)
     if horizon is None:
-        horizon = cert.t0 or 4.0 * math.pi / float((-np.diff(lam)).min())
-    if not (math.isfinite(horizon) and horizon > 0):
+        horizon = float(cert.t0 or 4.0 * math.pi / (-np.diff(lam)).min())
+        if not (math.isfinite(horizon) and horizon > 0):
+            raise NumericalBreakdown(f"default horizon {horizon} is not a finite time > 0")
+    elif not (math.isfinite(horizon) and horizon > 0):
         raise ValueError("horizon must be finite and > 0")
     # |z(t)| <= sum |c_n| at every t (triangle inequality), and no computed f^2
     # exceeds (sum |c_n|)^2 by more than the rounding slack, so no f is a hit
     if np.abs(coeff).sum() ** 2 + _rounding_slack(lam, horizon) < threshold**2:
         return None
-    n_steps = max(math.ceil(horizon * (8.0 * float(lam[0] - lam[-1]) / math.pi)), 2)
+    steps = horizon * (8.0 * float(lam[0] - lam[-1]) / math.pi)
+    if not math.isfinite(steps):
+        raise NumericalBreakdown("the sample count horizon * 8 width / pi overflows")
+    n_steps = max(math.ceil(steps), 2)
     # the samples of np.linspace(horizon / n_steps, horizon, n_steps)
     first = horizon / n_steps
     spacing = (horizon - first) / (n_steps - 1)

@@ -241,8 +241,8 @@ def synthesize(spectrum: SpectrumSpec | np.ndarray) -> ChainSpec:
 def canonical_chain(n_sites: int) -> ChainSpec:
     """The B = 0, J_n = sqrt(n (N-n)) chain: spectrum equally spaced with gap
     2 (so t0 = pi/2), and the speed bounds hold with equality.  The
-    saturation scan checks it against that lattice (_lattice_rows at unit 2,
-    all multipliers 1) instead of solving it."""
+    saturation scan audits it on that lattice (_lattice_rows at unit 2, all
+    multipliers 1), enclosed a priori instead of solved."""
     if n_sites < 2:
         raise ValueError("n_sites must be >= 2")
     k = np.arange(1, n_sites, dtype=float)

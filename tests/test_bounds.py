@@ -1,4 +1,5 @@
 """Speed-bound values, the per-step audit, the scan, and the falsifier."""
+import itertools
 import json
 import math
 import tracemalloc
@@ -11,6 +12,7 @@ import scipy.linalg
 from oracles import exact_substitution_gap, lanczos_chain
 
 import pstlab.bounds
+import pstlab.eigensolve
 import pstlab.pst
 from pstlab import (
     ChainSpec,
@@ -160,6 +162,7 @@ class TestAuditChain:
             "identity_abs_err", "gap_floor_slack", "lambda_min_slack",
             "center_coupling_slack", "final_slack", "ratio", "half_sum_slack",
             "central_field", "substitution_value", "substitution_gap",
+            "pair_product_slack",
         ]
         assert list(certify(canonical_chain(5)).to_dict()) == [
             "admissible", "t0", "phi", "multipliers", "max_residual", "failure",
@@ -170,6 +173,7 @@ class TestAuditChain:
             "min_ratio", "min_ratio_index", "witness", "lambda_min_violations",
             "min_final_slack", "substitution_gap_negatives",
             "min_substitution_gap", "violations", "failures",
+            "pair_product_violations",
         ]
         assert json.loads(json.dumps(search)) == search
 
@@ -218,6 +222,51 @@ class TestOneLatticeRule:
         assert abs(audit.lambda_min_slack - (tail - (lam[-1] - lam.mean()))) > 1e-11
 
 
+def _pair_sum(mults) -> int:
+    """sum_{i odd < j even} k_i k_j over the 1-indexed multipliers, exactly."""
+    k = [int(m) for m in mults]
+    return sum(k[i] * k[j] for i in range(0, len(k), 2) for j in range(i + 1, len(k), 2))
+
+
+class TestPairProductStep:
+    """The odd-N step (J_{c-1} + J_c)^2 = 2 sum_{i odd < j even} g_i g_j
+    >= (N^2 - 1) u^2 / 4, asserted as ProofAudit.pair_product_slack."""
+
+    def test_central_pair_matches_the_exact_pair_sum(self):
+        rng = np.random.default_rng(5)
+        for n in range(3, 12, 2):
+            for mults in [np.ones(n - 1, np.int64), *draw_multipliers(rng, n, 9, count=20)]:
+                chain = synthesize(SpectrumSpec(unit=1.0, multipliers=mults))
+                c = n // 2  # J_{c-1} and J_c are couplings[c - 1] and couplings[c]
+                pair = (chain.couplings[c - 1] + chain.couplings[c]) ** 2
+                exact = 2 * _pair_sum(mults)
+                assert abs(pair - exact) <= 1e-13 * exact, (n, mults)
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_slack_vanishes_only_at_all_ones(self, n):
+        # a reduced multiplier of 3 or more raises some product by at least 2 u^2
+        mults = np.array(list(itertools.product((1, 3, 5), repeat=n - 1)))
+        _, _, _, audit, failed = _audit_block(mults, 0)
+        assert failed == []
+        slack = audit["pair_product_slack"] / (math.pi / audit["t0"]) ** 2
+        ones = (mults == mults[:, :1]).all(axis=1)  # reduced multipliers all 1
+        assert ones.sum() == 3
+        assert np.abs(slack[ones]).max() <= 1e-9
+        assert slack[~ones].min() >= 4.0 - 1e-9
+        gcd = np.gcd.reduce(mults, axis=1)
+        exact = [2 * _pair_sum(m // g) - (n * n - 1) // 4 for m, g in zip(mults, gcd)]
+        np.testing.assert_allclose(slack, exact, rtol=1e-12, atol=1e-9)
+
+    def test_even_chains_have_no_pair_product_step(self):
+        _, audit = audit_chain(canonical_chain(6))
+        assert audit.pair_product_slack is None
+        assert falsify_search(4, 20, 9, 0).pair_product_violations == 0
+
+    def test_no_violation_on_the_falsification_corpus(self, falsify_reports):
+        reports, _ = falsify_reports
+        assert [reports[n].pair_product_violations for n in (3, 5, 7, 9)] == [0, 0, 0, 0]
+
+
 class TestSaturationScan:
     def test_canonical_range(self):
         result = saturation_scan(range(2, 7))
@@ -233,19 +282,12 @@ class TestSaturationScan:
         assert len(lines) == 3
 
     def test_failures_are_collected_not_raised(self, monkeypatch):
-        # a second eigenvalue in the top window of N = 3's Sturm counts
-        real = pstlab.bounds._sturm_counts_rows
-
-        def tied(diagonal, couplings, shifts):
-            counts = real(diagonal, couplings, shifts)
-            if diagonal.shape[1] == 3:
-                counts[:, 3] += 1
-            return counts
-
-        monkeypatch.setattr(pstlab.bounds, "_sturm_counts_rows", tied)
+        # a lattice rule that refuses N = 3's a priori spread
+        refused = 2.0 * np.finfo(float).eps * canonical_chain(3).j_max
+        monkeypatch.setattr(pstlab.bounds, "_on_lattice", lambda spread, t0: spread != refused)
         result = saturation_scan([2, 3, 4])
         assert [r.n_sites for r in result.reports] == [2, 4]
-        assert result.failures == ((3, "spectrum leaves the windows of its drawn lattice"),)
+        assert result.failures == ((3, "the a priori spread 2 eps J_max exceeds the lattice rule"),)
 
     def test_sites_out_of_range_are_failure_rows(self):
         assert saturation_scan([1, 2]).failures == ((1, "n_sites must be >= 2"),)
@@ -254,7 +296,7 @@ class TestSaturationScan:
         assert result.failures == ((MAX_SCAN_SITES + 1, f"n_sites must be <= {MAX_SCAN_SITES}"),)
         assert [r.n_sites for r in result.reports] == [2]
 
-    @pytest.mark.parametrize("n", [753, 780, 1000, 2000])
+    @pytest.mark.parametrize("n", [753, 780, 1000, 2000, MAX_SCAN_SITES])
     def test_large_canonical_chains_saturate(self, n):
         # certifying the solved spectrum failed here (absolute PHASE_TOL);
         # the lattice is known, so t0 is exactly pi/2
@@ -266,16 +308,38 @@ class TestSaturationScan:
         assert abs(report.ratio - 1.0) <= 1e-12
 
     def test_scan_solves_no_spectrum(self, monkeypatch):
-        # the scan checks the known lattice by counts; it runs neither the
-        # eigensolve nor the unit search of certify
+        # the scan encloses the known lattice a priori; it runs neither the
+        # eigensolve nor the unit search of certify, nor a Sturm count
         def forbidden(*args, **kw):
             raise AssertionError("called")
 
         monkeypatch.setattr(scipy.linalg.lapack, "dsterf", forbidden)
         monkeypatch.setattr(pstlab.pst, "_minimal_unit", forbidden)
+        monkeypatch.setattr(pstlab.bounds, "_sturm_counts_rows", forbidden)
+        monkeypatch.setattr(pstlab.eigensolve, "_sturm_counts_rows", forbidden)
         result = saturation_scan(range(2, 40))
         assert result.failures == ()
         assert len(result.reports) == 38
+
+    def test_sturm_windows_confirm_the_a_priori_enclosure(self):
+        # every eigenvalue within eps J_max of its lattice point: windows of
+        # that radius plus the counts' own error bound each hold one
+        for n in [*range(2, 65), 128, 512, 1024, 4096]:
+            chain = canonical_chain(n)
+            lattice, _ = _lattice_rows(2.0, np.ones((1, n - 1), np.int64))
+            fields = chain.diagonal[None], chain.couplings[None], lattice
+            radius = np.array([np.finfo(float).eps * chain.j_max])
+            _, beta = pstlab.bounds._enclosed_rows(*fields, radius)
+            one, _ = pstlab.bounds._enclosed_rows(*fields, radius + beta)
+            assert one.all(), n
+
+    def test_lattice_rule_accepts_the_spread_at_the_largest_n(self):
+        # the enclosure's premises hold at MAX_SCAN_SITES with room to spare
+        n = MAX_SCAN_SITES
+        assert (n // 2) * (n - n // 2) < 2**53
+        spread = 2.0 * np.finfo(float).eps * canonical_chain(n).j_max
+        assert pstlab.pst._on_lattice(spread, math.pi / 2.0)
+        assert spread < 1e-2 * PHASE_TOL / (math.pi / 2.0)
 
     def test_working_set_is_linear_in_n(self):
         # the model behind MAX_SCAN_SITES: 16 float64 words per site
@@ -327,16 +391,19 @@ class TestFalsifySearch:
         assert report.min_final_slack >= -1e-9
 
     def test_roundoff_gaps_are_not_negatives(self, monkeypatch):
+        # the same floor decides which pair-product slacks are violations
         real = pstlab.bounds._audit_rows
         for scale, expected in ((-0.5e-9, 0), (-2e-9, 20)):
             def pinned(diagonal, couplings, lam, t0, scale=scale):
                 rows = real(diagonal, couplings, lam, t0)
                 rows["substitution_gap"] = scale * (math.pi / t0) ** 2
+                rows["pair_product_slack"] = scale * (math.pi / t0) ** 2
                 return rows
 
             monkeypatch.setattr(pstlab.bounds, "_audit_rows", pinned)
             report = falsify_search(3, 20, 5, seed=9)
             assert report.substitution_gap_negatives == expected
+            assert report.pair_product_violations == expected
 
     def test_near_tied_witness_is_the_lowest_index(self, monkeypatch):
         # every two-site sample saturates; lower each ratio by far less than

@@ -200,6 +200,17 @@ class TestEvolve:
         assert out.startswith("time,fidelity")
         assert "# no certificate: asymmetry" in out
 
+    @pytest.mark.parametrize("data", [
+        {"N": 2, "B": [1e150, 1e150], "J": [1.7e308]},  # the spectral width overflows
+        {"N": 3, "B": [1e-20, 1.7e308, 1e200], "J": [1.0, 1e-200]},  # lambda t overflows
+    ], ids=["wide", "far"])
+    def test_overflowing_fidelity_is_an_error(self, data, tmp_path, capsys):
+        chain = write_json(tmp_path / "c.json", data)
+        assert main(["evolve", "--input", chain, "--t-max", "3", "--steps", "5"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: fidelity is not finite: the phases or weights overflow\n"
+
     def test_validates_grid(self, tmp_path, capsys):
         chain = write_json(tmp_path / "c2.json", {"N": 2, "J": [1.0]})
         assert main(["evolve", "--input", chain, "--t-max", "0"]) == 1
@@ -446,8 +457,8 @@ class TestOneOutcome:
 
 class TestOneSymmetryAnswer:
     """Mirror symmetry is one rule at one tolerance, chain.SYMMETRY_TOL:
-    certify, audit_chain, analyze and the lattice check of the search and the
-    scan agree on a chain moved just inside it and just outside it."""
+    certify, audit_chain, analyze and the lattice check of the search agree
+    on a chain moved just inside it and just outside it."""
 
     @pytest.mark.parametrize("shift, symmetric", [(0.5, True), (2.0, False)],
                              ids=["inside", "outside"])

@@ -23,6 +23,7 @@ from oracles import (
 from pstlab import (
     ChainSpec,
     FidelityTrace,
+    NumericalBreakdown,
     SpectrumSpec,
     canonical_chain,
     certify,
@@ -344,6 +345,40 @@ class TestEvolveFidelity:
             assert cert.admissible
             f = evolve_fidelity(chain, [cert.t0]).fidelity[0]
             assert f >= 1.0 - 1e-9
+
+
+# chains whose magnitudes pass double precision on the way to a fidelity
+WIDE = {"N": 2, "B": [1e150, 1e150], "J": [1.7e308]}  # the spectral width overflows
+FAR = {"N": 3, "B": [1e-20, 1.7e308, 1e200], "J": [1.0, 1e-200]}  # a finite width; lambda t overflows
+
+
+class TestOverflowIsTyped:
+    """Both chains raise NumericalBreakdown, not an untyped error.  numpy
+    warns of the overflow on the way; the tests silence that warning."""
+
+    @pytest.mark.parametrize("data", [WIDE, FAR], ids=["wide", "far"])
+    def test_evolve(self, data):
+        chain = ChainSpec.from_dict(data)
+        with np.errstate(all="ignore"), pytest.raises(NumericalBreakdown, match="not finite"):
+            evolve_fidelity(chain, np.linspace(0.0, 3.0, 5))
+
+    def test_default_horizon(self):
+        # the overflowed gap leaves a default horizon of 4 pi / inf = 0
+        with np.errstate(all="ignore"), pytest.raises(NumericalBreakdown, match="default horizon"):
+            first_perfect_time(ChainSpec.from_dict(WIDE))
+
+    @pytest.mark.parametrize("data, horizon", [(WIDE, 1.0), (FAR, None), (FAR, 1.0)],
+                             ids=["wide-given", "far-default", "far-given"])
+    def test_sample_count(self, data, horizon):
+        chain = ChainSpec.from_dict(data)
+        with np.errstate(all="ignore"), pytest.raises(NumericalBreakdown, match="sample count"):
+            first_perfect_time(chain, horizon=horizon)
+
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan, 0.0])
+    def test_a_given_horizon_stays_a_value_error(self, horizon):
+        chain = ChainSpec.from_dict(FAR)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="horizon must be finite"):
+            first_perfect_time(chain, horizon=horizon)
 
 
 class TestFirstPerfectTime:
