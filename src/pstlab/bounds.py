@@ -33,8 +33,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .chain import (ChainSpec, _alternating_signs, _alternating_sums, _mirror_symmetric_rows,
-                    _mirror_traces_rows, _Record)
+from .chain import ChainSpec, _alternating_signs, _alternating_sums, _mirror_traces_rows, _Record
 from .eigensolve import _sturm_counts_rows
 from .errors import NotAdmissible
 from .pst import MAX_MULTIPLIER, PHASE_TOL, _certify_chain, _check_cap, _on_lattice
@@ -368,51 +367,43 @@ def _enclosed_rows(diagonal, couplings, lattice, radius):
 
 
 def _audit_block(mults: np.ndarray, start: int):
-    """Synthesize one block of multiplier rows (at unit 1) and check and audit
-    each chain on the lattice it was drawn from, t0 = pi / gcd(multipliers)
-    (_audit_lattice); the synthesis breakdowns join the failures."""
-    index = np.arange(start, start + len(mults))
+    """Synthesize one block of multiplier rows (at unit 1), drawn as samples
+    start, start + 1, ..., check each chain against the descending lattice it
+    was drawn from, t0 = pi / gcd(multipliers), and audit each chain that
+    passes on that lattice.  A row's one verdict is the first that applies:
+    its synthesis breakdown; the Sturm counts' error bound beta reaching the
+    windows r = PHASE_TOL / (4 t0), that is _on_lattice refusing the spread
+    2 (r + beta); or an eigenvalue outside its window (_enclosed_rows).
+    Every synthesized chain is a palindrome (_synthesize_rows mirrors its
+    first half), so mirror symmetry is not checked.  Returns the passing
+    rows' sample indices, draws, fields B and J and audit rows (see
+    _audit_rows), and (index, message) per failed row, in index order.
+    """
     lattice, t0 = _lattice_rows(1.0, mults)
     diagonal, couplings, errors = _synthesize_rows(lattice)
-    failed = [(int(i), str(exc)) for i, exc in zip(index, errors) if exc is not None]
-    kept = np.array([exc is None for exc in errors], dtype=bool)
-    index, diagonal, couplings = index[kept], diagonal[kept], couplings[kept]
-    lattice, t0 = lattice[kept], t0[kept]
-    *audited, checked = _audit_lattice(index, diagonal, couplings, lattice, t0)
-    return *audited, sorted(failed + checked)
-
-
-def _audit_lattice(index, diagonal, couplings, lattice, t0):
-    """Check stacked chains, fields (S, N) and (S, N-1), against their known
-    descending lattices x (S, N) with transfer times t0 (S,), and audit each
-    chain that passes on its lattice.  A chain passes if it is mirror-symmetric
-    (SYMMETRY_TOL), _on_lattice accepts the spread 2 (r + beta) of windows
-    r = PHASE_TOL / (4 t0) (_enclosed_rows), and each window holds one
-    eigenvalue.  Returns the passing rows' indices, fields B and J and audit
-    rows (see _audit_rows), and (index, message) per failed row, in order.
-    """
+    messages = np.array([str(exc or "") for exc in errors])
     radius = PHASE_TOL / (4.0 * t0)
-    one, beta = _enclosed_rows(diagonal, couplings, lattice, radius)
+    with np.errstate(over="ignore", invalid="ignore"):  # a broken row's fields are NaN or inf
+        one, beta = _enclosed_rows(diagonal, couplings, lattice, radius)
     verdict = np.select(
-        [~_mirror_symmetric_rows(diagonal, couplings), ~_on_lattice(2.0 * (radius + beta), t0), ~one],
-        ["chain does not certify: asymmetry",
+        [messages != "", ~_on_lattice(2.0 * (radius + beta), t0), ~one],
+        [messages,
          "the Sturm counts' error bound reaches the lattice window",
          "spectrum leaves the windows of its drawn lattice"],
         "",
     )
     ok = verdict == ""
-    failed = [(int(i), str(v)) for i, v in zip(index[~ok], verdict[~ok])]
-    index, diagonal, couplings = index[ok], diagonal[ok], couplings[ok]
-    audit = _audit_rows(diagonal, couplings, lattice[ok], t0[ok])
-    return index, diagonal, couplings, audit, failed
+    failed = [(start + int(k), str(verdict[k])) for k in np.flatnonzero(~ok)]
+    audit = _audit_rows(diagonal[ok], couplings[ok], lattice[ok], t0[ok])
+    return start + np.flatnonzero(ok), mults[ok], diagonal[ok], couplings[ok], audit, failed
 
 
-def _record(block: tuple, k: int, mults: np.ndarray) -> dict:
-    """The full record of audited row k of a block (see _audit_block), whose draw was `mults`."""
-    index, diagonal, couplings, audit, _ = block
+def _record(block: tuple, k: int) -> dict:
+    """The full record of audited row k of a block (see _audit_block)."""
+    index, mults, diagonal, couplings, audit, _ = block
     return {
         "index": int(index[k]),
-        "multipliers": mults.tolist(),
+        "multipliers": mults[k].tolist(),
         "unit": 1.0,
         "chain": ChainSpec(diagonal=diagonal[k], couplings=couplings[k]).to_dict(),
         "report": _reports(audit, k, diagonal.shape[1])[0].to_dict(),
@@ -427,15 +418,16 @@ def falsify_search(n_sites: int, samples: int, cap: int, seed: int) -> SearchRep
     up to `cap` (odd and at most MAX_CAP, else ValueError), the same rows as
     one batch drawn at once, so the corpus depends only on the seed; the
     report records the cap as `max_multiplier`.  Each sample's chain is
-    checked against the lattice it was drawn from by Sturm counts and the
-    lattice rule (see _audit_lattice), never solved, and audited on that
-    lattice with t0 = pi / gcd(multipliers).  Samples are synthesized,
-    checked and audited in blocks whose working set stays under BLOCK_BYTES
-    (so N is at most MAX_SEARCH_SITES); a block holds the Lanczos arrays and
-    then two (S, 2N) count arrays, and every sample's numbers are those of a
-    batch of one.  A sample that fails is recorded as (index, message) and
-    the others go on.  Each block is reduced as it goes, and every record is
-    built from its block's rows.
+    mirror-symmetric by construction, checked against the lattice it was
+    drawn from by Sturm counts and the lattice rule, never solved, and
+    audited on that lattice with t0 = pi / gcd(multipliers).  Samples pass
+    in blocks through one pass that synthesizes, checks and audits them
+    (_audit_block), whose working set stays under BLOCK_BYTES (so N is at
+    most MAX_SEARCH_SITES); a block holds the Lanczos arrays and then two
+    (S, 2N) count arrays, and every sample's numbers are those of a batch of
+    one.  A sample that fails is recorded as (index, message) and the others
+    go on.  Each block is reduced as it goes, and every record is built from
+    its block's rows.
     The witness candidates are the strict prefix minima of the ratio within
     RATIO_SLACK of the running minimum; the first one left is the lowest
     index within RATIO_SLACK of the minimum.  A substitution gap counts as
@@ -455,7 +447,7 @@ def falsify_search(n_sites: int, samples: int, cap: int, seed: int) -> SearchRep
     for start in range(0, samples, size):
         mults = draw_multipliers(rng, n_sites, cap, count=min(size, samples - start))
         block = _audit_block(mults, start)
-        index, _, _, audit, failed = block
+        index, _, _, _, audit, failed = block
         failures += failed
         ratio, gap = audit["ratio"], audit["substitution_gap"]
         evaluated += len(index)
@@ -468,11 +460,11 @@ def falsify_search(n_sites: int, samples: int, cap: int, seed: int) -> SearchRep
             pair_violations += int((pair < -SUBSTITUTION_GAP_SLACK * u2).sum())
             min_gap = float(gap.min(initial=min_gap))
         bad = np.flatnonzero(ratio < 1.0 - RATIO_SLACK)
-        violations += [_record(block, k, mults[index[k] - start]) for k in bad]
+        violations += [_record(block, k) for k in bad]
         before = np.minimum.accumulate(np.concatenate([[min_ratio], ratio[:-1]]))
         min_ratio = float(ratio.min(initial=min_ratio))
         near = [r for r in near if r["report"]["ratio"] <= min_ratio + RATIO_SLACK]
-        near += [_record(block, k, mults[index[k] - start]) for k in
+        near += [_record(block, k) for k in
                  np.flatnonzero((ratio < before) & (ratio <= min_ratio + RATIO_SLACK))]
     witness = near[0] if near else {}
 

@@ -69,16 +69,6 @@ class _Record:
         }
 
 
-def _check_rows(diagonal: np.ndarray, couplings: np.ndarray) -> None:
-    """The value checks of ChainSpec, on one chain's fields or on stacked
-    rows of them: every entry finite and every coupling > 0."""
-    for arr, name in ((diagonal, "B"), (couplings, "J")):
-        if not np.isfinite(arr).all():
-            raise ValueError(f"field '{name}' contains non-finite entries")
-    if not (couplings > 0).all():
-        raise ValueError("field 'J' must be strictly positive")
-
-
 @dataclass(frozen=True)
 class ChainSpec:
     """An N-site chain: fields ``diagonal`` (B, length N) and ``couplings``
@@ -96,7 +86,11 @@ class ChainSpec:
             raise ValueError(
                 f"field 'J' must have length N-1 (got {j.size}, N={b.size})"
             )
-        _check_rows(b, j)
+        for arr, name in ((b, "B"), (j, "J")):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"field '{name}' contains non-finite entries")
+        if not (j > 0).all():
+            raise ValueError("field 'J' must be strictly positive")
         object.__setattr__(self, "diagonal", b)
         object.__setattr__(self, "couplings", j)
 
@@ -136,26 +130,19 @@ class ChainSpec:
         }
 
 
-def _mirror_symmetric_rows(diagonal: np.ndarray, couplings: np.ndarray) -> np.ndarray:
-    """is_mirror_symmetric per row of stacked fields (S, N) and (S, N-1):
-    the one mirror-symmetry rule, at SYMMETRY_TOL."""
-    scale = np.maximum(np.abs(diagonal).max(axis=1), np.abs(couplings).max(axis=1))
-    asym = np.maximum(
-        np.abs(diagonal - diagonal[:, ::-1]).max(axis=1),
-        np.abs(couplings - couplings[:, ::-1]).max(axis=1),
-    )
-    return asym <= SYMMETRY_TOL * np.maximum(scale, 1.0)
-
-
 def is_mirror_symmetric(chain: ChainSpec) -> bool:
     """True when B and J are palindromes to SYMMETRY_TOL = 1e-10, relative.
 
     The deviation is measured against max(|B|_inf, |J|_inf, 1), so exact
     zeros on the diagonal are compared absolutely against SYMMETRY_TOL *
-    (scale of J).  certify, the search's lattice check and the transfer
-    fallback all apply this one rule.
+    (scale of J).  certify and the transfer fallback apply this one rule;
+    the falsification search needs none, as synthesis mirrors its chains
+    exactly.
     """
-    return bool(_mirror_symmetric_rows(chain.diagonal[None], chain.couplings[None])[0])
+    b, j = chain.diagonal, chain.couplings
+    scale = max(np.abs(b).max(), np.abs(j).max(), 1.0)
+    asym = max(np.abs(b - b[::-1]).max(), np.abs(j - j[::-1]).max())
+    return bool(asym <= SYMMETRY_TOL * scale)
 
 
 def _mirror_traces_rows(diagonal: np.ndarray, couplings: np.ndarray):

@@ -28,7 +28,7 @@ import numpy as np
 from .chain import ChainSpec, _alternating_signs, _Record, is_mirror_symmetric
 from .eigensolve import classify_parity, decompose, eigenvalues_only
 from .errors import NumericalBreakdown
-from .synthesis import _expand_rows
+from .synthesis import MULTIPLIER_SUM_LIMIT, _expand_rows
 
 __all__ = [
     "PstCertificate",
@@ -44,6 +44,9 @@ MAX_MULTIPLIER = 999
 MAX_CAP = 2**31 - 1      # so caps and denominators are exact floats, lcm steps int64
 FIDELITY_BYTES = 4 * 2**20  # working-set budget of one chunk of fidelity evaluations
 WEIGHT_TOL = 1e-11       # error bound up to which fidelity weights come from the spectrum
+# first_perfect_time's largest grid: a sample of the scan took about 50 ns at
+# N = 8 to 32 (2-core x86, numpy 2.4), so the largest accepted grid takes about a minute
+MAX_GRID_SAMPLES = 10**9
 
 
 @dataclass(frozen=True)
@@ -78,7 +81,8 @@ def _minimal_unit(gaps: np.ndarray, cap: int):
     with all gaps odd multiples of u within GAP_REL_TOL, as (u, multipliers,
     max_residual).  u and max_residual are NaN and the multipliers zero where
     no unit fits.  The cap bounds m alone; the other multipliers are bounded
-    only by representability, a sum below 2^53 (exact in float64 and int64).
+    only by representability, a sum below MULTIPLIER_SUM_LIMIT = 2^53 (exact
+    in float64 and int64).
 
     Every ratio g/g_min runs at once through its continued-fraction
     convergents p/q to the first within GAP_REL_TOL of it or to q > cap, and
@@ -117,7 +121,8 @@ def _minimal_unit(gaps: np.ndarray, cap: int):
             k = np.rint(gaps / u)
             resid = np.abs(gaps - k * u)
             # a float sum of whole k >= 0 reaches 2^53 exactly when the true sum does
-            fits = ((k % 2 == 1) & (resid <= GAP_REL_TOL * gaps)).all() and k.sum() < 2.0**53
+            fits = (((k % 2 == 1) & (resid <= GAP_REL_TOL * gaps)).all()
+                    and k.sum() < MULTIPLIER_SUM_LIMIT)
         if not fits:
             return math.nan, np.zeros(gaps.size, dtype=np.int64), math.nan
         return u, k.astype(np.int64), (resid / gaps).max()
@@ -388,8 +393,9 @@ def first_perfect_time(
     flank crossing.  Default horizon: t0 for a chain that certifies (at
     certify's defaults, on the spectrum the fidelity uses), as f(t0) = 1
     reaches any threshold; else 4 pi / (smallest gap), one revival of the slowest pair.
-    A default horizon or a sample count beyond double precision raises
-    NumericalBreakdown; a given horizon not finite and > 0, ValueError.
+    A default horizon beyond double precision or a sample count above
+    MAX_GRID_SAMPLES (10^9) raises NumericalBreakdown; a given horizon not
+    finite and > 0, ValueError.
 
     The grid is scanned in chunks of whole blocks of B samples, a start plus
     B offsets aligned to the sample index, each chunk one matrix product
@@ -415,8 +421,9 @@ def first_perfect_time(
     if np.abs(coeff).sum() ** 2 + _rounding_slack(lam, horizon) < threshold**2:
         return None
     steps = horizon * (8.0 * float(lam[0] - lam[-1]) / math.pi)
-    if not math.isfinite(steps):
-        raise NumericalBreakdown("the sample count horizon * 8 width / pi overflows")
+    if not steps <= MAX_GRID_SAMPLES:  # inf included
+        raise NumericalBreakdown(f"the sample count horizon * 8 width / pi = {steps:.3g} "
+                                 f"exceeds MAX_GRID_SAMPLES = {MAX_GRID_SAMPLES:.0e}")
     n_steps = max(math.ceil(steps), 2)
     # the samples of np.linspace(horizon / n_steps, horizon, n_steps)
     first = horizon / n_steps

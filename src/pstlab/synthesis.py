@@ -32,6 +32,7 @@ __all__ = [
 
 BREAKDOWN_TOL = 1e-13    # Lanczos beta underflow, relative to spectral width
 SAFE_SIZE = 64           # round trips hold to ~1e-14 of the spectral width up to here
+MULTIPLIER_SUM_LIMIT = 2**53  # multiplier sums stay below it: float64 holds every integer below it
 
 
 @dataclass(frozen=True)
@@ -75,9 +76,9 @@ class SpectrumSpec:
             m = np.array([int(v) for v in m], dtype=np.int64)
             if np.any(m < 1) or np.any(m % 2 == 0):
                 raise ValueError("field 'multipliers' must be odd and >= 1")
-            # the expansion sums them in int64, which would wrap
-            if sum(int(v) for v in m) >= 2**63:
-                raise ValueError("field 'multipliers' must be at most 2^63 - 1 in sum")
+            # the expansion takes their tail sums to float64, exact only below 2^53
+            if sum(int(v) for v in m) >= MULTIPLIER_SUM_LIMIT:
+                raise ValueError("field 'multipliers' must sum to less than 2^53")
             m.setflags(write=False)
             object.__setattr__(self, "unit", u)
             object.__setattr__(self, "multipliers", m)

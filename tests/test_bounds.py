@@ -38,6 +38,7 @@ from pstlab.bounds import (
     _record,
 )
 from pstlab.eigensolve import eigenvalues_only
+from pstlab.errors import NumericalBreakdown
 from pstlab.pst import MAX_CAP, PHASE_TOL
 from pstlab.synthesis import _expand_rows, _lattice_rows, _synthesize_rows, draw_multipliers
 
@@ -179,8 +180,8 @@ class TestAuditChain:
 
 
 class TestOneLatticeRule:
-    """certify (on the solved spectrum) and the Sturm-count check (on the
-    windows of a known lattice) accept a spectrum by one rule,
+    """certify (on the solved spectrum) and the search's block pass (Sturm
+    counts on the windows of a known lattice) accept a spectrum by one rule,
     pst._on_lattice, so they agree on a synthesized odd lattice plus a
     centred drift linear in the site index."""
 
@@ -197,17 +198,22 @@ class TestOneLatticeRule:
 
     @pytest.mark.parametrize("mults", MULTIPLIERS)
     @pytest.mark.parametrize("factor, admissible", [(0.25, True), (2.0, False)])
-    def test_both_enclosures_agree(self, mults, factor, admissible):
+    def test_both_enclosures_agree(self, mults, factor, admissible, monkeypatch):
         chain, lattice, t0 = self._drifted(mults, factor)
         # every gap passes the unit search, so the verdict is the lattice rule's
         unit, *_ = pstlab.pst._minimal_unit(-np.diff(eigenvalues_only(chain)), 999)
         assert not math.isnan(unit)
         cert = certify(chain)
-        *_, failed = pstlab.bounds._audit_lattice(
-            np.array([0]), chain.diagonal[None], chain.couplings[None], lattice, t0)
+
+        def drifted(lam):  # the block synthesizes the drifted chain from its drawn lattice
+            assert np.array_equal(lam, lattice)
+            return chain.diagonal[None].copy(), chain.couplings[None].copy(), [None]
+
+        monkeypatch.setattr(pstlab.bounds, "_synthesize_rows", drifted)
+        index, *_, failed = _audit_block(np.array([mults]), 0)
         assert cert.admissible == admissible
         if admissible:
-            assert failed == []
+            assert failed == [] and index.tolist() == [0]
         else:
             assert cert.failure == "no-common-odd-unit"
             assert failed == [(0, "spectrum leaves the windows of its drawn lattice")]
@@ -246,7 +252,7 @@ class TestPairProductStep:
     def test_slack_vanishes_only_at_all_ones(self, n):
         # a reduced multiplier of 3 or more raises some product by at least 2 u^2
         mults = np.array(list(itertools.product((1, 3, 5), repeat=n - 1)))
-        _, _, _, audit, failed = _audit_block(mults, 0)
+        *_, audit, failed = _audit_block(mults, 0)
         assert failed == []
         slack = audit["pair_product_slack"] / (math.pi / audit["t0"]) ** 2
         ones = (mults == mults[:, :1]).all(axis=1)  # reduced multipliers all 1
@@ -436,7 +442,7 @@ class TestFalsifySearch:
         # floats agree to rel 1e-12
         def check(record, cap):
             mults = np.array([record["multipliers"]])
-            assert record == _record(_audit_block(mults, record["index"]), 0, mults[0])
+            assert record == _record(_audit_block(mults, record["index"]), 0)
             chain = synthesize(SpectrumSpec(unit=record["unit"],
                                             multipliers=record["multipliers"]))
             assert record["chain"] == chain.to_dict()
@@ -527,6 +533,33 @@ class TestFalsifySearch:
         assert report.evaluated == audited
         assert report.failures == tuple(
             (i, "spectrum leaves the windows of its drawn lattice") for i in range(30 - audited))
+
+    def test_one_block_gives_each_row_one_verdict(self, monkeypatch):
+        # samples 7, 8 and 9: one breaks in synthesis (its couplings overflow),
+        # one sits 3 r off its lattice and one passes; the Sturm counts run on
+        # the broken row's inf fields too, without a warning
+        real = pstlab.bounds._synthesize_rows
+
+        def mixed(lam):
+            diagonal, couplings, errors = real(lam)
+            couplings[0] = math.inf
+            errors[0] = NumericalBreakdown("synthesized fields overflow double precision")
+            unit = np.gcd.reduce(np.rint(-np.diff(lam[1])).astype(np.int64))
+            diagonal[1] += 3.0 * PHASE_TOL * unit / (4.0 * math.pi)
+            return diagonal, couplings, errors
+
+        mults = np.array([[1, 3, 1, 3, 1], [3, 1, 5, 1, 3], [1, 1, 3, 1, 1]])
+        monkeypatch.setattr(pstlab.bounds, "_synthesize_rows", mixed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            index, draws, diagonal, couplings, audit, failed = _audit_block(mults, 7)
+        assert failed == [(7, "synthesized fields overflow double precision"),
+                          (8, "spectrum leaves the windows of its drawn lattice")]
+        assert index.tolist() == [9] and draws.tolist() == [mults[2].tolist()]
+        chain = synthesize(SpectrumSpec(unit=1.0, multipliers=mults[2]))
+        assert np.array_equal(diagonal[0], chain.diagonal)
+        assert np.array_equal(couplings[0], chain.couplings)
+        assert audit["ratio"].shape == (1,)
 
     def test_search_solves_no_spectrum(self, monkeypatch):
         # the search checks the drawn lattice by counts; it runs neither the
@@ -637,8 +670,9 @@ class TestBatchedCore:
                     assert np.abs(diagonal[row] - ref_b).max() <= tol
                     assert np.abs(couplings[row] - ref_j).max() <= tol
 
-            index, diagonal, couplings, audit, failed = _audit_block(mults, 0)
+            index, draws, diagonal, couplings, audit, failed = _audit_block(mults, 0)
             assert failed == [] and index.tolist() == list(range(count))
+            assert np.array_equal(draws, mults)
             u = math.pi / audit["t0"]
             for row in range(count):
                 chain = synthesize(SpectrumSpec(unit=1.0, multipliers=mults[row]))

@@ -1,5 +1,6 @@
 """Certification, fidelity evolution, and peak location."""
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -373,6 +374,20 @@ class TestOverflowIsTyped:
         chain = ChainSpec.from_dict(data)
         with np.errstate(all="ignore"), pytest.raises(NumericalBreakdown, match="sample count"):
             first_perfect_time(chain, horizon=horizon)
+
+    def test_a_finite_grid_beyond_the_limit_is_refused_at_once(self):
+        # the default horizon 4 pi / 1e-310 times the width 1e300 asks for
+        # about 3e301 samples, which the scan would take practically forever on
+        chain = ChainSpec(diagonal=[1e-20, 1e-310, 0, 0], couplings=[1, 1e-310, 1e300])
+        start = time.perf_counter()
+        with np.errstate(all="ignore"), pytest.raises(
+                NumericalBreakdown, match=r"sample count .* = 3.2e\+301 exceeds MAX_GRID_SAMPLES"):
+            first_perfect_time(chain)
+        assert time.perf_counter() - start < 0.5
+        # a given horizon whose grid is just above the limit (width 2, step pi / 16)
+        horizon = 1.01 * pst.MAX_GRID_SAMPLES * math.pi / 16.0
+        with pytest.raises(NumericalBreakdown, match="exceeds MAX_GRID_SAMPLES"):
+            first_perfect_time(canonical_chain(2), horizon=horizon)
 
     @pytest.mark.parametrize("horizon", [math.inf, math.nan, 0.0])
     def test_a_given_horizon_stays_a_value_error(self, horizon):

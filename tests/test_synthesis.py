@@ -78,11 +78,13 @@ class TestSpectrumSpec:
                     [math.nan], [None, 3]):
             with pytest.raises(ValueError, match="must be integers"):
                 SpectrumSpec(unit=1.0, multipliers=bad)
-        # each fits int64, but the expansion's int64 partial sums would wrap
-        big = 2**62 + 1
-        with pytest.raises(ValueError, match=r"must be at most 2\^63 - 1 in sum"):
-            SpectrumSpec(unit=1.0, multipliers=[big, big, big])
-        assert SpectrumSpec(unit=1.0, multipliers=[2**63 - 5, 3, 1]).multipliers.sum() == 2**63 - 1
+        # each fits int64, but the expansion's float64 tail sums are exact only below 2^53
+        for bad in ([2**62 + 1] * 3, [2**63 - 5, 3, 1], [2**53 + 1, 1, 1], [2**53 - 3, 3]):
+            with pytest.raises(ValueError, match=r"must sum to less than 2\^53"):
+                SpectrumSpec(unit=1.0, multipliers=bad)
+        edge = SpectrumSpec(unit=1.0, multipliers=[2**53 - 5, 3, 1])
+        assert edge.multipliers.sum() == 2**53 - 1
+        assert (-np.diff(edge.expand())).tolist() == [2**53 - 5, 3, 1]
         with pytest.raises(ValueError, match="unit"):
             SpectrumSpec(unit=0.0, multipliers=[1])
         with pytest.raises(ValueError, match="unit"):
