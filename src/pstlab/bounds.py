@@ -22,8 +22,8 @@ falsifier counts its negative occurrences as findings.
 Every audit runs on a lattice that the one rule pst._on_lattice accepted:
 the one certification proposed (audit_chain, analyze), or a known lattice,
 never solved: a falsifier draw's (t0 = pi / gcd of the multipliers), where
-Sturm counts at x_k +- r put each eigenvalue within r + beta of x_k, or a
-canonical chain's (t0 = pi/2), within eps J_max of each eigenvalue a priori.
+Sturm counts put each eigenvalue within r + beta <= PHASE_TOL / (2 t0) of
+x_k, or a canonical chain's (t0 = pi/2), within eps J_max of each a priori.
 """
 from __future__ import annotations
 
@@ -203,27 +203,25 @@ def audit_chain(
     return _reports(rows, 0, chain.n_sites)
 
 
-def _reports(rows: dict, k: int, n: int) -> tuple[BoundReport, ProofAudit]:
+def _bound_report(rows: dict, k: int, n: int) -> BoundReport:
     """Row k of the audit rows (see _audit_rows) of N = n chains, as the
-    chain's BoundReport and ProofAudit."""
-    row = {key: None if value is None else value[k].item() for key, value in rows.items()}
-    parity = "even" if n % 2 == 0 else "odd"
-    report = BoundReport(
-        n_sites=n,
-        parity=parity,
-        j_max=row["j_max"],
-        t0=row["t0"],
-        product=row["product"],
-        bound=bound_value(n),
-        ratio=row["ratio"],
-        lambda_min_ok=row["lambda_min_ok"],
-        central_field=row["central_field"],
+    chain's BoundReport."""
+    central = rows["central_field"]
+    return BoundReport(
+        n_sites=n, parity="odd" if n % 2 else "even", j_max=rows["j_max"][k].item(),
+        t0=rows["t0"][k].item(), product=rows["product"][k].item(), bound=bound_value(n),
+        ratio=rows["ratio"][k].item(), lambda_min_ok=rows["lambda_min_ok"][k].item(),
+        central_field=None if central is None else central[k].item(),
     )
-    audit = ProofAudit(
-        parity=parity,
-        **{f.name: row[f.name] for f in fields(ProofAudit) if f.name != "parity"},
-    )
-    return report, audit
+
+
+def _reports(rows: dict, k: int, n: int) -> tuple[BoundReport, ProofAudit]:
+    """Row k of the audit rows of N = n chains, as the chain's BoundReport
+    (_bound_report) and ProofAudit."""
+    report = _bound_report(rows, k, n)
+    return report, ProofAudit(parity=report.parity, **{
+        f.name: None if rows[f.name] is None else rows[f.name][k].item()
+        for f in fields(ProofAudit) if f.name != "parity"})
 
 
 @dataclass(frozen=True)
@@ -262,7 +260,7 @@ def saturation_scan(n_values) -> ScanResult:
             failures.append((n, str(exc)))
         else:
             rows = _audit_rows(chain.diagonal[None], chain.couplings[None], lattice, t0)
-            reports.append(_reports(rows, 0, n)[0])
+            reports.append(_bound_report(rows, 0, n))
     return ScanResult(reports=tuple(reports), failures=tuple(failures))
 
 
@@ -330,12 +328,14 @@ MAX_SEARCH_SITES = math.isqrt(BLOCK_BYTES // 32 + 4) - 2
 MAX_SCAN_SITES = BLOCK_BYTES // (8 * 16)
 
 
-def _enclosed_rows(diagonal, couplings, lattice, radius):
+def _enclosed_rows(diagonal, couplings, lattice, half_width):
     """Per row of stacked fields (S, N) and (S, N-1), descending lattice
-    points x (S, N) and radii r (S,): (one, beta), where `one` says the
-    Sturm counts at x_k - r and x_k + r put exactly one eigenvalue in each
-    window [x_k - r, x_k + r], and beta is the counts' error bound.  Where
-    `one` holds, every eigenvalue lies within r + beta of its lattice point.
+    points x (S, N) and half-widths h (S,): (one, r), where r is the largest
+    radius with r + beta <= h, beta being the Sturm counts' error bound, and
+    `one` says the counts at x_k - r and x_k + r put exactly one eigenvalue
+    in each window [x_k - r, x_k + r].  Where `one` holds and r > 0, every
+    eigenvalue lies within r + beta <= h of its lattice point; r <= 0 means
+    beta alone reaches h.
 
     beta: with u = eps / 2 and Higham's gamma_k = k u / (1 - k u), which
     bounds |prod of k factors (1 + delta)^(+-1) - 1| for |delta| <= u, the
@@ -352,18 +352,22 @@ def _enclosed_rows(diagonal, couplings, lattice, radius):
     eigenvalue k (descending) in [sigma_lo - that, sigma_hi + that].  The
     shifts add their rounding: x_k and then x_k +- r are one rounding each
     from the exact lattice point (up to the lattice's common offset) plus or
-    minus r, so within gamma_2 (|x_k| + r) of it.
+    minus r, so within gamma_2 (|x_k| + r) of it.  So beta = beta_0
+    + gamma_2 r, beta_0 = 2 J_max gamma_5 / (2 - gamma_5) + gamma_2 max |x|,
+    and r = (h - beta_0) / (1 + gamma_2), rounded down one ulp so that
+    r + beta <= h holds in floats too.
     """
     n = lattice.shape[1]
+    u = np.finfo(float).eps / 2
+    gamma5, gamma2 = 5 * u / (1 - 5 * u), 2 * u / (1 - 2 * u)
+    beta0 = (2.0 * gamma5 / (2.0 - gamma5) * couplings.max(axis=1)
+             + gamma2 * np.abs(lattice).max(axis=1))
+    radius = np.nextafter((half_width - beta0) / (1.0 + gamma2), -np.inf)
     r = radius[:, None]
     counts = _sturm_counts_rows(diagonal, couplings, np.hstack((lattice - r, lattice + r)))
     below = np.arange(n - 1, -1, -1)  # eigenvalues below window k of a descending lattice
     one = (counts == np.concatenate((below, below + 1))).all(axis=1)
-    u = np.finfo(float).eps / 2
-    gamma5, gamma2 = 5 * u / (1 - 5 * u), 2 * u / (1 - 2 * u)
-    beta = (2.0 * gamma5 / (2.0 - gamma5) * couplings.max(axis=1)
-            + gamma2 * (np.abs(lattice).max(axis=1) + radius))
-    return one, beta
+    return one, radius
 
 
 def _audit_block(mults: np.ndarray, start: int):
@@ -371,9 +375,11 @@ def _audit_block(mults: np.ndarray, start: int):
     start, start + 1, ..., check each chain against the descending lattice it
     was drawn from, t0 = pi / gcd(multipliers), and audit each chain that
     passes on that lattice.  A row's one verdict is the first that applies:
-    its synthesis breakdown; the Sturm counts' error bound beta reaching the
-    windows r = PHASE_TOL / (4 t0), that is _on_lattice refusing the spread
-    2 (r + beta); or an eigenvalue outside its window (_enclosed_rows).
+    its synthesis breakdown; the Sturm counts' error bound reaching the
+    half-width PHASE_TOL / (2 t0) that _on_lattice allows, so that no window
+    is left (radius r <= 0); or an eigenvalue outside its window
+    (_enclosed_rows).  A passing row has every eigenvalue within
+    PHASE_TOL / (2 t0) of its lattice point, so a spread within the rule.
     Every synthesized chain is a palindrome (_synthesize_rows mirrors its
     first half), so mirror symmetry is not checked.  Returns the passing
     rows' sample indices, draws, fields B and J and audit rows (see
@@ -381,19 +387,15 @@ def _audit_block(mults: np.ndarray, start: int):
     """
     lattice, t0 = _lattice_rows(1.0, mults)
     diagonal, couplings, errors = _synthesize_rows(lattice)
-    messages = np.array([str(exc or "") for exc in errors])
-    radius = PHASE_TOL / (4.0 * t0)
     with np.errstate(over="ignore", invalid="ignore"):  # a broken row's fields are NaN or inf
-        one, beta = _enclosed_rows(diagonal, couplings, lattice, radius)
-    verdict = np.select(
-        [messages != "", ~_on_lattice(2.0 * (radius + beta), t0), ~one],
-        [messages,
-         "the Sturm counts' error bound reaches the lattice window",
-         "spectrum leaves the windows of its drawn lattice"],
-        "",
-    )
-    ok = verdict == ""
-    failed = [(start + int(k), str(verdict[k])) for k in np.flatnonzero(~ok)]
+        one, radius = _enclosed_rows(diagonal, couplings, lattice, PHASE_TOL / (2.0 * t0))
+    window = radius > 0
+    ok = one & window
+    ok[[k for k, exc in enumerate(errors) if exc is not None]] = False
+    failed = [(start + int(k), str(errors[k]) if errors[k] is not None
+               else "the Sturm counts' error bound reaches the lattice window" if not window[k]
+               else "spectrum leaves the windows of its drawn lattice")
+              for k in np.flatnonzero(~ok)]
     audit = _audit_rows(diagonal[ok], couplings[ok], lattice[ok], t0[ok])
     return start + np.flatnonzero(ok), mults[ok], diagonal[ok], couplings[ok], audit, failed
 
@@ -406,7 +408,7 @@ def _record(block: tuple, k: int) -> dict:
         "multipliers": mults[k].tolist(),
         "unit": 1.0,
         "chain": ChainSpec(diagonal=diagonal[k], couplings=couplings[k]).to_dict(),
-        "report": _reports(audit, k, diagonal.shape[1])[0].to_dict(),
+        "report": _bound_report(audit, k, diagonal.shape[1]).to_dict(),
     }
 
 

@@ -35,7 +35,9 @@ from pstlab.bounds import (
     SUBSTITUTION_GAP_SLACK,
     _audit_block,
     _block_rows,
+    _enclosed_rows,
     _record,
+    _reports,
 )
 from pstlab.eigensolve import eigenvalues_only
 from pstlab.errors import NumericalBreakdown
@@ -183,7 +185,12 @@ class TestOneLatticeRule:
     """certify (on the solved spectrum) and the search's block pass (Sturm
     counts on the windows of a known lattice) accept a spectrum by one rule,
     pst._on_lattice, so they agree on a synthesized odd lattice plus a
-    centred drift linear in the site index."""
+    centred drift linear in the site index.  A drift of `factor` times the
+    threshold PHASE_TOL / t0 moves the end eigenvalues factor / 2 of it off
+    their points; the windows' half-width is the rule's PHASE_TOL / (2 t0),
+    so the block admits 0.55, which windows of PHASE_TOL / (4 t0) refused.
+    certify fits its own unit to the drifted smallest gap, so it refuses
+    the second chain from about 0.65."""
 
     MULTIPLIERS = ([1, 3, 1, 3, 3, 1, 3, 1], [1, 3, 5, 3, 1, 1, 3, 5, 3, 1])
 
@@ -197,7 +204,8 @@ class TestOneLatticeRule:
         return synthesize(lattice[0] + drift), lattice, t0
 
     @pytest.mark.parametrize("mults", MULTIPLIERS)
-    @pytest.mark.parametrize("factor, admissible", [(0.25, True), (2.0, False)])
+    @pytest.mark.parametrize("factor, admissible",
+                             [(0.25, True), (0.45, True), (0.55, True), (2.0, False)])
     def test_both_enclosures_agree(self, mults, factor, admissible, monkeypatch):
         chain, lattice, t0 = self._drifted(mults, factor)
         # every gap passes the unit search, so the verdict is the lattice rule's
@@ -328,16 +336,19 @@ class TestSaturationScan:
         assert len(result.reports) == 38
 
     def test_sturm_windows_confirm_the_a_priori_enclosure(self):
-        # every eigenvalue within eps J_max of its lattice point: windows of
-        # that radius plus the counts' own error bound each hold one
+        # every eigenvalue within eps J_max of its lattice point: each window
+        # of a half-width that holds that radius plus twice the counts' error
+        # bound beta_0 (see _enclosed_rows; bounded here from above) holds
+        # one, and the window's radius is at least eps J_max + beta_0
+        eps = np.finfo(float).eps
         for n in [*range(2, 65), 128, 512, 1024, 4096]:
             chain = canonical_chain(n)
             lattice, _ = _lattice_rows(2.0, np.ones((1, n - 1), np.int64))
             fields = chain.diagonal[None], chain.couplings[None], lattice
-            radius = np.array([np.finfo(float).eps * chain.j_max])
-            _, beta = pstlab.bounds._enclosed_rows(*fields, radius)
-            one, _ = pstlab.bounds._enclosed_rows(*fields, radius + beta)
-            assert one.all(), n
+            beta0 = (1.0 + 1e-6) * eps * (2.5 * chain.j_max + np.abs(lattice).max())
+            half_width = np.array([eps * chain.j_max + 2.0 * beta0])
+            one, radius = _enclosed_rows(*fields, half_width)
+            assert one.all() and radius[0] >= eps * chain.j_max + beta0 * (1.0 - 1e-6), n
 
     def test_lattice_rule_accepts_the_spread_at_the_largest_n(self):
         # the enclosure's premises hold at MAX_SCAN_SITES with room to spare
@@ -519,8 +530,9 @@ class TestFalsifySearch:
 
     @pytest.mark.parametrize("shift, audited", [(3.0, 0), (0.25, 30)])
     def test_a_spectrum_off_its_lattice_fails(self, shift, audited, monkeypatch):
-        # every field moved by shift * r, r = PHASE_TOL / (4 t0), moves every
-        # eigenvalue as far from its lattice point, out of its window at 3r
+        # every field moved by shift * PHASE_TOL / (4 t0) moves every
+        # eigenvalue as far from its lattice point, at 3 beyond the rule's
+        # half-width PHASE_TOL / (2 t0)
         real = pstlab.bounds._synthesize_rows
 
         def moved(lam):
@@ -560,6 +572,80 @@ class TestFalsifySearch:
         assert np.array_equal(diagonal[0], chain.diagonal)
         assert np.array_equal(couplings[0], chain.couplings)
         assert audit["ratio"].shape == (1,)
+
+    def test_verdicts_keep_their_order(self, monkeypatch):
+        # samples 7 and 8 each miss their windows as well: 7 also breaks in
+        # synthesis and gets the breakdown's message; 8's couplings, scaled by
+        # 1e8, make the counts' error bound reach the half-width, and it gets
+        # that message; 9 passes
+        real_synthesize, real_enclosed = pstlab.bounds._synthesize_rows, _enclosed_rows
+        seen = {}
+
+        def mixed(lam):
+            diagonal, couplings, errors = real_synthesize(lam)
+            errors[0] = NumericalBreakdown("an end weight underflows double precision")
+            unit = np.gcd.reduce(np.rint(-np.diff(lam[0])).astype(np.int64))
+            diagonal[0] += 3.0 * PHASE_TOL * unit / (4.0 * math.pi)
+            couplings[1] *= 1e8
+            return diagonal, couplings, errors
+
+        def enclosed(*args):
+            seen["args"] = args
+            seen["one"], seen["radius"] = real_enclosed(*args)
+            return seen["one"], seen["radius"]
+
+        mults = np.array([[1, 3, 1, 3, 1], [3, 1, 5, 1, 3], [1, 1, 3, 1, 1]])
+        monkeypatch.setattr(pstlab.bounds, "_synthesize_rows", mixed)
+        monkeypatch.setattr(pstlab.bounds, "_enclosed_rows", enclosed)
+        index, *_, failed = _audit_block(mults, 7)
+        assert failed == [(7, "an end weight underflows double precision"),
+                          (8, "the Sturm counts' error bound reaches the lattice window")]
+        assert index.tolist() == [9]
+        assert seen["radius"][0] > 0 and not seen["one"][0]
+        assert seen["radius"][1] <= 0 < seen["radius"][2]
+        diagonal, couplings, lattice, half_width = seen["args"]
+        for k in (0, 1):
+            lam = scipy.linalg.eigvalsh_tridiagonal(diagonal[k], couplings[k])
+            assert np.abs(lam[::-1] - lattice[k]).max() > half_width[k]
+
+    def test_windows_fill_the_rule_in_floats(self):
+        # the radius is the largest the rule allows: 2 (r + beta), with beta
+        # as _enclosed_rows derives it, passes _on_lattice in floats, and r
+        # falls short of the exact largest radius by a few ulps
+        u = np.finfo(float).eps / 2
+        gamma5, gamma2 = 5 * u / (1 - 5 * u), 2 * u / (1 - 2 * u)
+        rng = np.random.default_rng(5)
+        for n, cap in itertools.product((3, 9, 64), (9, 999, 100001, 10**6 + 1, MAX_CAP)):
+            lattice, t0 = _lattice_rows(1.0, draw_multipliers(rng, n, cap, count=50))
+            diagonal, couplings, _ = _synthesize_rows(lattice)
+            half_width = PHASE_TOL / (2.0 * t0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                _, radius = _enclosed_rows(diagonal, couplings, lattice, half_width)
+            beta0 = (2.0 * gamma5 / (2.0 - gamma5) * couplings.max(axis=1)
+                     + gamma2 * np.abs(lattice).max(axis=1))
+            beta = beta0 + gamma2 * radius
+            fits = radius > 0
+            assert pstlab.pst._on_lattice(2.0 * (radius + beta), t0)[fits].all(), (n, cap)
+            assert (radius + beta >= half_width * (1.0 - 8.0 * u))[fits].all(), (n, cap)
+            assert (beta0 >= half_width)[~fits & np.isfinite(beta0)].all(), (n, cap)
+
+    def test_synthesis_error_at_a_large_n_fits_the_rule(self):
+        # windows of PHASE_TOL / (4 t0) refused sample 16, which synthesis
+        # error alone put 1.5 of that radius off its drawn lattice, within
+        # the rule's half-width PHASE_TOL / (2 t0)
+        report = falsify_search(510, 20, 999, 3)
+        assert report.evaluated == 20 and report.failures == ()
+
+    def test_records_share_the_report_path(self):
+        # a record's report is _reports' BoundReport of its audit row, field
+        # for field, on every audited row of blocks at N = 2..9
+        for n, cap in itertools.product(range(2, 10), (9, 999)):
+            mults = draw_multipliers(np.random.default_rng(n), n, cap, count=40)
+            block = _audit_block(mults, 0)
+            index, *_, audit, _ = block
+            assert len(index) == 40
+            for k in range(len(index)):
+                assert _record(block, k)["report"] == _reports(audit, k, n)[0].to_dict()
 
     def test_search_solves_no_spectrum(self, monkeypatch):
         # the search checks the drawn lattice by counts; it runs neither the
@@ -604,16 +690,18 @@ class TestFalsifySearch:
             report = falsify_search(n, 8, 9, 0)
         assert report.evaluated == 8 and report.failures == ()
 
-    @pytest.mark.parametrize("n", [3, 6])
+    @pytest.mark.parametrize("n", [3, 6, 9])
     def test_large_caps_are_audited(self, n):
         # multipliers up to 10^5 + 1: the phase check of a unit fitted to the
-        # smallest gap lost 67 and 74 of these 200 samples
+        # smallest gap lost 67 and 74 of these 200 samples at N = 3 and 6;
+        # at N = 9, windows of PHASE_TOL / (4 t0) lost samples 27, 112 and
+        # 162 to synthesis error alone, which the rule's half-width holds
         report = falsify_search(n, 200, 100001, 0)
         assert report.evaluated == 200 and report.failures == ()
 
     def test_a_lattice_beyond_the_counts_precision_fails_with_its_reason(self):
         # at multipliers near 2^31 the counts' error bound, about
-        # eps (2.5 J_max + max|x|), exceeds the window PHASE_TOL / (4 t0)
+        # eps (2.5 J_max + max|x|), exceeds the half-width PHASE_TOL / (2 t0)
         report = falsify_search(3, 20, MAX_CAP, 0)
         assert report.evaluated == 0
         assert {message for _, message in report.failures} == {
