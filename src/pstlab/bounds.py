@@ -27,7 +27,6 @@ x_k, or a canonical chain's (t0 = pi/2), within eps J_max of each a priori.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, fields
 
@@ -50,11 +49,7 @@ __all__ = [
     "falsify_search",
 ]
 
-logger = logging.getLogger(__name__)
-
-RATIO_SLACK = 1e-9       # ratio >= 1 - RATIO_SLACK counts as satisfying the bound
-LAMBDA_MIN_SLACK = 1e-9  # slack on lambda_N <= -(N-1)pi/(2 t0), in units of width
-SUBSTITUTION_GAP_SLACK = 1e-9  # a gap or pair-product slack < -this * (pi/t0)^2 counts as negative
+AUDIT_SLACK = 1e-9  # the audit's one slack, at each step's scale: ratio 1, the width, (pi/t0)^2
 BLOCK_BYTES = 8 * 2**20  # working-set budget of one block of falsify_search samples
 
 SCAN_CSV_HEADER = "N,parity,J_max,t0,product,bound,ratio,lambda_min_ok,central_field"
@@ -83,16 +78,8 @@ class BoundReport(_Record):
     product: float           # J_max * t0
     bound: float
     ratio: float             # product / bound; 1 means saturation
-    lambda_min_ok: bool      # lambda_N <= -(N-1)pi/(2 t0) + 1e-9 * width
+    lambda_min_ok: bool      # lambda_N <= -(N-1)pi/(2 t0) + AUDIT_SLACK * width
     central_field: float | None   # traceless B_c, odd N only
-
-    def csv_row(self) -> str:
-        cf = "" if self.central_field is None else f"{self.central_field:.12g}"
-        return (
-            f"{self.n_sites},{self.parity},{self.j_max:.12g},{self.t0:.12g},"
-            f"{self.product:.12g},{self.bound:.12g},{self.ratio:.12g},"
-            f"{int(self.lambda_min_ok)},{cf}"
-        )
 
 
 @dataclass(frozen=True)
@@ -100,9 +87,9 @@ class ProofAudit(_Record):
     """Per-step record of the bound derivation on one certified chain, on the
     traceless shift of its fields and of its accepted lattice (pst._on_lattice).
 
-    Asserted steps (slack >= -1e-9 at the natural scale on every admissible
-    chain): the trace identity match, the gap floor, the lambda_N tail
-    constraint, J_max against the central coupling, the even-N half-chain
+    Asserted steps (slack >= -AUDIT_SLACK at the natural scale on every
+    admissible chain): the trace identity match, the gap floor, the lambda_N
+    tail constraint, J_max against the central coupling, the even-N half-chain
     sum, the odd-N pair-product sum, and the final ratio.  `substitution_gap`
     (odd N) is the signed margin of the alternating square sum over
     lambda_N^2 - (pi/t0) lambda_N; it is recorded, not asserted, because
@@ -134,9 +121,10 @@ def _audit_rows(
 
     Returns one (S,) array per ProofAudit field other than `parity` (None
     where the field does not apply to the parity), plus `j_max`, `t0`,
-    `product` and `lambda_min_ok`.  The mirror traces of the traceless shift
-    come from its central entries (chain._mirror_traces_rows) and its
-    lattice (chain._alternating_sums).
+    `product` and `lambda_min_ok` (the tail constraint up to AUDIT_SLACK
+    times the width).  The mirror traces of the traceless shift come from
+    its central entries (chain._mirror_traces_rows) and its lattice
+    (chain._alternating_sums).
     """
     n = lattice.shape[1]
     lam0 = lattice - lattice.mean(axis=1, keepdims=True)
@@ -157,7 +145,7 @@ def _audit_rows(
         "final_slack": product - bound,
         "gap_floor_slack": (-np.diff(lam0, axis=1)).min(axis=1) - u,
         "lambda_min_slack": tail - lam0[:, -1],
-        "lambda_min_ok": lam0[:, -1] <= tail + LAMBDA_MIN_SLACK * width,
+        "lambda_min_ok": lam0[:, -1] <= tail + AUDIT_SLACK * width,
         "half_sum_slack": None,
         "central_field": None,
         "substitution_value": None,
@@ -233,15 +221,19 @@ class ScanResult:
 
     def to_csv(self) -> str:
         lines = [SCAN_CSV_HEADER]
-        lines += [r.csv_row() for r in self.reports]
+        for r in self.reports:
+            cf = "" if r.central_field is None else f"{r.central_field:.12g}"
+            lines.append(f"{r.n_sites},{r.parity},{r.j_max:.12g},{r.t0:.12g},"
+                         f"{r.product:.12g},{r.bound:.12g},{r.ratio:.12g},"
+                         f"{int(r.lambda_min_ok)},{cf}")
         return "\n".join(lines) + "\n"
 
 
 def saturation_scan(n_values) -> ScanResult:
     """Audit the canonical chain of each N in 2..MAX_SCAN_SITES on its
     lattice N-1, N-3, ..., -(N-1) (gaps 2, t0 = pi/2), enclosed a priori, not
-    solved or counted; failures are logged per row and collected, never
-    aborting the scan.  Time and memory are O(N) a row."""
+    solved or counted; failures are collected in `failures`, not logged, and
+    never abort the scan.  Time and memory are O(N) a row."""
     reports, failures = [], []
     for n in (int(n) for n in n_values):
         try:
@@ -256,7 +248,6 @@ def saturation_scan(n_values) -> ScanResult:
             if not _on_lattice(2.0 * np.finfo(float).eps * chain.j_max, t0[0]):
                 raise ValueError("the a priori spread 2 eps J_max exceeds the lattice rule")
         except ValueError as exc:
-            logger.warning("scan N=%d failed: %s", n, exc)
             failures.append((n, str(exc)))
         else:
             rows = _audit_rows(chain.diagonal[None], chain.couplings[None], lattice, t0)
@@ -270,16 +261,16 @@ class SearchReport(_Record):
 
     `min_ratio` is the smallest audited ratio.  The witness and
     `min_ratio_index` name the lowest sample index whose ratio is within
-    RATIO_SLACK (1e-9) of `min_ratio`, so samples that tie up to roundoff
+    AUDIT_SLACK (1e-9) of `min_ratio`, so samples that tie up to roundoff
     resolve to the same witness on every numpy/BLAS build.  `violations`
-    holds full records for every sample with ratio < 1 - RATIO_SLACK
+    holds full records for every sample with ratio < 1 - AUDIT_SLACK
     (expected empty).  `substitution_gap_negatives` counts odd-N samples
     where the recorded (not asserted) substitution step fails, meaning a
-    substitution gap below -SUBSTITUTION_GAP_SLACK * u^2 (1e-9 at the natural
-    scale u = pi/t0); gaps that are zero up to roundoff are not counted.
+    substitution gap below -AUDIT_SLACK * u^2 (at the natural scale
+    u = pi/t0); gaps that are zero up to roundoff are not counted.
     That is a reportable finding about the derivation, not about the bound.
     `pair_product_violations` counts odd-N samples whose pair-product slack
-    (ProofAudit) is below the same -SUBSTITUTION_GAP_SLACK * u^2; that step
+    (ProofAudit) is below the same -AUDIT_SLACK * u^2; that step
     is asserted, so the count is expected to be 0.
     When no sample is audited, the three minima are None (JSON null),
     `min_ratio_index` is -1 and the witness is empty.
@@ -431,9 +422,9 @@ def falsify_search(n_sites: int, samples: int, cap: int, seed: int) -> SearchRep
     go on.  Each block is reduced as it goes, and every record is built from
     its block's rows.
     The witness candidates are the strict prefix minima of the ratio within
-    RATIO_SLACK of the running minimum; the first one left is the lowest
-    index within RATIO_SLACK of the minimum.  A substitution gap counts as
-    negative only below -SUBSTITUTION_GAP_SLACK * (pi/t0)^2, so roundoff
+    AUDIT_SLACK of the running minimum; the first one left is the lowest
+    index within AUDIT_SLACK of the minimum.  A substitution gap counts as
+    negative only below -AUDIT_SLACK * (pi/t0)^2, so roundoff
     does not decide the count.
     """
     if samples < 1:
@@ -457,17 +448,17 @@ def falsify_search(n_sites: int, samples: int, cap: int, seed: int) -> SearchRep
         min_final_slack = float(audit["final_slack"].min(initial=min_final_slack))
         if gap is not None:
             u2 = (math.pi / audit["t0"]) ** 2
-            negatives += int((gap < -SUBSTITUTION_GAP_SLACK * u2).sum())
+            negatives += int((gap < -AUDIT_SLACK * u2).sum())
             pair = audit["pair_product_slack"]
-            pair_violations += int((pair < -SUBSTITUTION_GAP_SLACK * u2).sum())
+            pair_violations += int((pair < -AUDIT_SLACK * u2).sum())
             min_gap = float(gap.min(initial=min_gap))
-        bad = np.flatnonzero(ratio < 1.0 - RATIO_SLACK)
+        bad = np.flatnonzero(ratio < 1.0 - AUDIT_SLACK)
         violations += [_record(block, k) for k in bad]
         before = np.minimum.accumulate(np.concatenate([[min_ratio], ratio[:-1]]))
         min_ratio = float(ratio.min(initial=min_ratio))
-        near = [r for r in near if r["report"]["ratio"] <= min_ratio + RATIO_SLACK]
+        near = [r for r in near if r["report"]["ratio"] <= min_ratio + AUDIT_SLACK]
         near += [_record(block, k) for k in
-                 np.flatnonzero((ratio < before) & (ratio <= min_ratio + RATIO_SLACK))]
+                 np.flatnonzero((ratio < before) & (ratio <= min_ratio + AUDIT_SLACK))]
     witness = near[0] if near else {}
 
     return SearchReport(

@@ -181,8 +181,8 @@ def cmd_synth(args) -> int:
         raise _UsageError("synth needs exactly one of --input or --canonical")
     if args.canonical is not None:
         chain = synthesis.canonical_chain(args.canonical)
-        lattice, _ = synthesis._lattice_rows(2.0, np.ones((1, args.canonical - 1), np.int64))
-        target = lattice[0]
+        target = synthesis.SpectrumSpec(
+            unit=2.0, multipliers=np.ones(args.canonical - 1, np.int64)).expand()
     else:
         try:
             spectrum = synthesis.SpectrumSpec.from_dict(_load_json(args.input))

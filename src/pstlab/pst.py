@@ -64,11 +64,6 @@ class PstCertificate(_Record):
     max_residual: float | None = None
     failure: str | None = None
 
-    @property
-    def unit(self) -> float | None:
-        """The gap unit pi/t0."""
-        return None if self.t0 is None else math.pi / self.t0
-
 
 def _principal_phase(x: np.ndarray) -> np.ndarray:
     """Map x to (-pi, pi], elementwise."""
@@ -220,7 +215,11 @@ def _spectral_coefficients(lam: np.ndarray, couplings: np.ndarray) -> np.ndarray
     4 (d / width) sum_n |c_n| S_n, S_n = sum_{m != n} width / |lambda_n - lambda_m|."""
     width = lam[0] - lam[-1]
     distance = np.abs(np.subtract.outer(lam, lam)) / width + np.eye(lam.size)  # 1 on the diagonal
-    mag = np.exp(np.log(couplings / width).sum() - np.log(distance).sum(axis=1))
+    # a coupling that underflows to 0 over the width logs to -inf, so every c_n
+    # is 0: the exact limit in double precision
+    with np.errstate(divide="ignore"):
+        log_couplings = np.log(couplings / width).sum()
+    mag = np.exp(log_couplings - np.log(distance).sum(axis=1))
     spread = mag @ ((1.0 / distance).sum(axis=1) - 1.0)
     if not 4.0 * np.finfo(float).eps * (np.abs(lam).max() / width) * spread <= WEIGHT_TOL:
         return None

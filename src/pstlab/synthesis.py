@@ -112,11 +112,6 @@ class SpectrumSpec:
             "spectrum JSON needs field 'lambda' or fields 'unit'+'multipliers'"
         )
 
-    def to_dict(self) -> dict:
-        if self.eigenvalues is not None:
-            return {"lambda": self.eigenvalues.tolist()}
-        return {"unit": self.unit, "multipliers": self.multipliers.tolist()}
-
 
 def _is_int64(value) -> bool:
     """True for a whole number in int64's range; a bool is not one."""

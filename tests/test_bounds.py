@@ -30,9 +30,9 @@ from pstlab.bounds import (
     BLOCK_BYTES,
     MAX_SCAN_SITES,
     MAX_SEARCH_SITES,
-    RATIO_SLACK,
+    AUDIT_SLACK,
     SCAN_CSV_HEADER,
-    SUBSTITUTION_GAP_SLACK,
+    ScanResult,
     _audit_block,
     _block_rows,
     _enclosed_rows,
@@ -147,7 +147,7 @@ class TestAuditChain:
         assert d["N"] == 4
         assert d["parity"] == "even"
         assert d["central_field"] is None
-        row = report.csv_row()
+        row = ScanResult((report,), ()).to_csv().splitlines()[1]
         assert row.split(",")[0] == "4"
         assert row.split(",")[-1] == ""  # empty central-field column
         assert len(row.split(",")) == len(SCAN_CSV_HEADER.split(","))
@@ -310,6 +310,13 @@ class TestSaturationScan:
         assert result.failures == ((MAX_SCAN_SITES + 1, f"n_sites must be <= {MAX_SCAN_SITES}"),)
         assert [r.n_sites for r in result.reports] == [2]
 
+    def test_failures_are_collected_not_logged(self, caplog):
+        caplog.set_level("DEBUG")
+        result = saturation_scan([1, 3])
+        assert result.failures == ((1, "n_sites must be >= 2"),)
+        assert [r.n_sites for r in result.reports] == [3]
+        assert caplog.records == []
+
     @pytest.mark.parametrize("n", [753, 780, 1000, 2000, MAX_SCAN_SITES])
     def test_large_canonical_chains_saturate(self, n):
         # certifying the solved spectrum failed here (absolute PHASE_TOL);
@@ -373,7 +380,7 @@ class TestSaturationScan:
 
 
 def _nudged(audit_rows):
-    """audit_rows with each ratio lowered by 1e-12 t0, far less than RATIO_SLACK."""
+    """audit_rows with each ratio lowered by 1e-12 t0, far less than AUDIT_SLACK."""
 
     def nudged(diagonal, couplings, lam, t0):
         rows = audit_rows(diagonal, couplings, lam, t0)
@@ -424,7 +431,7 @@ class TestFalsifySearch:
 
     def test_near_tied_witness_is_the_lowest_index(self, monkeypatch):
         # every two-site sample saturates; lower each ratio by far less than
-        # RATIO_SLACK, most for the narrowest gap; sample 0 has the widest
+        # AUDIT_SLACK, most for the narrowest gap; sample 0 has the widest
         monkeypatch.setattr(pstlab.bounds, "_audit_rows", _nudged(pstlab.bounds._audit_rows))
         report = falsify_search(2, 40, 9, seed=2)
         assert report.min_ratio_index == 0
@@ -486,7 +493,7 @@ class TestFalsifySearch:
             report = falsify_search(n, samples, cap, seed)
             assert 0 < len(report.violations) <= samples
             for record in report.violations:
-                assert record["report"]["ratio"] < 1.0 - RATIO_SLACK
+                assert record["report"]["ratio"] < 1.0 - AUDIT_SLACK
                 check(record, cap)
             check(report.witness, cap)
 
@@ -773,7 +780,7 @@ class TestBatchedCore:
                     continue
                 gap = audit["substitution_gap"][row]
                 assert abs(gap - single.substitution_gap) <= 1e-9 * u[row] ** 2
-                if abs(gap) > SUBSTITUTION_GAP_SLACK * u[row] ** 2:
+                if abs(gap) > AUDIT_SLACK * u[row] ** 2:
                     assert (gap < 0) == (exact_substitution_gap(mults[row]) < 0)
 
     def test_block_draws_equal_one_batch(self):

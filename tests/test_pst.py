@@ -53,7 +53,7 @@ class TestCertify:
         assert cert.phi == pytest.approx(HALF_PI, rel=1e-12)
         np.testing.assert_array_equal(cert.multipliers, [1, 1, 1])
         assert cert.max_residual < 1e-12
-        assert cert.unit == pytest.approx(2.0, rel=1e-12)
+        assert math.pi / cert.t0 == pytest.approx(2.0, rel=1e-12)
 
     def test_canonical_odd_chain_phase(self):
         # lambda_1 = 2 at t0 = pi/2 lands the phase on the branch cut
@@ -66,7 +66,7 @@ class TestCertify:
         assert not cert.admissible
         assert cert.failure == "asymmetry"
         assert cert.t0 is None and cert.phi is None
-        assert cert.unit is None and cert.multipliers is None
+        assert cert.multipliers is None
 
     def test_incommensurate_gaps_fail(self):
         # symmetric, but the two gaps have an irrational ratio
@@ -380,7 +380,7 @@ class TestOverflowIsTyped:
         # about 3e301 samples, which the scan would take practically forever on
         chain = ChainSpec(diagonal=[1e-20, 1e-310, 0, 0], couplings=[1, 1e-310, 1e300])
         start = time.perf_counter()
-        with np.errstate(all="ignore"), pytest.raises(
+        with pytest.raises(
                 NumericalBreakdown, match=r"sample count .* = 3.2e\+301 exceeds MAX_GRID_SAMPLES"):
             first_perfect_time(chain)
         assert time.perf_counter() - start < 0.5
@@ -388,6 +388,16 @@ class TestOverflowIsTyped:
         horizon = 1.01 * pst.MAX_GRID_SAMPLES * math.pi / 16.0
         with pytest.raises(NumericalBreakdown, match="exceeds MAX_GRID_SAMPLES"):
             first_perfect_time(canonical_chain(2), horizon=horizon)
+
+    def test_an_underflowing_coupling_raises_no_warning(self):
+        # 1e-310 / 1e300 underflows to 0, whose log is -inf: the coefficients
+        # are exactly 0 and the only error is the sample count, with no
+        # RuntimeWarning under the suite's warnings-as-errors filter
+        chain = ChainSpec(diagonal=[0.0] * 4, couplings=[1, 1e-310, 1e300])
+        lam = pst.eigenvalues_only(chain)
+        assert not pst._spectral_coefficients(lam, chain.couplings).any()
+        with pytest.raises(NumericalBreakdown, match="sample count"):
+            first_perfect_time(chain)
 
     @pytest.mark.parametrize("horizon", [math.inf, math.nan, 0.0])
     def test_a_given_horizon_stays_a_value_error(self, horizon):

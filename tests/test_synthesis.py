@@ -92,11 +92,16 @@ class TestSpectrumSpec:
 
     def test_dict_round_trip_raw(self):
         data = {"lambda": [1.0, -1.0]}
-        assert SpectrumSpec.from_dict(data).to_dict() == data
+        spec = SpectrumSpec.from_dict(data)
+        assert spec.eigenvalues.tolist() == data["lambda"]
+        assert spec.unit is None and spec.multipliers is None
 
     def test_dict_round_trip_structured(self):
         data = {"unit": 0.5, "multipliers": [1, 3, 1]}
-        assert SpectrumSpec.from_dict(data).to_dict() == data
+        spec = SpectrumSpec.from_dict(data)
+        assert spec.unit == data["unit"]
+        assert spec.multipliers.tolist() == data["multipliers"]
+        assert spec.eigenvalues is None
 
     def test_from_dict_errors(self):
         with pytest.raises(ValueError, match="lambda"):
