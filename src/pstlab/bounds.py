@@ -398,7 +398,7 @@ def _record(block: tuple, k: int) -> dict:
         "index": int(index[k]),
         "multipliers": mults[k].tolist(),
         "unit": 1.0,
-        "chain": ChainSpec(diagonal=diagonal[k], couplings=couplings[k]).to_dict(),
+        "chain": {"N": diagonal.shape[1], "B": diagonal[k].tolist(), "J": couplings[k].tolist()},
         "report": _bound_report(audit, k, diagonal.shape[1]).to_dict(),
     }
 

@@ -15,6 +15,7 @@ import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -66,10 +67,44 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _json_value(value, pad: str) -> str:
+    """`value` as json.dumps(indent=2, sort_keys=True, allow_nan=False) writes it at
+    indentation `pad` ("\\n" + spaces), with its ValueError at the same NaN or inf;
+    unlike json's pure-Python indent encoder, it joins all-float or all-int lists at once."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    inner = pad + "  "
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = (f"{_quote(key)}: {_json_value(item, inner)}"
+                 for key, item in sorted(value.items()))
+    elif isinstance(value, (list, tuple)):
+        brackets, kinds = "[]", set(map(type, value))
+        if kinds == {float} and all(map(math.isfinite, value)):
+            items = map(float.__repr__, value)
+        elif kinds == {int}:  # bools are written element by element
+            items = map(int.__repr__, value)
+        else:
+            items = (_json_value(item, inner) for item in value)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not value:
+        return brackets
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}{pad}{brackets[1]}"
+
+
 def _json_text(path: str | None, data: dict) -> str:
     """The report for `path` (stdout if None) as strict JSON text."""
     try:
-        return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return _json_value(data, "\n") + "\n"
     except ValueError as exc:  # NaN or an infinity, which strict JSON has no token for
         raise PstLabError(f"report {path or '<stdout>'} is not valid JSON: {exc}") from exc
 
@@ -159,13 +194,14 @@ def cmd_analyze(args) -> int:
         f"lambda_min_ok={'yes' if report.lambda_min_ok else 'NO'}"
     )
     print("audit:")
-    for key, value in audit.to_dict().items():
+    proof_audit = audit.to_dict()
+    for key, value in proof_audit.items():
         if value is None or key == "parity":
             continue
         print(f"  {key} = {value:.12g}" if isinstance(value, float) else f"  {key} = {value}")
     result["fidelity_at_t0"] = float(fid)
     result["bound_report"] = report.to_dict()
-    result["proof_audit"] = audit.to_dict()
+    result["proof_audit"] = proof_audit
     _finish_analyze(args, result)
     return 0
 

@@ -6,16 +6,18 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pstlab.bounds
 import pstlab.cli
 import pstlab.pst
 import pstlab.synthesis
-from pstlab import (ChainSpec, EigensolveError, NotAdmissible, NumericalBreakdown, SpectrumSpec,
-                    audit_chain, canonical_chain, certify, eigenvalues_only, first_perfect_time,
-                    synthesize)
+from pstlab import (ChainSpec, EigensolveError, NotAdmissible, NumericalBreakdown, PstLabError,
+                    SpectrumSpec, audit_chain, canonical_chain, certify, eigenvalues_only,
+                    first_perfect_time, synthesize)
 from pstlab.chain import SYMMETRY_TOL
-from pstlab.cli import MAX_STEPS, main
+from pstlab.cli import MAX_STEPS, _json_text, main
 
 MAX_SCAN = pstlab.bounds.MAX_SCAN_SITES  # 65536, the largest N of scan and synth --canonical
 
@@ -640,3 +642,84 @@ class TestTopLevel:
             main(["--help"])
         assert exc.value.code == 0
         assert "analyze" in capsys.readouterr().out
+
+
+def reference_text(value) -> str:
+    """The report layout as the json module writes it."""
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+EDGE_FLOATS = st.sampled_from([-0.0, 5e-324, 1e16, 1e22, 1e-5, 0.1, -1.5e-300])
+EDGE_STRINGS = st.sampled_from(
+    ["", "\x00\x1f\x7f", "caf\u00e9", "\u2028\"\\/", "\U0001f600\ud800"])
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | EDGE_FLOATS
+ALL_FLOATS = st.floats() | EDGE_FLOATS
+BIG_INTS = st.integers(min_value=2**63, max_value=2**80) | st.integers(max_value=-2**63)
+INTS = st.integers() | BIG_INTS
+
+
+def json_values(floats):
+    """Nested reports: str keys, dicts, lists and tuples, and the lists the
+    writer joins at once (all floats, all ints) beside mixed ones."""
+    scalars = (st.none() | st.booleans() | INTS | floats | st.text() | EDGE_STRINGS)
+    leaves = (scalars | st.lists(floats) | st.lists(INTS) | st.lists(INTS | st.booleans())
+              | st.lists(floats).map(tuple) | st.lists(INTS).map(tuple))
+    return st.recursive(leaves, lambda children: (
+        st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(st.text() | EDGE_STRINGS, children, max_size=4)), max_leaves=20)
+
+
+class TestReportLayout:
+    """Reports are the bytes of json.dumps(indent=2, sort_keys=True,
+    allow_nan=False) plus a newline: two-space indent, sorted keys, ASCII
+    escapes, no NaN or Infinity."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(json_values(FINITE | FINITE.map(np.float64)))
+    def test_text_is_json_dumps(self, value):
+        assert _json_text(None, value) == reference_text(value)
+
+    @settings(deadline=None, max_examples=300)
+    @given(json_values(ALL_FLOATS | ALL_FLOATS.map(np.float64)))
+    def test_non_finite_values_raise_json_message(self, value):
+        try:
+            expected = reference_text(value)
+        except ValueError as exc:
+            with pytest.raises(PstLabError) as refused:
+                _json_text(None, value)
+            assert str(refused.value) == f"report <stdout> is not valid JSON: {exc}"
+        else:
+            assert _json_text(None, value) == expected
+
+    def test_first_non_finite_in_key_order_is_named(self):
+        value = {"b": [1.0, math.nan], "a": {"y": 2.0, "x": (0.5, np.float64(-math.inf))}}
+        with pytest.raises(ValueError) as exc:
+            reference_text(value)
+        with pytest.raises(PstLabError) as refused:
+            _json_text("r.json", value)
+        assert str(refused.value) == f"report r.json is not valid JSON: {exc.value}"
+        assert str(exc.value).endswith(repr(np.float64(-math.inf)))
+
+    def test_reports_keep_the_layout(self, canonical4, tmp_path, capsys):
+        # one report per analyze verdict, a canonical chain, and a search with
+        # failed samples and null minima
+        wide = np.array([204.0, 103.0, 0.0])
+        runs = {
+            "admissible": (0, ["analyze", "--input", canonical4]),
+            "asymmetry": (2, ["analyze", "--input", write_json(tmp_path / "bad.json",
+                                                               {"N": 3, "J": [1.0, 2.0]})]),
+            "no-common-odd-unit": (2, ["analyze", "--cap", "99", "--input", write_json(
+                tmp_path / "wide.json", synthesize(wide - wide.mean()).to_dict())]),
+            "synth": (0, ["synth", "--canonical", "6"]),
+            "search": (0, ["search", "--n", "3", "--samples", "20", "--cap", "2147483647"]),
+        }
+        for name, (code, argv) in runs.items():
+            path = tmp_path / f"{name}.json"
+            assert main(argv + ["--output", str(path)]) == code
+            text = path.read_text(encoding="utf-8")
+            data = json.loads(text)
+            assert text == json.dumps(data, indent=2, sort_keys=True) + "\n", name
+            if argv[0] == "analyze":
+                assert data["certificate"]["failure"] == (name if code else None)
+        assert data["failures"] and data["min_ratio"] is None
+        capsys.readouterr()
