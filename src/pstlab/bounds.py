@@ -94,7 +94,9 @@ class ProofAudit(_Record):
     (odd N) is the signed margin of the alternating square sum over
     lambda_N^2 - (pi/t0) lambda_N; it is recorded, not asserted, because
     admissible spectra with large inner multipliers drive it negative while
-    the final bound still holds.
+    the final bound still holds.  A search or scan row computes only what it
+    reads (_audit_rows); the other steps are computed only where a
+    ProofAudit is built (_audit_certified, for audit_chain and analyze).
     """
 
     parity: str
@@ -116,59 +118,71 @@ class ProofAudit(_Record):
 def _audit_rows(
     diagonal: np.ndarray, couplings: np.ndarray, lattice: np.ndarray, t0: np.ndarray
 ) -> dict:
-    """The audit of stacked certified chains: fields (S, N) and (S, N-1),
-    their accepted descending lattices (S, N) and transfer times (S,).
+    """The audit that a search or scan row reads, of stacked certified
+    chains: fields (S, N) and (S, N-1), their accepted descending lattices
+    (S, N) and transfer times (S,).
 
-    Returns one (S,) array per ProofAudit field other than `parity` (None
-    where the field does not apply to the parity), plus `j_max`, `t0`,
-    `product` and `lambda_min_ok` (the tail constraint up to AUDIT_SLACK
-    times the width).  The mirror traces of the traceless shift come from
-    its central entries (chain._mirror_traces_rows) and its lattice
-    (chain._alternating_sums).
+    Returns (S,) arrays: the BoundReport fields that vary by row
+    (`lambda_min_ok` is the tail constraint up to AUDIT_SLACK times the
+    width), the slacks the search counts and the odd-N substitution gap's
+    two terms (`identity_eigen_side`, `substitution_value`), the odd-N ones
+    None for even N; and the traceless lattice `lam0`.  The other ProofAudit
+    steps are _audit_certified's.
     """
     n = lattice.shape[1]
     lam0 = lattice - lattice.mean(axis=1, keepdims=True)
-    b0 = diagonal - diagonal.mean(axis=1, keepdims=True)
-    trace_sh, trace_sh2 = _mirror_traces_rows(b0, couplings)
-    eigen_sh, eigen_sh2 = _alternating_sums(lam0, _alternating_signs(n))
     u = math.pi / t0
     j_max = couplings.max(axis=1)
     product = j_max * t0
     bound = bound_value(n)
     width = lam0[:, 0] - lam0[:, -1]
-    tail = -(n - 1) * u / 2.0
-    rows = {
-        "j_max": j_max,
-        "t0": t0,
-        "product": product,
-        "ratio": product / bound,
-        "final_slack": product - bound,
-        "gap_floor_slack": (-np.diff(lam0, axis=1)).min(axis=1) - u,
-        "lambda_min_slack": tail - lam0[:, -1],
-        "lambda_min_ok": lam0[:, -1] <= tail + AUDIT_SLACK * width,
-        "half_sum_slack": None,
-        "central_field": None,
-        "substitution_value": None,
-        "substitution_gap": None,
-        "pair_product_slack": None,
-    }
-    center = couplings[:, n // 2 - 1]  # J_{N/2} for even N, J_{c-1} for odd N
-    if n % 2 == 0:
-        matrix_side, eigen_side = trace_sh, eigen_sh
-        rows["half_sum_slack"] = matrix_side - (n / 2.0) * u
-    else:
-        matrix_side, eigen_side = trace_sh2, eigen_sh2
-        substitution_value = lam0[:, -1] ** 2 - u * lam0[:, -1]
-        rows["central_field"] = trace_sh
-        rows["substitution_value"] = substitution_value
-        rows["substitution_gap"] = eigen_side - substitution_value
-        pair = couplings[:, n // 2 - 1] + couplings[:, n // 2]
-        rows["pair_product_slack"] = pair**2 - (n * n - 1) * u**2 / 4.0
-    rows["identity_matrix_side"] = matrix_side
-    rows["identity_eigen_side"] = eigen_side
-    rows["identity_abs_err"] = np.abs(matrix_side - eigen_side)
-    rows["center_coupling_slack"] = j_max - center
+    rows = dict.fromkeys(("central_field", "identity_eigen_side", "substitution_value",
+                          "substitution_gap", "pair_product_slack"))  # odd N only
+    rows.update(lam0=lam0, j_max=j_max, t0=t0, product=product, ratio=product / bound,
+                final_slack=product - bound,
+                lambda_min_ok=lam0[:, -1] <= -(n - 1) * u / 2.0 + AUDIT_SLACK * width)
+    if n % 2:
+        c = n // 2
+        eigen_side = _alternating_sums(lam0, _alternating_signs(n))[1]
+        value = lam0[:, -1] ** 2 - u * lam0[:, -1]
+        pair = couplings[:, c - 1] + couplings[:, c]
+        rows.update(central_field=diagonal[:, c] - diagonal.mean(axis=1),  # traceless B_c
+                    identity_eigen_side=eigen_side, substitution_value=value,
+                    substitution_gap=eigen_side - value,
+                    pair_product_slack=pair**2 - (n * n - 1) * u**2 / 4.0)
     return rows
+
+
+def _audit_certified(
+    chain: ChainSpec, lattice: np.ndarray, t0: float
+) -> tuple[BoundReport, ProofAudit]:
+    """The BoundReport and ProofAudit of one certified chain on its accepted
+    lattice (N,) and transfer time: _audit_rows' batch of one plus the steps
+    that no search reads, the identity's sides and their error (the matrix
+    side from the traceless shift's central entries,
+    chain._mirror_traces_rows), the gap floor, the lambda_N tail, J_max
+    against the central coupling and the even-N half-chain sum."""
+    n, diagonal, couplings = chain.n_sites, chain.diagonal[None], chain.couplings[None]
+    rows = _audit_rows(diagonal, couplings, lattice[None], np.array([t0]))
+    lam0, u = rows["lam0"], math.pi / rows["t0"]
+    b0 = diagonal - diagonal.mean(axis=1, keepdims=True)
+    trace_sh, trace_sh2 = _mirror_traces_rows(b0, couplings)
+    matrix_side, eigen_side = trace_sh2, rows["identity_eigen_side"]
+    if n % 2 == 0:
+        matrix_side, eigen_side = trace_sh, _alternating_sums(lam0, _alternating_signs(n))[0]
+        rows["half_sum_slack"] = matrix_side - (n / 2.0) * u
+    rows.update(
+        identity_matrix_side=matrix_side,
+        identity_eigen_side=eigen_side,
+        identity_abs_err=np.abs(matrix_side - eigen_side),
+        gap_floor_slack=(-np.diff(lam0, axis=1)).min(axis=1) - u,
+        lambda_min_slack=-(n - 1) * u / 2.0 - lam0[:, -1],
+        center_coupling_slack=rows["j_max"] - couplings[:, n // 2 - 1],
+    )
+    report = _bound_report(rows, 0, n)
+    return report, ProofAudit(parity=report.parity, **{
+        f.name: None if (v := rows.get(f.name)) is None else v[0].item()
+        for f in fields(ProofAudit) if f.name != "parity"})
 
 
 def audit_chain(
@@ -186,9 +200,7 @@ def audit_chain(
     cert, _, lattice = _certify_chain(chain, max_multiplier=max_multiplier)
     if not cert.admissible:
         raise NotAdmissible(f"chain does not certify: {cert.failure}")
-    rows = _audit_rows(chain.diagonal[None], chain.couplings[None], lattice[None],
-                       np.array([cert.t0]))
-    return _reports(rows, 0, chain.n_sites)
+    return _audit_certified(chain, lattice, cert.t0)
 
 
 def _bound_report(rows: dict, k: int, n: int) -> BoundReport:
@@ -201,15 +213,6 @@ def _bound_report(rows: dict, k: int, n: int) -> BoundReport:
         ratio=rows["ratio"][k].item(), lambda_min_ok=rows["lambda_min_ok"][k].item(),
         central_field=None if central is None else central[k].item(),
     )
-
-
-def _reports(rows: dict, k: int, n: int) -> tuple[BoundReport, ProofAudit]:
-    """Row k of the audit rows of N = n chains, as the chain's BoundReport
-    (_bound_report) and ProofAudit."""
-    report = _bound_report(rows, k, n)
-    return report, ProofAudit(parity=report.parity, **{
-        f.name: None if rows[f.name] is None else rows[f.name][k].item()
-        for f in fields(ProofAudit) if f.name != "parity"})
 
 
 @dataclass(frozen=True)
@@ -382,13 +385,16 @@ def _audit_block(mults: np.ndarray, start: int):
         one, radius = _enclosed_rows(diagonal, couplings, lattice, PHASE_TOL / (2.0 * t0))
     window = radius > 0
     ok = one & window
-    ok[[k for k, exc in enumerate(errors) if exc is not None]] = False
-    failed = [(start + int(k), str(errors[k]) if errors[k] is not None
-               else "the Sturm counts' error bound reaches the lattice window" if not window[k]
-               else "spectrum leaves the windows of its drawn lattice")
-              for k in np.flatnonzero(~ok)]
-    audit = _audit_rows(diagonal[ok], couplings[ok], lattice[ok], t0[ok])
-    return start + np.flatnonzero(ok), mults[ok], diagonal[ok], couplings[ok], audit, failed
+    ok[list(errors)] = False
+    keep, failed = slice(None), []  # a clean block is handed on as drawn
+    if not ok.all():
+        keep, failed = ok, [
+            (start + k, str(errors[k]) if k in errors
+             else "the Sturm counts' error bound reaches the lattice window" if not window[k]
+             else "spectrum leaves the windows of its drawn lattice")
+            for k in np.flatnonzero(~ok).tolist()]
+    audit = _audit_rows(diagonal[keep], couplings[keep], lattice[keep], t0[keep])
+    return start + np.flatnonzero(ok), mults[keep], diagonal[keep], couplings[keep], audit, failed
 
 
 def _record(block: tuple, k: int) -> dict:
@@ -413,7 +419,8 @@ def falsify_search(n_sites: int, samples: int, cap: int, seed: int) -> SearchRep
     report records the cap as `max_multiplier`.  Each sample's chain is
     mirror-symmetric by construction, checked against the lattice it was
     drawn from by Sturm counts and the lattice rule, never solved, and
-    audited on that lattice with t0 = pi / gcd(multipliers).  Samples pass
+    audited on that lattice with t0 = pi / gcd(multipliers) for what the
+    report reads only (_audit_rows; no ProofAudit).  Samples pass
     in blocks through one pass that synthesizes, checks and audits them
     (_audit_block), whose working set stays under BLOCK_BYTES (so N is at
     most MAX_SEARCH_SITES); a block holds the Lanczos arrays and then two

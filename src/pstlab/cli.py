@@ -185,9 +185,7 @@ def cmd_analyze(args) -> int:
     print(f"  max gap residual = {cert.max_residual:.3e}")
     fid = pst._fidelity(*pst._transfer_terms(chain, lam), np.array([cert.t0]))[0]
     print(f"fidelity at t0: {fid:.12g}")
-    rows = bounds._audit_rows(chain.diagonal[None], chain.couplings[None], lattice[None],
-                              np.array([cert.t0]))
-    report, audit = bounds._reports(rows, 0, chain.n_sites)
+    report, audit = bounds._audit_certified(chain, lattice, cert.t0)
     print(
         f"bound: parity={report.parity} bound={report.bound:.12g} "
         f"product={report.product:.12g} ratio={report.ratio:.12g} "

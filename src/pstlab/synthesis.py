@@ -154,13 +154,12 @@ def _end_weights(lam: np.ndarray) -> np.ndarray:
 def _synthesize_rows(lam: np.ndarray):
     """synthesize for stacked descending spectra (S, N).
 
-    Returns (diagonal (S, N), couplings (S, N-1), errors): errors[r] is the
-    NumericalBreakdown of row r, a non-finite field, an end weight that
-    underflows to 0 or a Lanczos breakdown, or None; the fields of a broken
-    row are meaningless.  Lanczos takes ceil(N/2) steps on an
-    (S, N//2 + 1, N) basis and the rest of B and J is mirrored, so a zero
-    weight, which full Lanczos would meet as a late breakdown, is refused up
-    front.  Every row runs the same arithmetic as a batch of one, so a row's
+    Returns (diagonal (S, N), couplings (S, N-1), errors): errors maps each
+    broken row to its NumericalBreakdown, a non-finite field, an end weight
+    that underflows to 0 or a Lanczos breakdown; the fields of a broken row
+    are meaningless.  Lanczos takes ceil(N/2) steps on an (S, N//2 + 1, N)
+    basis and the rest of B and J is mirrored, so a zero weight, which full
+    Lanczos would meet as a late breakdown, is refused up front.  Every row runs the same arithmetic as a batch of one, so a row's
     chain does not depend on the other rows of its batch.
     """
     s, n = lam.shape
@@ -192,16 +191,19 @@ def _synthesize_rows(lam: np.ndarray):
     alpha[:, n - half:] = alpha[:, :half][:, ::-1]
     beta[:, half:] = beta[:, : (n - 1) // 2][:, ::-1]
 
-    errors = [None] * s
+    errors = {}
     finite = np.isfinite(alpha).all(axis=1) & np.isfinite(beta).all(axis=1)
-    for row in np.flatnonzero(~finite):
-        errors[row] = NumericalBreakdown("synthesized fields overflow double precision")
     underflow = finite & (weights == 0.0).any(axis=1)
-    for row in np.flatnonzero(underflow):
+    broken = beta <= floor[:, None]
+    lanczos = finite & ~underflow & broken.any(axis=1)
+    if finite.all() and not (underflow | lanczos).any():
+        return alpha, beta, errors
+    for row in np.flatnonzero(~finite).tolist():
+        errors[row] = NumericalBreakdown("synthesized fields overflow double precision")
+    for row in np.flatnonzero(underflow).tolist():
         errors[row] = NumericalBreakdown(
             "an end weight underflows double precision; spectrum too close to degenerate")
-    broken = beta <= floor[:, None]
-    for row in np.flatnonzero(finite & ~underflow & broken.any(axis=1)):
+    for row in np.flatnonzero(lanczos).tolist():
         k = int(broken[row].argmax())
         errors[row] = NumericalBreakdown(
             f"Lanczos off-diagonal {beta[row, k]:.3e} at step {k + 1} "
@@ -229,7 +231,7 @@ def synthesize(spectrum: SpectrumSpec | np.ndarray) -> ChainSpec:
     # an overflowing spectrum or field comes back as a NumericalBreakdown
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         diagonal, couplings, errors = _synthesize_rows(spectrum.expand()[None])
-    if errors[0] is not None:
+    if errors:
         raise errors[0]
     return ChainSpec(diagonal=diagonal[0], couplings=couplings[0])
 

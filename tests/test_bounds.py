@@ -34,10 +34,10 @@ from pstlab.bounds import (
     SCAN_CSV_HEADER,
     ScanResult,
     _audit_block,
+    _audit_certified,
     _block_rows,
     _enclosed_rows,
     _record,
-    _reports,
 )
 from pstlab.eigensolve import eigenvalues_only
 from pstlab.errors import NumericalBreakdown
@@ -215,7 +215,7 @@ class TestOneLatticeRule:
 
         def drifted(lam):  # the block synthesizes the drifted chain from its drawn lattice
             assert np.array_equal(lam, lattice)
-            return chain.diagonal[None].copy(), chain.couplings[None].copy(), [None]
+            return chain.diagonal[None].copy(), chain.couplings[None].copy(), {}
 
         monkeypatch.setattr(pstlab.bounds, "_synthesize_rows", drifted)
         index, *_, failed = _audit_block(np.array([mults]), 0)
@@ -644,15 +644,69 @@ class TestFalsifySearch:
         assert report.evaluated == 20 and report.failures == ()
 
     def test_records_share_the_report_path(self):
-        # a record's report is _reports' BoundReport of its audit row, field
-        # for field, on every audited row of blocks at N = 2..9
+        # a record's report is the BoundReport that the single-chain audit
+        # gives its chain on the drawn lattice and t0, and that audit's
+        # ProofAudit carries the block's searched slacks, bit for bit, on
+        # every audited row of blocks at N = 2..9
         for n, cap in itertools.product(range(2, 10), (9, 999)):
             mults = draw_multipliers(np.random.default_rng(n), n, cap, count=40)
+            lattice, t0 = _lattice_rows(1.0, mults)
             block = _audit_block(mults, 0)
-            index, *_, audit, _ = block
+            index, _, diagonal, couplings, audit, _ = block
             assert len(index) == 40
             for k in range(len(index)):
-                assert _record(block, k)["report"] == _reports(audit, k, n)[0].to_dict()
+                chain = ChainSpec(diagonal=diagonal[k], couplings=couplings[k])
+                report, proof = _audit_certified(chain, lattice[k], t0[k])
+                assert _record(block, k)["report"] == report.to_dict()
+                for key in ("final_slack", "substitution_gap", "pair_product_slack"):
+                    rows = audit[key]
+                    assert getattr(proof, key) == (None if rows is None else rows[k].item()), key
+
+    def test_search_and_scan_skip_the_proof_steps(self, monkeypatch):
+        # the ProofAudit steps that no search reads run only where a
+        # ProofAudit is built, in the single-chain audit
+        expected = [falsify_search(n, 50, 9, n).to_dict() for n in range(2, 10)]
+        scan = saturation_scan(range(2, 40)).to_csv()
+
+        def forbidden(*args, **kw):
+            raise AssertionError("called")
+
+        monkeypatch.setattr(pstlab.bounds, "_audit_certified", forbidden)
+        assert [falsify_search(n, 50, 9, n).to_dict() for n in range(2, 10)] == expected
+        assert all(report["evaluated"] == 50 for report in expected)
+        result = saturation_scan(range(2, 40))
+        assert result.failures == () and result.to_csv() == scan
+        with pytest.raises(AssertionError, match="called"):
+            audit_chain(canonical_chain(5))
+
+    def test_clean_and_masked_blocks_agree(self, monkeypatch):
+        # a block whose rows all pass is handed on as drawn, without copies;
+        # the same block with one row forced to fail goes through the masks,
+        # and every other row comes out bit for bit the same
+        bad, start = 7, 4
+        real = pstlab.bounds._synthesize_rows
+
+        def failing(lam):
+            diagonal, couplings, errors = real(lam)
+            errors[bad] = NumericalBreakdown("forced")
+            return diagonal, couplings, errors
+
+        for n, cap in itertools.product((2, 5, 8, 9), (9, 999)):
+            mults = draw_multipliers(np.random.default_rng(n), n, cap, count=30)
+            index, draws, diagonal, couplings, audit, failed = _audit_block(mults, start)
+            assert failed == [] and index.tolist() == list(range(start, start + 30))
+            assert np.shares_memory(draws, mults)
+            with monkeypatch.context() as patch:
+                patch.setattr(pstlab.bounds, "_synthesize_rows", failing)
+                masked = _audit_block(mults, start)
+            assert masked[-1] == [(start + bad, "forced")]
+            rest = np.arange(30) != bad
+            for clean, kept in zip((index, draws, diagonal, couplings), masked):
+                assert clean[rest].tobytes() == kept.tobytes()
+            assert audit.keys() == masked[4].keys()
+            for key, rows in audit.items():
+                kept = masked[4][key]
+                assert kept is None if rows is None else rows[rest].tobytes() == kept.tobytes(), key
 
     def test_search_solves_no_spectrum(self, monkeypatch):
         # the search checks the drawn lattice by counts; it runs neither the
@@ -758,7 +812,7 @@ class TestBatchedCore:
             raw *= rng.uniform(0.05, 5.0, (count, 1))
             for lam in (_expand_rows(1.0, mults), raw):
                 diagonal, couplings, errors = _synthesize_rows(lam)
-                assert errors == [None] * count
+                assert errors == {}
                 for row in range(count):
                     ref_b, ref_j = lanczos_chain(lam[row])
                     tol = 1e-12 * (lam[row, 0] - lam[row, -1])
