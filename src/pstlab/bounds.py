@@ -167,11 +167,12 @@ def _audit_certified(
     lam0, u = rows["lam0"], math.pi / rows["t0"]
     b0 = diagonal - diagonal.mean(axis=1, keepdims=True)
     trace_sh, trace_sh2 = _mirror_traces_rows(b0, couplings)
-    matrix_side, eigen_side = trace_sh2, rows["identity_eigen_side"]
+    matrix_side, eigen_side, half_sum = trace_sh2, rows["identity_eigen_side"], None
     if n % 2 == 0:
         matrix_side, eigen_side = trace_sh, _alternating_sums(lam0, _alternating_signs(n))[0]
-        rows["half_sum_slack"] = matrix_side - (n / 2.0) * u
+        half_sum = matrix_side - (n / 2.0) * u
     rows.update(
+        half_sum_slack=half_sum,
         identity_matrix_side=matrix_side,
         identity_eigen_side=eigen_side,
         identity_abs_err=np.abs(matrix_side - eigen_side),
@@ -181,7 +182,7 @@ def _audit_certified(
     )
     report = _bound_report(rows, 0, n)
     return report, ProofAudit(parity=report.parity, **{
-        f.name: None if (v := rows.get(f.name)) is None else v[0].item()
+        f.name: None if (v := rows[f.name]) is None else v[0].item()
         for f in fields(ProofAudit) if f.name != "parity"})
 
 
@@ -386,15 +387,13 @@ def _audit_block(mults: np.ndarray, start: int):
     window = radius > 0
     ok = one & window
     ok[list(errors)] = False
-    keep, failed = slice(None), []  # a clean block is handed on as drawn
-    if not ok.all():
-        keep, failed = ok, [
-            (start + k, str(errors[k]) if k in errors
-             else "the Sturm counts' error bound reaches the lattice window" if not window[k]
-             else "spectrum leaves the windows of its drawn lattice")
-            for k in np.flatnonzero(~ok).tolist()]
-    audit = _audit_rows(diagonal[keep], couplings[keep], lattice[keep], t0[keep])
-    return start + np.flatnonzero(ok), mults[keep], diagonal[keep], couplings[keep], audit, failed
+    failed = [(start + k, str(errors[k]) if k in errors
+               else "the Sturm counts' error bound reaches the lattice window" if not window[k]
+               else "spectrum leaves the windows of its drawn lattice")
+              for k in np.flatnonzero(~ok).tolist()]
+    diagonal, couplings = diagonal[ok], couplings[ok]
+    audit = _audit_rows(diagonal, couplings, lattice[ok], t0[ok])
+    return start + np.flatnonzero(ok), mults[ok], diagonal, couplings, audit, failed
 
 
 def _record(block: tuple, k: int) -> dict:

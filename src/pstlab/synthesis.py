@@ -159,8 +159,9 @@ def _synthesize_rows(lam: np.ndarray):
     that underflows to 0 or a Lanczos breakdown; the fields of a broken row
     are meaningless.  Lanczos takes ceil(N/2) steps on an (S, N//2 + 1, N)
     basis and the rest of B and J is mirrored, so a zero weight, which full
-    Lanczos would meet as a late breakdown, is refused up front.  Every row runs the same arithmetic as a batch of one, so a row's
-    chain does not depend on the other rows of its batch.
+    Lanczos would meet as a late breakdown, is refused up front.  Every row
+    runs the same arithmetic as a batch of one, so a row's chain does not
+    depend on the other rows of its batch.
     """
     s, n = lam.shape
     half = n // 2
@@ -196,8 +197,6 @@ def _synthesize_rows(lam: np.ndarray):
     underflow = finite & (weights == 0.0).any(axis=1)
     broken = beta <= floor[:, None]
     lanczos = finite & ~underflow & broken.any(axis=1)
-    if finite.all() and not (underflow | lanczos).any():
-        return alpha, beta, errors
     for row in np.flatnonzero(~finite).tolist():
         errors[row] = NumericalBreakdown("synthesized fields overflow double precision")
     for row in np.flatnonzero(underflow).tolist():

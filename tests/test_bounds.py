@@ -680,9 +680,8 @@ class TestFalsifySearch:
             audit_chain(canonical_chain(5))
 
     def test_clean_and_masked_blocks_agree(self, monkeypatch):
-        # a block whose rows all pass is handed on as drawn, without copies;
-        # the same block with one row forced to fail goes through the masks,
-        # and every other row comes out bit for bit the same
+        # the same block with one row forced to fail drops that row, and
+        # every other row comes out bit for bit as in the clean block
         bad, start = 7, 4
         real = pstlab.bounds._synthesize_rows
 
@@ -695,7 +694,6 @@ class TestFalsifySearch:
             mults = draw_multipliers(np.random.default_rng(n), n, cap, count=30)
             index, draws, diagonal, couplings, audit, failed = _audit_block(mults, start)
             assert failed == [] and index.tolist() == list(range(start, start + 30))
-            assert np.shares_memory(draws, mults)
             with monkeypatch.context() as patch:
                 patch.setattr(pstlab.bounds, "_synthesize_rows", failing)
                 masked = _audit_block(mults, start)
