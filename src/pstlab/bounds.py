@@ -143,7 +143,7 @@ def _audit_rows(
                 lambda_min_ok=lam0[:, -1] <= -(n - 1) * u / 2.0 + AUDIT_SLACK * width)
     if n % 2:
         c = n // 2
-        eigen_side = _alternating_sums(lam0, _alternating_signs(n))[1]
+        eigen_side = (_alternating_signs(n) * lam0 * lam0).sum(axis=1)  # _alternating_sums' [1]
         value = lam0[:, -1] ** 2 - u * lam0[:, -1]
         pair = couplings[:, c - 1] + couplings[:, c]
         rows.update(central_field=diagonal[:, c] - diagonal.mean(axis=1),  # traceless B_c
@@ -358,8 +358,8 @@ def _enclosed_rows(diagonal, couplings, lattice, half_width):
     beta0 = (2.0 * gamma5 / (2.0 - gamma5) * couplings.max(axis=1)
              + gamma2 * np.abs(lattice).max(axis=1))
     radius = np.nextafter((half_width - beta0) / (1.0 + gamma2), -np.inf)
-    r = radius[:, None]
-    counts = _sturm_counts_rows(diagonal, couplings, np.hstack((lattice - r, lattice + r)))
+    shifts = np.concatenate((lattice - radius[:, None], lattice + radius[:, None]), axis=1)
+    counts = _sturm_counts_rows(diagonal, couplings, shifts)
     below = np.arange(n - 1, -1, -1)  # eigenvalues below window k of a descending lattice
     one = (counts == np.concatenate((below, below + 1))).all(axis=1)
     return one, radius
@@ -390,10 +390,10 @@ def _audit_block(mults: np.ndarray, start: int):
     failed = [(start + k, str(errors[k]) if k in errors
                else "the Sturm counts' error bound reaches the lattice window" if not window[k]
                else "spectrum leaves the windows of its drawn lattice")
-              for k in np.flatnonzero(~ok).tolist()]
+              for k in (~ok).nonzero()[0].tolist()]
     diagonal, couplings = diagonal[ok], couplings[ok]
     audit = _audit_rows(diagonal, couplings, lattice[ok], t0[ok])
-    return start + np.flatnonzero(ok), mults[ok], diagonal, couplings, audit, failed
+    return start + ok.nonzero()[0], mults[ok], diagonal, couplings, audit, failed
 
 
 def _record(block: tuple, k: int) -> dict:
@@ -458,13 +458,13 @@ def falsify_search(n_sites: int, samples: int, cap: int, seed: int) -> SearchRep
             pair = audit["pair_product_slack"]
             pair_violations += int((pair < -AUDIT_SLACK * u2).sum())
             min_gap = float(gap.min(initial=min_gap))
-        bad = np.flatnonzero(ratio < 1.0 - AUDIT_SLACK)
+        bad = (ratio < 1.0 - AUDIT_SLACK).nonzero()[0]
         violations += [_record(block, k) for k in bad]
         before = np.minimum.accumulate(np.concatenate([[min_ratio], ratio[:-1]]))
         min_ratio = float(ratio.min(initial=min_ratio))
         near = [r for r in near if r["report"]["ratio"] <= min_ratio + AUDIT_SLACK]
         near += [_record(block, k) for k in
-                 np.flatnonzero((ratio < before) & (ratio <= min_ratio + AUDIT_SLACK))]
+                 ((ratio < before) & (ratio <= min_ratio + AUDIT_SLACK)).nonzero()[0]]
     witness = near[0] if near else {}
 
     return SearchReport(

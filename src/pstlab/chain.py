@@ -45,7 +45,9 @@ def _readonly_float_array(values, name: str) -> np.ndarray:
 
 def _alternating_signs(n: int) -> np.ndarray:
     """The mirror parity pattern (-1)^{n+1}, n = 1..N, as integers."""
-    return np.where(np.arange(n) % 2 == 0, 1, -1)
+    signs = np.ones(n, dtype=np.int64)
+    signs[1::2] = -1
+    return signs
 
 
 def _json_value(value):

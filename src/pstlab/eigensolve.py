@@ -50,7 +50,7 @@ class SpectralData:
         vec = np.asarray(self.eigenvectors, dtype=float)
         if lam.ndim != 1 or vec.shape != (lam.size, lam.size):
             raise ValueError("eigenvalues/eigenvectors shapes are inconsistent")
-        if not np.all(np.diff(lam) < 0):
+        if not (lam[1:] < lam[:-1]).all():  # _descending's rule
             raise EigensolveError("eigenvalues are not strictly descending")
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "eigenvectors", vec)
@@ -66,9 +66,11 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
 
 def _descending(ascending: np.ndarray) -> np.ndarray:
     """A solver's ascending eigenvalues reversed, guarded: a Jacobi matrix
-    has a simple spectrum, so anything not strictly descending raises."""
+    has a simple spectrum, so equal neighbours, an ascending pair or a NaN
+    raise EigensolveError.  SpectralData and synthesis.SpectrumSpec apply
+    the same rule, each entry below the one before it."""
     lam = ascending[::-1].copy()
-    if not np.all(np.diff(lam) < 0):
+    if not (lam[1:] < lam[:-1]).all():
         raise EigensolveError(
             "degenerate or unordered eigenvalues from the solver; "
             "a Jacobi matrix must have simple spectrum"

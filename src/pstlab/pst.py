@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, _alternating_signs, _Record, is_mirror_symmetric
+from .chain import ChainSpec, _Record, is_mirror_symmetric
 from .eigensolve import classify_parity, decompose, eigenvalues_only
 from .errors import NumericalBreakdown
 from .synthesis import MULTIPLIER_SUM_LIMIT, _expand_rows
@@ -214,7 +214,8 @@ def _spectral_coefficients(lam: np.ndarray, couplings: np.ndarray) -> np.ndarray
     eigenvalue errors d = eps max|lambda|, no c_n moves by more than
     4 (d / width) sum_n |c_n| S_n, S_n = sum_{m != n} width / |lambda_n - lambda_m|."""
     width = lam[0] - lam[-1]
-    distance = np.abs(np.subtract.outer(lam, lam)) / width + np.eye(lam.size)  # 1 on the diagonal
+    distance = np.abs(np.subtract.outer(lam, lam)) / width
+    distance.flat[:: lam.size + 1] = 1.0  # 1 on the diagonal
     # a coupling that underflows to 0 over the width logs to -inf, so every c_n
     # is 0: the exact limit in double precision
     with np.errstate(divide="ignore"):
@@ -223,7 +224,9 @@ def _spectral_coefficients(lam: np.ndarray, couplings: np.ndarray) -> np.ndarray
     spread = mag @ ((1.0 / distance).sum(axis=1) - 1.0)
     if not 4.0 * np.finfo(float).eps * (np.abs(lam).max() / width) * spread <= WEIGHT_TOL:
         return None
-    return _alternating_signs(lam.size) * mag / max(1.0, mag.sum())
+    coeff = mag / max(1.0, mag.sum())
+    coeff[1::2] *= -1.0  # the signs (-1)^{n+1}; (-m)/s = -(m/s) exactly
+    return coeff
 
 
 def _transfer_terms(chain: ChainSpec, lam: np.ndarray | None = None):
@@ -294,7 +297,7 @@ def _grid_scan(lam, coeff, offsets):
     orders the product by shape, so a sample can move in its last bit with Q."""
     phase = -1j * lam
     shift = np.exp(np.multiply.outer(phase, offsets))
-    kernel = np.hstack((shift, phase[:, None] * shift))
+    kernel = np.concatenate((shift, phase[:, None] * shift), axis=1)
 
     def terms(starts):
         z = (np.exp(np.multiply.outer(starts, phase)) * coeff) @ kernel
@@ -341,21 +344,24 @@ def _refine_peaks(lam: np.ndarray, coeff: np.ndarray, a: np.ndarray, b: np.ndarr
     """Locate the maximum of f on each bracket [a_k, b_k] across which the
     slope h falls from > 0 to <= 0, as (t, f(t)): the root of h, by Newton's
     method with the analytic h', all brackets together, each from the secant
-    root of h across it, or its midpoint.  A row whose end (not t = 0, where
-    h and h' are roundoff) has h' < 0 and |h / h'| < 4 eps b ends there
-    first: the Newton point would keep leaving that root.  Each evaluation
+    root of h across it, or its midpoint.  A first pass evaluates both ends;
+    a row whose end (not t = 0, where h and h' are roundoff) has h' < 0 and
+    |h / h'| < 4 eps b ends there, as the Newton point would keep leaving
+    that root, and if every row does, that pass is the last.  Each evaluation
     narrows its bracket by the sign of h, and a row bisects wherever h' >= 0
     or the Newton point would leave the bracket.  A row stops when its Newton
     correction or its bracket is within 4 eps of the bracket's initial right
-    end, so a peak lands within a few ulps of the root.
-    """
+    end, so a peak lands within a few ulps of the root, whatever the batch."""
     tol = 4.0 * np.finfo(float).eps * b
     ends = np.concatenate((b, a))
-    h, dh, f = _phase_sums(lam, coeff, ends, 2, _newton_terms, np.empty((3, ends.size)))
-    root = ((np.abs(h) < -dh * np.tile(tol, 2)) & (ends > 0.0)).reshape(2, -1)
-    t, ft = np.where(root[0], b, a), np.where(root[0], *f.reshape(2, -1))  # b if a root
-    active = np.flatnonzero(~root.any(axis=0))
-    h_b, h_a = h.reshape(2, -1)
+    terms = _phase_sums(lam, coeff, ends, 2, _newton_terms, np.empty((3, ends.size)))
+    h, dh, f = terms.reshape(3, 2, -1)  # rows b, a
+    root = (np.abs(h) < -dh * tol) & (ends.reshape(2, -1) > 0.0)
+    t, ft = np.where(root[0], b, a), np.where(root[0], *f)  # b if a root
+    active = (~root.any(axis=0)).nonzero()[0]
+    if not active.size:
+        return t, ft
+    h_b, h_a = h
     x = a + np.divide(h_a, h_a - h_b, out=np.full(a.size, np.nan), where=h_a > h_b) * (b - a)
     x = np.where((x > a) & (x < b), x, 0.5 * (a + b))  # x is NaN where h does not fall
     a, b, x, tol = (v[active] for v in (a, b, x, tol))
@@ -443,14 +449,14 @@ def first_perfect_time(
             t[-1] = horizon
         h[1:], z[1:] = (v.ravel()[: t.size - 1] for v in terms(t[1::block]))
         up = h > 0.0
-        falls = np.flatnonzero(up[:-1] & ~up[1:])
+        falls = (up[:-1] & ~up[1:]).nonzero()[0]
         a, b = t[falls], t[falls + 1]
         f2_a, f2_b = np.abs(z[falls]) ** 2, np.abs(z[falls + 1]) ** 2
         reach = _peak_ceilings(lam, coeff, a, b, f2_a, f2_b) >= threshold**2
         scan[:, 0], amp[0] = scan[:, t.size - 1], z[-1]
         if reach.any():
             t_peak, f_peak = _refine_peaks(lam, coeff, a[reach], b[reach])
-            hits = np.flatnonzero(f_peak >= threshold)
+            hits = (f_peak >= threshold).nonzero()[0]
             if hits.size:
                 return float(t_peak[hits[0]])
     if h[-1] > 0.0 and np.abs(z[-1]) ** 2 >= threshold**2:

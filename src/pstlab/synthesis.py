@@ -58,7 +58,7 @@ class SpectrumSpec:
                 raise ValueError("field 'lambda' must be a 1-d array, length >= 2")
             if not np.all(np.isfinite(lam)):
                 raise ValueError("field 'lambda' contains non-finite entries")
-            if not np.all(np.diff(lam) < 0):
+            if not (lam[1:] < lam[:-1]).all():  # eigensolve._descending's rule
                 raise ValueError("field 'lambda' must be strictly descending")
             lam.setflags(write=False)
             object.__setattr__(self, "eigenvalues", lam)
@@ -197,12 +197,12 @@ def _synthesize_rows(lam: np.ndarray):
     underflow = finite & (weights == 0.0).any(axis=1)
     broken = beta <= floor[:, None]
     lanczos = finite & ~underflow & broken.any(axis=1)
-    for row in np.flatnonzero(~finite).tolist():
+    for row in (~finite).nonzero()[0].tolist():
         errors[row] = NumericalBreakdown("synthesized fields overflow double precision")
-    for row in np.flatnonzero(underflow).tolist():
+    for row in underflow.nonzero()[0].tolist():
         errors[row] = NumericalBreakdown(
             "an end weight underflows double precision; spectrum too close to degenerate")
-    for row in np.flatnonzero(lanczos).tolist():
+    for row in lanczos.nonzero()[0].tolist():
         k = int(broken[row].argmax())
         errors[row] = NumericalBreakdown(
             f"Lanczos off-diagonal {beta[row, k]:.3e} at step {k + 1} "

@@ -15,6 +15,7 @@ from pstlab import (
     EigensolveError,
     ParityViolation,
     SpectralData,
+    SpectrumSpec,
     audit_chain,
     canonical_chain,
     certify,
@@ -130,6 +131,22 @@ class TestEigenvalueRows:
             certify(chains[1])
         with pytest.raises(EigensolveError, match="did not converge"):
             audit_chain(chains[1])
+
+
+    @pytest.mark.parametrize("ascending", [[0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0, 3.0],
+                                           [0.0, np.nan, 2.0]])
+    def test_one_descending_rule(self, ascending):
+        # equal neighbours, an ascending pair and a NaN: the solver guard,
+        # SpectralData and SpectrumSpec each refuse them
+        lam = np.array(ascending)
+        with pytest.raises(EigensolveError, match="degenerate or unordered"):
+            pstlab.eigensolve._descending(lam)
+        with pytest.raises(EigensolveError, match="descending"):
+            SpectralData(eigenvalues=lam[::-1], eigenvectors=np.eye(lam.size))
+        with pytest.raises(ValueError, match="strictly descending|non-finite"):
+            SpectrumSpec(eigenvalues=lam[::-1])
+        np.testing.assert_array_equal(pstlab.eigensolve._descending(np.array([0.0, 1.0, 3.0])),
+                                      [3.0, 1.0, 0.0])
 
 
 class TestSturmCounts:
