@@ -143,7 +143,7 @@ def _audit_rows(
                 lambda_min_ok=lam0[:, -1] <= -(n - 1) * u / 2.0 + AUDIT_SLACK * width)
     if n % 2:
         c = n // 2
-        eigen_side = (_alternating_signs(n) * lam0 * lam0).sum(axis=1)  # _alternating_sums' [1]
+        eigen_side = (_alternating_signs(n) * lam0 * lam0).sum(axis=1)  # _alternating_sums' 2nd
         value = lam0[:, -1] ** 2 - u * lam0[:, -1]
         pair = couplings[:, c - 1] + couplings[:, c]
         rows.update(central_field=diagonal[:, c] - diagonal.mean(axis=1),  # traceless B_c

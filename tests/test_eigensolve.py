@@ -132,7 +132,6 @@ class TestEigenvalueRows:
         with pytest.raises(EigensolveError, match="did not converge"):
             audit_chain(chains[1])
 
-
     @pytest.mark.parametrize("ascending", [[0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0, 3.0],
                                            [0.0, np.nan, 2.0]])
     def test_one_descending_rule(self, ascending):
