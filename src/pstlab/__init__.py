@@ -8,80 +8,19 @@ evolves transfer fidelity, and audits the speed bounds
 J_max * t0 >= pi N / 4 (even N) and pi sqrt(N^2 - 1) / 4 (odd N) step by
 step, including a randomized falsification search.
 """
-from .bounds import (
-    BoundReport,
-    ProofAudit,
-    ScanResult,
-    SearchReport,
-    audit_chain,
-    bound_value,
-    falsify_search,
-    saturation_scan,
-)
-from .chain import (
-    ChainSpec,
-    TraceReport,
-    eigen_side_traces,
-    is_mirror_symmetric,
-    trace_report,
-)
-from .eigensolve import (
-    SpectralData,
-    classify_parity,
-    decompose,
-    eigenvalues_only,
-)
-from .errors import (
-    EigensolveError,
-    NotAdmissible,
-    NumericalBreakdown,
-    ParityViolation,
-    PstLabError,
-)
-from .pst import (
-    FidelityTrace,
-    PstCertificate,
-    certify,
-    evolve_fidelity,
-    first_perfect_time,
-)
-from .synthesis import (
-    SpectrumSpec,
-    canonical_chain,
-    synthesize,
-)
+from . import bounds, chain, eigensolve, errors, pst, synthesis
+from .bounds import *
+from .chain import *
+from .eigensolve import *
+from .errors import *
+from .pst import *
+from .synthesis import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundReport",
-    "ChainSpec",
-    "EigensolveError",
-    "FidelityTrace",
-    "NotAdmissible",
-    "NumericalBreakdown",
-    "ParityViolation",
-    "ProofAudit",
-    "PstCertificate",
-    "PstLabError",
-    "ScanResult",
-    "SearchReport",
-    "SpectralData",
-    "SpectrumSpec",
-    "TraceReport",
-    "audit_chain",
-    "bound_value",
-    "canonical_chain",
-    "certify",
-    "classify_parity",
-    "decompose",
-    "eigen_side_traces",
-    "eigenvalues_only",
-    "evolve_fidelity",
-    "falsify_search",
-    "first_perfect_time",
-    "is_mirror_symmetric",
-    "saturation_scan",
-    "synthesize",
-    "trace_report",
-]
+# each module's __all__ is the one list of its public names
+__all__ = sorted(
+    name
+    for module in (bounds, chain, eigensolve, errors, pst, synthesis)
+    for name in module.__all__
+)

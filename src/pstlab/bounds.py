@@ -32,10 +32,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .chain import ChainSpec, _alternating_signs, _alternating_sums, _mirror_traces_rows, _Record
+from .chain import ChainSpec, _alternating_signs, _mirror_traces_rows, _Record
 from .eigensolve import _sturm_counts_rows
 from .errors import NotAdmissible
-from .pst import MAX_MULTIPLIER, PHASE_TOL, _certify_chain, _check_cap, _on_lattice
+from .pst import EPS, MAX_MULTIPLIER, PHASE_TOL, _certify_chain, _check_cap, _on_lattice
 from .synthesis import _lattice_rows, _synthesize_rows, canonical_chain, draw_multipliers
 
 __all__ = [
@@ -143,7 +143,7 @@ def _audit_rows(
                 lambda_min_ok=lam0[:, -1] <= -(n - 1) * u / 2.0 + AUDIT_SLACK * width)
     if n % 2:
         c = n // 2
-        eigen_side = (_alternating_signs(n) * lam0 * lam0).sum(axis=1)  # _alternating_sums' 2nd
+        eigen_side = (_alternating_signs(n) * lam0 * lam0).sum(axis=1)
         value = lam0[:, -1] ** 2 - u * lam0[:, -1]
         pair = couplings[:, c - 1] + couplings[:, c]
         rows.update(central_field=diagonal[:, c] - diagonal.mean(axis=1),  # traceless B_c
@@ -169,7 +169,7 @@ def _audit_certified(
     trace_sh, trace_sh2 = _mirror_traces_rows(b0, couplings)
     matrix_side, eigen_side, half_sum = trace_sh2, rows["identity_eigen_side"], None
     if n % 2 == 0:
-        matrix_side, eigen_side = trace_sh, _alternating_sums(lam0, _alternating_signs(n))[0]
+        matrix_side, eigen_side = trace_sh, (_alternating_signs(n) * lam0).sum(axis=1)
         half_sum = matrix_side - (n / 2.0) * u
     rows.update(
         half_sum_slack=half_sum,
@@ -249,7 +249,7 @@ def saturation_scan(n_values) -> ScanResult:
             # 2004); n (N - n) is exact below 2^53 and sqrt rounds correctly, so
             # each float J is within eps/2 J_max of it, and by Weyl every
             # eigenvalue is within eps J_max of its lattice point
-            if not _on_lattice(2.0 * np.finfo(float).eps * chain.j_max, t0[0]):
+            if not _on_lattice(2.0 * EPS * chain.j_max, t0[0]):
                 raise ValueError("the a priori spread 2 eps J_max exceeds the lattice rule")
         except ValueError as exc:
             failures.append((n, str(exc)))
@@ -353,7 +353,7 @@ def _enclosed_rows(diagonal, couplings, lattice, half_width):
     r + beta <= h holds in floats too.
     """
     n = lattice.shape[1]
-    u = np.finfo(float).eps / 2
+    u = EPS / 2
     gamma5, gamma2 = 5 * u / (1 - 5 * u), 2 * u / (1 - 2 * u)
     beta0 = (2.0 * gamma5 / (2.0 - gamma5) * couplings.max(axis=1)
              + gamma2 * np.abs(lattice).max(axis=1))

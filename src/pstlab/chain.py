@@ -9,26 +9,19 @@ parity under S, sigma_n = (-1)^{n+1} in descending order.
 
 Tr(S M) is the sum of M's antidiagonal, called the mirror trace here.  For a
 tridiagonal h the antidiagonal meets the band only at the center, so Tr(S h)
-and Tr(S h^2) collapse to a handful of central entries; for mirror-symmetric
-chains they also equal alternating sums over the ordered spectrum.  Those two
-routes to the same number are the backbone of the speed audits in
-:mod:`pstlab.bounds`.
+and Tr(S h^2) collapse to a handful of central entries, the matrix side of
+the speed audits in :mod:`pstlab.bounds`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .eigensolve import SpectralData
 
 __all__ = [
     "ChainSpec",
     "TraceReport",
     "is_mirror_symmetric",
-    "eigen_side_traces",
     "trace_report",
 ]
 
@@ -36,9 +29,12 @@ SYMMETRY_TOL = 1e-10  # mirror deviation, relative to max(|B|_inf, |J|_inf, 1)
 
 
 def _readonly_float_array(values, name: str) -> np.ndarray:
+    """`values` as a read-only copy: a finite one-dimensional float array."""
     arr = np.array(values, dtype=float, copy=True)
     if arr.ndim != 1:
         raise ValueError(f"field '{name}' must be one-dimensional")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"field '{name}' contains non-finite entries")
     arr.setflags(write=False)
     return arr
 
@@ -88,9 +84,6 @@ class ChainSpec:
             raise ValueError(
                 f"field 'J' must have length N-1 (got {j.size}, N={b.size})"
             )
-        for arr, name in ((b, "B"), (j, "J")):
-            if not np.isfinite(arr).all():
-                raise ValueError(f"field '{name}' contains non-finite entries")
         if not (j > 0).all():
             raise ValueError("field 'J' must be strictly positive")
         object.__setattr__(self, "diagonal", b)
@@ -162,28 +155,6 @@ def _mirror_traces_rows(diagonal: np.ndarray, couplings: np.ndarray):
     k = n // 2
     j = couplings[:, k - 1]
     return j + j, 2.0 * j * (diagonal[:, k - 1] + diagonal[:, k])
-
-
-def _alternating_sums(lam: np.ndarray, signs: np.ndarray):
-    """(sum_n sigma_n lambda_n, sum_n sigma_n lambda_n^2) over the last axis
-    of `lam`, for parity signs sigma."""
-    return (signs * lam).sum(axis=-1), (signs * lam * lam).sum(axis=-1)
-
-
-def eigen_side_traces(spectral: "SpectralData") -> tuple[float, float]:
-    """(sum_n sigma_n lambda_n, sum_n sigma_n lambda_n^2) from classified
-    spectral data.
-
-    For mirror-symmetric chains these equal Tr(S h) and Tr(S h^2): expanding
-    the traces in the eigenbasis, S|lambda_n> = sigma_n |lambda_n> leaves the
-    alternating sums.
-    """
-    if spectral.parity_signs is None:
-        raise ValueError(
-            "spectral data carries no parity signs; run classify_parity first"
-        )
-    trace_sh, trace_sh2 = _alternating_sums(spectral.eigenvalues, spectral.parity_signs)
-    return float(trace_sh), float(trace_sh2)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "PstLabError",
+    "EigensolveError",
+    "ParityViolation",
+    "NumericalBreakdown",
+    "NotAdmissible",
+]
+
 
 class PstLabError(Exception):
     """Base class for all pstlab errors."""

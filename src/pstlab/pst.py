@@ -41,7 +41,8 @@ __all__ = [
 GAP_REL_TOL = 1e-9       # |g_n - m_n u| <= tol * g_n per gap
 PHASE_TOL = 1e-8         # spread of the lattice offsets, times t0 (_on_lattice)
 MAX_MULTIPLIER = 999
-MAX_CAP = 2**31 - 1      # so caps and denominators are exact floats, lcm steps int64
+MAX_CAP = 2**31 - 1      # so caps and denominators are exact in float64 and int64
+EPS = float(np.finfo(float).eps)  # 2^-52, read once: finfo runs Python code on each call
 FIDELITY_BYTES = 4 * 2**20  # working-set budget of one chunk of fidelity evaluations
 WEIGHT_TOL = 1e-11       # error bound up to which fidelity weights come from the spectrum
 # first_perfect_time's largest grid: a sample of the scan took about 50 ns at
@@ -81,9 +82,9 @@ def _minimal_unit(gaps: np.ndarray, cap: int):
 
     Every ratio g/g_min runs at once through its continued-fraction
     convergents p/q to the first within GAP_REL_TOL of it or to q > cap, and
-    u = g_min/m for m the lcm of the q, kept only if m is odd, <= cap and a
-    multiple of each q (np.lcm wraps silently) and every gap passes the
-    per-gap test.  README, "Numerical notes", says when this m is the least
+    u = g_min/m for m the exact lcm of the q (Python integers, which do not
+    wrap), kept only if m is odd and <= cap and every gap passes the per-gap
+    test.  README, "Numerical notes", says when this m is the least
     odd m that passes; a wrong convergent can lose a unit but never certify
     a bad one.
     """
@@ -108,9 +109,8 @@ def _minimal_unit(gaps: np.ndarray, cap: int):
             p, p_prev = a * p + p_prev, p
             q, q_prev = a * q + q_prev, q
             open_ &= q <= cap
-        den = den.astype(np.int64)
-        m = int(np.lcm.reduce(den))  # 0 where an entry found none
-        fits = 0 < m <= cap and m % 2 == 1 and (m % np.maximum(den, 1) == 0).all()
+        m = math.lcm(*den.astype(np.int64).tolist())  # 0 where an entry found none
+        fits = 0 < m <= cap and m % 2 == 1
         if fits:
             u = g_min / m
             k = np.rint(gaps / u)
@@ -222,7 +222,7 @@ def _spectral_coefficients(lam: np.ndarray, couplings: np.ndarray) -> np.ndarray
         log_couplings = np.log(couplings / width).sum()
     mag = np.exp(log_couplings - np.log(distance).sum(axis=1))
     spread = mag @ ((1.0 / distance).sum(axis=1) - 1.0)
-    if not 4.0 * np.finfo(float).eps * (np.abs(lam).max() / width) * spread <= WEIGHT_TOL:
+    if not 4.0 * EPS * (np.abs(lam).max() / width) * spread <= WEIGHT_TOL:
         return None
     coeff = mag / max(1.0, mag.sum())
     coeff[1::2] *= -1.0  # the signs (-1)^{n+1}; (-m)/s = -(m/s) exactly
@@ -327,7 +327,7 @@ def _rounding_slack(lam, b):
     """64 N eps (1 + b max|lambda|): the rounding of f^2 (sum |c| <= 1) at times
     up to b, in phases and sums; a length-N dot product errs by at most about
     N eps sum |c| in any order, so the scan's matrix product stays within it."""
-    return 64.0 * lam.size * np.finfo(float).eps * (1.0 + b * np.abs(lam).max())
+    return 64.0 * lam.size * EPS * (1.0 + b * np.abs(lam).max())
 
 
 def _peak_ceilings(lam, coeff, a, b, f2_a, f2_b):
@@ -352,7 +352,7 @@ def _refine_peaks(lam: np.ndarray, coeff: np.ndarray, a: np.ndarray, b: np.ndarr
     or the Newton point would leave the bracket.  A row stops when its Newton
     correction or its bracket is within 4 eps of the bracket's initial right
     end, so a peak lands within a few ulps of the root, whatever the batch."""
-    tol = 4.0 * np.finfo(float).eps * b
+    tol = 4.0 * EPS * b
     ends = np.concatenate((b, a))
     terms = _phase_sums(lam, coeff, ends, 2, _newton_terms, np.empty((3, ends.size)))
     h, dh, f = terms.reshape(3, 2, -1)  # rows b, a

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec
+from .chain import ChainSpec, _readonly_float_array
 from .errors import NumericalBreakdown
 
 __all__ = [
@@ -53,14 +53,11 @@ class SpectrumSpec:
                 "give either field 'lambda' or fields 'unit'+'multipliers'"
             )
         if raw:
-            lam = np.array(self.eigenvalues, dtype=float, copy=True)
-            if lam.ndim != 1 or lam.size < 2:
-                raise ValueError("field 'lambda' must be a 1-d array, length >= 2")
-            if not np.all(np.isfinite(lam)):
-                raise ValueError("field 'lambda' contains non-finite entries")
+            lam = _readonly_float_array(self.eigenvalues, "lambda")
+            if lam.size < 2:
+                raise ValueError("field 'lambda' must have length >= 2")
             if not (lam[1:] < lam[:-1]).all():  # eigensolve._descending's rule
                 raise ValueError("field 'lambda' must be strictly descending")
-            lam.setflags(write=False)
             object.__setattr__(self, "eigenvalues", lam)
         else:
             if self.unit is None or self.multipliers is None:
@@ -105,9 +102,7 @@ class SpectrumSpec:
         if "lambda" in data:
             return cls(eigenvalues=data["lambda"])
         if "unit" in data or "multipliers" in data:
-            if "unit" not in data or "multipliers" not in data:
-                raise ValueError("fields 'unit' and 'multipliers' go together")
-            return cls(unit=data["unit"], multipliers=data["multipliers"])
+            return cls(unit=data.get("unit"), multipliers=data.get("multipliers"))
         raise ValueError(
             "spectrum JSON needs field 'lambda' or fields 'unit'+'multipliers'"
         )

@@ -62,6 +62,17 @@ class TestDecompose:
                                        atol=1e-11 * width)
             np.testing.assert_allclose(spectral.eigenvectors, vec, atol=1e-8)
 
+    def test_a_bad_eigenpair_is_refused(self, monkeypatch):
+        real = scipy.linalg.eigh_tridiagonal
+
+        def eigh_tridiagonal(d, e):  # vectors off by 1e-6 in every entry
+            lam, vec = real(d, e)
+            return lam, vec + 1e-6
+
+        monkeypatch.setattr(pstlab.eigensolve.scipy.linalg, "eigh_tridiagonal", eigh_tridiagonal)
+        with pytest.raises(EigensolveError, match="eigenpair residual"):
+            decompose(canonical_chain(6))
+
     def test_descending_and_orthonormal(self):
         rng = np.random.default_rng(12)
         for _ in range(10):
@@ -222,6 +233,21 @@ class TestClassifyParity:
             assert np.abs(resid).max() < 1e-10 * scale
             gram = spectral.eigenvectors.T @ spectral.eigenvectors
             np.testing.assert_allclose(gram, np.eye(n), atol=1e-10)
+
+    @pytest.mark.parametrize("rotate", [False, True])
+    def test_a_mixed_basis_fails_revalidation(self, rotate):
+        # v_1 and v_3 have the same parity, so projection keeps a mixture of
+        # them; a rotation by 1e-6 keeps the basis orthonormal, so only the
+        # eigenpair residual refuses it
+        c = canonical_chain(6)
+        spectral = decompose(c)
+        vec = spectral.eigenvectors.copy()
+        vec[:, 0] += 1e-6 * spectral.eigenvectors[:, 2]
+        if rotate:
+            vec[:, 2] -= 1e-6 * spectral.eigenvectors[:, 0]
+        mixed = SpectralData(eigenvalues=spectral.eigenvalues, eigenvectors=vec)
+        with pytest.raises(ParityViolation, match="re-validation"):
+            classify_parity(mixed, c)
 
     def test_asymmetric_chain_is_rejected(self):
         c = ChainSpec(diagonal=[0.0, 0.0, 0.0, 0.0], couplings=[1.0, 1.0, 2.0])

@@ -59,10 +59,22 @@ class TestSpectrumSpec:
             SpectrumSpec(eigenvalues=[0.0, 1.0])
         with pytest.raises(ValueError, match="descending"):
             SpectrumSpec(eigenvalues=[1.0, 1.0])
-        with pytest.raises(ValueError, match="length >= 2"):
+        with pytest.raises(ValueError, match="field 'lambda' must have length >= 2"):
             SpectrumSpec(eigenvalues=[1.0])
         with pytest.raises(ValueError, match="finite"):
             SpectrumSpec(eigenvalues=[np.inf, 0.0])
+        # the array check ChainSpec's fields go through
+        with pytest.raises(ValueError, match="field 'lambda' must be one-dimensional"):
+            SpectrumSpec(eigenvalues=np.array([[1.0, 0.0], [0.0, -1.0]]))
+        with pytest.raises(ValueError, match="field 'lambda' contains non-finite entries"):
+            SpectrumSpec(eigenvalues=[1.0, np.nan, -1.0])
+
+    def test_raw_form_is_a_readonly_copy(self):
+        lam = np.array([1.0, -1.0])
+        spec = SpectrumSpec(eigenvalues=lam)
+        lam[0] = 5.0
+        assert spec.eigenvalues.tolist() == [1.0, -1.0]
+        assert not spec.eigenvalues.flags.writeable
 
     def test_structured_validation(self):
         with pytest.raises(ValueError, match="odd"):
@@ -106,10 +118,15 @@ class TestSpectrumSpec:
     def test_from_dict_errors(self):
         with pytest.raises(ValueError, match="lambda"):
             SpectrumSpec.from_dict({})
-        with pytest.raises(ValueError, match="together"):
-            SpectrumSpec.from_dict({"unit": 1.0})
+        for half in ({"unit": 1.0}, {"multipliers": [1]}):
+            with pytest.raises(ValueError, match="fields 'unit' and 'multipliers' go together"):
+                SpectrumSpec.from_dict(half)
         with pytest.raises(ValueError, match="object"):
             SpectrumSpec.from_dict([1.0, -1.0])
+
+    def test_from_dict_reads_lambda_first(self):
+        spec = SpectrumSpec.from_dict({"lambda": [1.0, -1.0], "unit": 1.0})
+        assert spec.eigenvalues.tolist() == [1.0, -1.0] and spec.unit is None
 
 
 class TestSynthesize:
