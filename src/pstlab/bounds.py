@@ -130,7 +130,7 @@ def _audit_rows(
     steps are _audit_certified's.
     """
     n = lattice.shape[1]
-    lam0 = lattice - lattice.mean(axis=1, keepdims=True)
+    lam0 = lattice - np.add.reduce(lattice, 1, keepdims=True) / n
     u = math.pi / t0
     j_max = couplings.max(axis=1)
     product = j_max * t0
@@ -143,10 +143,10 @@ def _audit_rows(
                 lambda_min_ok=lam0[:, -1] <= -(n - 1) * u / 2.0 + AUDIT_SLACK * width)
     if n % 2:
         c = n // 2
-        eigen_side = (_alternating_signs(n) * lam0 * lam0).sum(axis=1)
+        eigen_side = np.add.reduce(_alternating_signs(n) * lam0 * lam0, 1)
         value = lam0[:, -1] ** 2 - u * lam0[:, -1]
         pair = couplings[:, c - 1] + couplings[:, c]
-        rows.update(central_field=diagonal[:, c] - diagonal.mean(axis=1),  # traceless B_c
+        rows.update(central_field=diagonal[:, c] - np.add.reduce(diagonal, 1) / n,  # traceless B_c
                     identity_eigen_side=eigen_side, substitution_value=value,
                     substitution_gap=eigen_side - value,
                     pair_product_slack=pair**2 - (n * n - 1) * u**2 / 4.0)
@@ -302,11 +302,12 @@ class SearchReport(_Record):
 
 def _block_rows(n_sites: int) -> int:
     """Samples per block, so that a block's working set stays under
-    BLOCK_BYTES: per sample two (N, N) arrays (the end-weight differences
-    and their logarithms) and the (N//2 + 1, N) Lanczos basis, and later the
-    Sturm counts' two (S, 2N) arrays, pivots and counts, with the shifts and
-    a quotient of the same shape.  The formula counts four (N, N) arrays and
-    sixteen rows of N, so the budget holds 1.5 arrays of headroom."""
+    BLOCK_BYTES: per sample one (N, N) array (the end-weight differences,
+    their absolute values and logarithms, in place) and the (N//2 + 1, N)
+    Lanczos basis, and later the Sturm counts' (N, 2N) bool signs with rows
+    of 2N for the shifts, pivots, quotient and counts.  The formula counts
+    four (N, N) arrays and sixteen rows of N, so the budget holds about 2.5
+    arrays of headroom (1.5 when the end weights took two arrays)."""
     n = n_sites
     return BLOCK_BYTES // (8 * (4 * n * n + 16 * n))
 
@@ -422,8 +423,8 @@ def falsify_search(n_sites: int, samples: int, cap: int, seed: int) -> SearchRep
     report reads only (_audit_rows; no ProofAudit).  Samples pass
     in blocks through one pass that synthesizes, checks and audits them
     (_audit_block), whose working set stays under BLOCK_BYTES (so N is at
-    most MAX_SEARCH_SITES); a block holds the Lanczos arrays and then two
-    (S, 2N) count arrays, and every sample's numbers are those of a batch of
+    most MAX_SEARCH_SITES); a block holds the Lanczos arrays and then the
+    Sturm counts' arrays, and every sample's numbers are those of a batch of
     one.  A sample that fails is recorded as (index, message) and the others
     go on.  Each block is reduced as it goes, and every record is built from
     its block's rows.

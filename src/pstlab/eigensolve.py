@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .chain import ChainSpec, _alternating_signs, is_mirror_symmetric
 from .errors import EigensolveError, ParityViolation
@@ -118,6 +117,8 @@ def decompose(chain: ChainSpec) -> SpectralData:
     Raises EigensolveError if the solver hits its iteration cap or the output
     violates the ordering/residual guarantees.
     """
+    import scipy.linalg  # here, so that importing pstlab does not load scipy
+
     try:
         lam, vec = scipy.linalg.eigh_tridiagonal(chain.diagonal, chain.couplings)
     except scipy.linalg.LinAlgError as exc:
@@ -140,7 +141,8 @@ def _sturm_counts_rows(diagonal: np.ndarray, couplings: np.ndarray, shifts: np.n
     h - sigma = L D L^T, d_1 = B_1 - sigma and
     d_k = (B_k - sigma) - J_{k-1}^2 / d_{k-1} (Kahan 1966; Barth, Martin &
     Wilkinson 1967), run for every row and shift at once in N steps on one
-    (S, M) array of pivots and one of counts.  The pivot d_k is decreasing
+    (S, M) array of pivots; each step's signs go into one (N, S, M) bool
+    stack, counted once at the end.  The pivot d_k is decreasing
     in sigma, so a pivot of exactly +0 is the limit from below: the next
     pivot is -inf, the one after it (B - sigma) - (-0), which IEEE arithmetic
     gives untrapped (Demmel, Dhillon & Ren 1995), and the count is still
@@ -151,15 +153,16 @@ def _sturm_counts_rows(diagonal: np.ndarray, couplings: np.ndarray, shifts: np.n
     fields = diagonal + 0.0
     squares = couplings * couplings
     pivots = fields[:, :1] - shifts
-    counts = np.signbit(pivots).astype(np.int64)
+    signs = np.empty((fields.shape[1],) + pivots.shape, bool)
+    np.signbit(pivots, out=signs[0])
     quotient = np.empty_like(pivots)
     with np.errstate(divide="ignore"):
         for k in range(1, fields.shape[1]):
             np.divide(squares[:, k - 1, None], pivots, out=quotient)
             np.subtract(fields[:, k, None], shifts, out=pivots)
             pivots -= quotient
-            counts += np.signbit(pivots)
-    return counts
+            np.signbit(pivots, out=signs[k])
+    return signs.sum(axis=0, dtype=np.int64)
 
 
 def eigenvalues_only(chain: ChainSpec) -> np.ndarray:
@@ -170,6 +173,8 @@ def eigenvalues_only(chain: ChainSpec) -> np.ndarray:
     Raises EigensolveError if it does not converge or its output is not
     strictly descending.
     """
+    import scipy.linalg
+
     lam, info = scipy.linalg.lapack.dsterf(chain.diagonal, chain.couplings)
     if info:
         raise EigensolveError(f"eigensolver did not converge: dsterf info={info}")

@@ -118,13 +118,14 @@ def _is_int64(value) -> bool:
 
 def _expand_rows(unit: float, multipliers: np.ndarray) -> np.ndarray:
     """SpectrumSpec.expand for stacked multiplier rows (S, N-1): the
-    traceless spectra (S, N) with consecutive gaps multipliers * unit."""
-    s = multipliers.shape[0]
-    tails = np.concatenate(
-        [np.cumsum(multipliers[:, ::-1], axis=1)[:, ::-1], np.zeros((s, 1), np.int64)],
-        axis=1,
-    ).astype(float) * unit
-    return tails - tails.mean(axis=1, keepdims=True)
+    traceless spectra (S, N) with consecutive gaps multipliers * unit, the
+    integer tail sums written into one float array and shifted in place."""
+    s, m = multipliers.shape
+    lam = np.zeros((s, m + 1))
+    np.cumsum(multipliers[:, ::-1], axis=1, out=lam[:, m - 1::-1])  # exact below 2^53
+    lam *= unit
+    lam -= np.add.reduce(lam, 1, keepdims=True) / (m + 1)
+    return lam
 
 
 def _lattice_rows(unit: float, multipliers: np.ndarray):
@@ -136,14 +137,17 @@ def _lattice_rows(unit: float, multipliers: np.ndarray):
 
 
 def _end_weights(lam: np.ndarray) -> np.ndarray:
-    """End weights a_n^2 per row of descending spectra (S, N)."""
+    """End weights a_n^2 per row of descending spectra (S, N), from one
+    (S, N, N) difference array whose absolute values and logarithms are
+    taken in place (its diagonal set to 1 through a strided view)."""
+    s, n = lam.shape
     diff = lam[:, :, None] - lam[:, None, :]
-    sites = np.arange(lam.shape[1])
-    diff[:, sites, sites] = 1.0
-    logw = -np.log(np.abs(diff)).sum(axis=2)
+    diff.reshape(s, n * n)[:, :: n + 1] = 1.0
+    logw = -np.log(np.abs(diff, out=diff), out=diff).sum(axis=2)
     logw -= logw.max(axis=1, keepdims=True)
-    w = np.exp(logw)
-    return w / w.sum(axis=1, keepdims=True)
+    w = np.exp(logw, out=logw)
+    w /= w.sum(axis=1, keepdims=True)
+    return w
 
 
 def _synthesize_rows(lam: np.ndarray):
@@ -152,11 +156,12 @@ def _synthesize_rows(lam: np.ndarray):
     Returns (diagonal (S, N), couplings (S, N-1), errors): errors maps each
     broken row to its NumericalBreakdown, a non-finite field, an end weight
     that underflows to 0 or a Lanczos breakdown; the fields of a broken row
-    are meaningless.  Lanczos takes ceil(N/2) steps on an (S, N//2 + 1, N)
-    basis and the rest of B and J is mirrored, so a zero weight, which full
+    are meaningless.  Lanczos takes ceil(N/2) steps on a step-major
+    (N//2 + 1, S, N) basis, so each step's vector is a contiguous (S, N)
+    slice, and the rest of B and J is mirrored, so a zero weight, which full
     Lanczos would meet as a late breakdown, is refused up front.  Every row
     runs the same arithmetic as a batch of one, so a row's chain does not
-    depend on the other rows of its batch.
+    depend on the other rows of its batch; `lam` is not written.
     """
     s, n = lam.shape
     half = n // 2
@@ -164,26 +169,26 @@ def _synthesize_rows(lam: np.ndarray):
 
     # Lanczos on diag(lambda) to the centre, full reorthogonalization (two passes) per step.
     weights = _end_weights(lam)
-    basis = np.zeros((s, half + 1, n))
-    basis[:, 0] = np.sqrt(weights)
+    basis = np.zeros((half + 1, s, n))
+    basis[0] = np.sqrt(weights)
     alpha = np.zeros((s, n))
     beta = np.zeros((s, n - 1))
     for k in range(n - half):
-        q = basis[:, k]
+        q = basis[k]
         r = lam * q
         alpha[:, k] = (q * r).sum(axis=1)
         if k == half:
             break  # odd N: the central field needs no further vector
         r -= alpha[:, k, None] * q
         if k:
-            r -= beta[:, k - 1, None] * basis[:, k - 1]
-        done = basis[:, : k + 1]
+            r -= beta[:, k - 1, None] * basis[k - 1]
+        done = basis[: k + 1].transpose(1, 0, 2)
         row = r[:, None, :]
         for _ in range(2):
             row -= (row @ done.transpose(0, 2, 1)) @ done
         beta[:, k] = np.sqrt((r * r).sum(axis=1))
         # a broken row divides by the floor instead; its fields are dropped
-        basis[:, k + 1] = r / np.maximum(beta[:, k], floor)[:, None]
+        np.divide(r, np.maximum(beta[:, k], floor)[:, None], out=basis[k + 1])
     alpha[:, n - half:] = alpha[:, :half][:, ::-1]
     beta[:, half:] = beta[:, : (n - 1) // 2][:, ::-1]
 

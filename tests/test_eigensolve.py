@@ -69,7 +69,7 @@ class TestDecompose:
             lam, vec = real(d, e)
             return lam, vec + 1e-6
 
-        monkeypatch.setattr(pstlab.eigensolve.scipy.linalg, "eigh_tridiagonal", eigh_tridiagonal)
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", eigh_tridiagonal)
         with pytest.raises(EigensolveError, match="eigenpair residual"):
             decompose(canonical_chain(6))
 
@@ -198,6 +198,19 @@ class TestSturmCounts:
                 assert counts.tolist() == [[want]], (b, j)
                 lam = np.linalg.eigvalsh(dense_hamiltonian(np.array(b), np.array(j)))
                 assert (lam < -1e-12).sum() == want
+            # the five as one block, each led by decoupled sites at 10 to one N,
+            # whose pivots are 10 - sigma > 0, so every later pivot is the
+            # case's own; each count is the count of the case alone
+            shifts = np.array([[0.0, -3.0 + i, 0.5 * i, 3.0 - i] for i in range(len(cases))])
+            single = [pstlab.eigensolve._sturm_counts_rows(
+                np.array([b]), np.array([j]), shifts[i, None])
+                for i, (b, j, _) in enumerate(cases)]
+            pad = [3 - len(b) for b, _, _ in cases]
+            stacked = pstlab.eigensolve._sturm_counts_rows(
+                np.array([[10.0] * p + b for (b, _, _), p in zip(cases, pad)]),
+                np.array([[0.0] * p + j for (_, j, _), p in zip(cases, pad)]), shifts)
+            assert stacked.tolist() == np.vstack(single).tolist()
+            assert stacked[:, 0].tolist() == [want for _, _, want in cases]
 
 
 class TestClassifyParity:

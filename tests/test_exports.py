@@ -1,5 +1,9 @@
-"""The package's public names: each module's __all__ is the one list of them."""
+"""The package's public names: each module's __all__ is the one list of
+them; and what importing the package loads."""
 import importlib
+import os
+import subprocess
+import sys
 
 import pstlab
 
@@ -14,3 +18,13 @@ def test_all_is_the_sorted_union_of_the_module_lists():
     for module, exported in lists.items():
         for name in exported:
             assert getattr(pstlab, name) is getattr(pstlab, module).__dict__[name], name
+
+
+def test_importing_pstlab_does_not_load_scipy():
+    # only the eigensolves import scipy, when first called
+    code = ('import sys, pstlab, pstlab.cli; '
+            'print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))')
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pstlab.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]", done.stdout

@@ -220,8 +220,10 @@ class TestSynthesizeRows:
         # and one search block at N = 448
         spectra.append(_expand_rows(1.0, draw_multipliers(rng, 448, 9, count=_block_rows(448))))
         for lam in spectra:
+            given = lam.copy()
             diagonal, couplings, errors = _synthesize_rows(lam)
             assert errors == {}
+            assert np.array_equal(lam, given), lam.shape  # the input is not written
             assert np.array_equal(diagonal, diagonal[:, ::-1]), lam.shape
             assert np.array_equal(couplings, couplings[:, ::-1]), lam.shape
 
