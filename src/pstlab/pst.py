@@ -14,9 +14,10 @@ prod_k J_k / det(x - h), c_n = (-1)^{n+1} prod_k J_k / prod_{m != n}
 one; de Boor & Golub 1978).  So one eigenvalue solve serves a chain's
 certificate, fidelity and audit; only spectra too near degenerate for these
 coefficients are decomposed.  The peak scan takes its time grid as one
-complex matrix product per chunk, keeping the slope at every sample and f^2
-only at bracket ends, and only where sum |c_n|, a bound on every |z(t)|,
-reaches the threshold; evolution and peak refinement sum each time's row.
+complex matrix product per chunk, of phase tables built by running products,
+keeping the slope at every sample and f^2 only at bracket ends, and only
+where sum |c_n|, a bound on every |z(t)|, reaches the threshold; evolution
+and peak refinement sum each time's row.
 """
 from __future__ import annotations
 
@@ -261,7 +262,9 @@ def _chunk_rows(n: int) -> int:
     """Rows per chunk under FIDELITY_BYTES at 16 (n + 8) bytes a row: in
     _phase_sums a time, one complex row of n plus sixteen floats of sums; in
     the scan a sample, three complex values plus a few floats, and one complex
-    row of n per base and per offset (a few sqrt(rows) rows in all)."""
+    row of n per base and per offset (a few sqrt(rows) rows in all; a table
+    entry is a running product of at most 2 isqrt(rows) + 1 exps, see
+    _rounding_slack)."""
     return max(1, FIDELITY_BYTES // (16 * (n + 8)))
 
 
@@ -288,23 +291,36 @@ def _phase_sums(lam, coeff, times, order, reduce, out):
     return out
 
 
-def _grid_scan(lam, coeff, offsets):
-    """The scan's kernel: a function of Q block starts s giving (h, z), each
-    (Q, B), at the times s_q + offsets[b]: z and z' by one complex matrix
-    product of the base rows c e^{-i lambda s_q} (Q N exps a call) with
-    [E | -i lambda E], E[n, b] = e^{-i lambda_n d_b} (B N exps, once), and
-    h = Re(conj(z) z') in real arithmetic on the product's float view.  BLAS
-    orders the product by shape, so a sample can move in its last bit with Q."""
+def _grid_scan(lam, coeff, spacing, block):
+    """The scan's kernel: a function of a chunk's first sample time s and its
+    count Q of blocks giving (h, z), each (Q, B), at the times
+    s + (q B + j) spacing, q < Q and j < B = block.  z and z' come from one
+    complex matrix product of the base rows c e^{-i lambda (s + q B spacing)}
+    with [E | -i lambda E], E[n, j] = e^{-i lambda_n j spacing}, and
+    h = Re(conj(z) z') in real arithmetic on the product's float view.  Both
+    tables are running products: E of w = e^{-i lambda spacing} along j, once
+    a call, and a chunk's base rows of c e^{-i lambda s} by
+    W = e^{-i lambda B spacing} along q, so a chunk takes N exps and Q N
+    products; their rounding is bounded in _rounding_slack.
+    BLAS orders the product by shape, so a sample can move in its last bit
+    with Q."""
     phase = -1j * lam
-    shift = np.exp(np.multiply.outer(phase, offsets))
-    kernel = np.concatenate((shift, phase[:, None] * shift), axis=1)
+    shift = np.empty((block, lam.size), dtype=complex)
+    shift[0] = 1.0
+    shift[1:] = np.exp(phase * spacing)
+    np.multiply.accumulate(shift, out=shift)
+    kernel = np.concatenate((shift.T, phase[:, None] * shift.T), axis=1)
+    stride = np.exp(phase * (block * spacing))
 
-    def terms(starts):
-        z = (np.exp(np.multiply.outer(starts, phase)) * coeff) @ kernel
-        parts = z.view(float).reshape(starts.size, 2, offsets.size, 2)
+    def terms(start, count):
+        base = np.empty((count, lam.size), dtype=complex)
+        np.multiply(np.exp(phase * start), coeff, out=base[0])
+        base[1:] = stride
+        z = np.multiply.accumulate(base, out=base) @ kernel
+        parts = z.view(float).reshape(count, 2, block, 2)
         h = parts[:, 0, :, 0] * parts[:, 1, :, 0]
         h += parts[:, 0, :, 1] * parts[:, 1, :, 1]
-        return h, z[:, : offsets.size]
+        return h, z[:, :block]
 
     return terms
 
@@ -323,21 +339,41 @@ def _newton_terms(z, dz, d2z):
     return (z.conj() * dz).real, np.abs(dz) ** 2 + (z.conj() * d2z).real, np.abs(z)
 
 
-def _rounding_slack(lam, b):
-    """64 N eps (1 + b max|lambda|): the rounding of f^2 (sum |c| <= 1) at times
-    up to b, in phases and sums; a length-N dot product errs by at most about
-    N eps sum |c| in any order, so the scan's matrix product stays within it."""
-    return 64.0 * lam.size * EPS * (1.0 + b * np.abs(lam).max())
+def _curvature(lam, mag, total):
+    """M >= |(f^2)''| = 2 |h'| for the peak ceilings, bounded through |z|,
+    |z'|, |z''| on the centred spectrum (a shift moves no f), from the
+    magnitudes mag = |c_n| and their sum."""
+    centred = np.abs(lam - 0.5 * (lam[0] + lam[-1]))
+    return 2.0 * ((mag @ centred) ** 2 + total * (mag @ centred**2))
 
 
-def _peak_ceilings(lam, coeff, a, b, f2_a, f2_b):
+def _rounding_slack(size, scale, b):
+    """64 N eps (1 + b max|lambda|), for N = size and max|lambda| = scale: a
+    bound on the rounding of a computed f^2 (sum |c| <= 1) at times t <= b.
+    In units of eps = 2u, with m = t max|lambda|:
+    - A scan sample.  Its phases are within 3 m of the stored time t (the
+      rounded t, chunk start s, B spacing and arguments lambda x).  Its table
+      entry c_n e^{-i lambda_n t} is 1 + q + j exps (each within eps: a cos
+      and a sin at an imaginary argument) and q + j complex products (each
+      within sqrt(2) gamma_2, Higham, Lemma 3.5; 2u with a fused
+      multiply-add) from exact, so within 2.5 (1 + q + j).  q + j is at most 2 isqrt(_chunk_rows)
+      (q < Q <= B + 2, j < B), and at most the sample's index in its chunk,
+      below t / spacing <= 1 + 16 m / pi as spacing = horizon / n_steps: so
+      1 + q + j <= 2 + 5.1 m.  The matrix product adds sqrt(2) gamma_{N+2}
+      < 0.71 (N + 2), the weight c_n 0.5 and |z|^2 2.5, so f^2 is within
+      2 (3 m + 2.5 (2 + 5.1 m) + 0.5 + 0.71 (N + 2)) + 2.5 < 17 + 1.5 N + 32 m.
+    - A refined peak, by _phase_sums' one exp a term and per-row sums: within
+      6 + 1.5 N + m.
+    A bracket's ceiling from sample values, set against a refined f^2, needs
+    both, 23 + 3 N + 33 m, which is below 64 N (1 + m) for every N >= 1."""
+    return 64.0 * size * EPS * (1.0 + b * scale)
+
+
+def _peak_ceilings(curvature, a, b, f2_a, f2_b, slack):
     """Bounds on f^2 at a peak t* in each bracket [a, b], from f^2 at its
     ends: h(t*) = 0, so f^2(t*) <= max(f^2(a), f^2(b)) + M (b - a)^2 / 8 for
-    M >= |(f^2)''| = 2 |h'|, bounded through |z|, |z'|, |z''| on the centred
-    spectrum (a shift moves no f), plus _rounding_slack."""
-    mag, centred = np.abs(coeff), np.abs(lam - 0.5 * (lam[0] + lam[-1]))
-    curvature = 2.0 * ((mag @ centred) ** 2 + mag.sum() * (mag @ centred**2))
-    return np.maximum(f2_a, f2_b) + curvature * (b - a) ** 2 / 8.0 + _rounding_slack(lam, b)
+    M = curvature (_curvature), plus the rounding slack."""
+    return np.maximum(f2_a, f2_b) + curvature * (b - a) ** 2 / 8.0 + slack
 
 
 def _refine_peaks(lam: np.ndarray, coeff: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -395,21 +431,27 @@ def first_perfect_time(
     hit and is skipped; every other peak is refined to the root of h (see
     _refine_peaks) before it is compared with the threshold, so near-miss
     peaks are never taken for hits and certified chains return t0, not a
-    flank crossing.  Default horizon: t0 for a chain that certifies (at
-    certify's defaults, on the spectrum the fidelity uses), as f(t0) = 1
-    reaches any threshold; else 4 pi / (smallest gap), one revival of the slowest pair.
+    flank crossing.  A peak, the horizon's included, is a hit when its f^2
+    plus the rounding slack (_rounding_slack, at the bracket's right end)
+    reaches threshold^2, the slack the ceilings add: so f(t0) = 1, which
+    computes as 1 or 1 - 2 eps, reaches threshold 1 at every N.  Default
+    horizon: t0 for a chain that certifies (at certify's defaults, on the
+    spectrum the fidelity uses), as f(t0) = 1 reaches any threshold; else
+    4 pi / (smallest gap), one revival of the slowest pair.
     A default horizon beyond double precision or a sample count above
     MAX_GRID_SAMPLES (10^9) raises NumericalBreakdown; a given horizon not
     finite and > 0, ValueError.
 
     The grid is scanned in chunks of whole blocks of B samples, a start plus
     B offsets aligned to the sample index, each chunk one matrix product
-    (see _grid_scan) under FIDELITY_BYTES; f^2 = |z|^2 is taken only at
-    bracket ends, and only the last sample's time, h and z carry over.  A
-    sample may move in its last bit with the chunking, but samples only
-    choose and bound brackets, and each returned time is refined by per-row
-    sums, so the answer does not.  A chunk's peaks are refined together; the
-    scan stops at the first chunk with a hit.
+    (see _grid_scan) under FIDELITY_BYTES, of phase tables built by running
+    products from N exps a chunk; f^2 = |z|^2 is taken only at bracket ends,
+    and only the last sample's time, h and z carry over.  A sample may move
+    in its last bits with the chunking and the tables, within the rounding
+    slack, but samples only choose and bound brackets, and each returned
+    time is refined by per-row sums, so the answer does not.  A chunk's
+    peaks are refined together; the scan stops at the first chunk with a
+    hit.
     """
     if not (0.0 < threshold <= 1.0):
         raise ValueError("threshold must be in (0, 1]")
@@ -423,42 +465,51 @@ def first_perfect_time(
         raise ValueError("horizon must be finite and > 0")
     # |z(t)| <= sum |c_n| at every t (triangle inequality), and no computed f^2
     # exceeds (sum |c_n|)^2 by more than the rounding slack, so no f is a hit
-    if np.abs(coeff).sum() ** 2 + _rounding_slack(lam, horizon) < threshold**2:
+    mag = np.abs(coeff)
+    total, scale = mag.sum(), float(np.abs(lam).max())
+    last_slack = _rounding_slack(lam.size, scale, horizon)
+    if total**2 + last_slack < threshold**2:
         return None
     steps = horizon * (8.0 * float(lam[0] - lam[-1]) / math.pi)
     if not steps <= MAX_GRID_SAMPLES:  # inf included
         raise NumericalBreakdown(f"the sample count horizon * 8 width / pi = {steps:.3g} "
                                  f"exceeds MAX_GRID_SAMPLES = {MAX_GRID_SAMPLES:.0e}")
     n_steps = max(math.ceil(steps), 2)
+    curvature = _curvature(lam, mag, total)
     # the samples of np.linspace(horizon / n_steps, horizon, n_steps)
     first = horizon / n_steps
     spacing = (horizon - first) / (n_steps - 1)
-    # B N exps once, and a chunk of Q blocks Q N exps and a (Q, N) x (N, 2B) product;
-    # B N + n_steps N / B is least at B = sqrt(n_steps)
+    # a chunk of Q blocks takes N exps and (Q + B) N products for its tables
+    # (B N once a call) and a (Q, N) x (N, 2B) product; the tables' B N +
+    # n_steps N / B rows are least at B = sqrt(n_steps)
     block = math.isqrt(min(_chunk_rows(lam.size), n_steps))
     span = max(1, (_chunk_rows(lam.size) - block) // (block + 1)) * block
-    terms = _grid_scan(lam, coeff, np.arange(block) * spacing)
+    terms = _grid_scan(lam, coeff, spacing, block)
     scan = np.empty((2, 1 + span))  # t, h; column 0 is the sample before the chunk
     amp = np.empty(1 + span, dtype=complex)  # z, likewise
+    ticks = np.arange(span, dtype=float)
     scan[:, 0], amp[0] = (0.0, 1.0), 0.0  # f(0) = 0, and h counts as rising there
     for start in range(0, n_steps, span):
         stop = 1 + min(span, n_steps - start)
         (t, h), z = scan[:, :stop], amp[:stop]
-        t[1:] = np.arange(start, start + t.size - 1) * spacing + first
+        np.add(ticks[: stop - 1], start, out=t[1:])  # (start + k) spacing + first
+        t[1:] *= spacing
+        t[1:] += first
         if start + span >= n_steps:
             t[-1] = horizon
-        h[1:], z[1:] = (v.ravel()[: t.size - 1] for v in terms(t[1::block]))
+        h[1:], z[1:] = (v.ravel()[: stop - 1] for v in terms(t[1], -(-(stop - 1) // block)))
         up = h > 0.0
         falls = (up[:-1] & ~up[1:]).nonzero()[0]
         a, b = t[falls], t[falls + 1]
         f2_a, f2_b = np.abs(z[falls]) ** 2, np.abs(z[falls + 1]) ** 2
-        reach = _peak_ceilings(lam, coeff, a, b, f2_a, f2_b) >= threshold**2
+        slack = _rounding_slack(lam.size, scale, b)
+        reach = _peak_ceilings(curvature, a, b, f2_a, f2_b, slack) >= threshold**2
         scan[:, 0], amp[0] = scan[:, t.size - 1], z[-1]
         if reach.any():
             t_peak, f_peak = _refine_peaks(lam, coeff, a[reach], b[reach])
-            hits = (f_peak >= threshold).nonzero()[0]
+            hits = (f_peak**2 + slack[reach] >= threshold**2).nonzero()[0]
             if hits.size:
                 return float(t_peak[hits[0]])
-    if h[-1] > 0.0 and np.abs(z[-1]) ** 2 >= threshold**2:
+    if h[-1] > 0.0 and np.abs(z[-1]) ** 2 + last_slack >= threshold**2:
         return horizon
     return None

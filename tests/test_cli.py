@@ -377,9 +377,14 @@ class TestOneOutcome:
         """The block starts of first_perfect_time's grid, which follow its horizon."""
         starts, real = [], pstlab.pst._grid_scan
 
-        def spy(lam, coeff, offsets):
-            terms = real(lam, coeff, offsets)
-            return lambda s: starts.append(s.copy()) or terms(s)
+        def spy(lam, coeff, spacing, block):
+            terms = real(lam, coeff, spacing, block)
+
+            def chunk(start, count):
+                starts.append(start + np.arange(count) * (block * spacing))
+                return terms(start, count)
+
+            return chunk
 
         monkeypatch.setattr(pstlab.pst, "_grid_scan", spy)
         first_perfect_time(chain, **kwargs)

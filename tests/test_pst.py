@@ -412,6 +412,18 @@ class TestFirstPerfectTime:
             t = first_perfect_time(canonical_chain(n))
             assert t == pytest.approx(HALF_PI, rel=1e-9)
 
+    def test_threshold_one_is_reached_at_t0(self):
+        # f(t0) = 1 computes as 1 or as 1 - 2 eps by N; a peak whose f^2 is
+        # within the rounding slack of threshold^2 is a hit, so every N does.
+        # So does the horizon peak 1e-8 before t0, where f still rises and
+        # 1 - f^2, about (N 1e-8)^2, is below the slack
+        horizon = HALF_PI - 1e-8
+        for n in range(2, 65):
+            t = first_perfect_time(canonical_chain(n), threshold=1.0)
+            assert t == pytest.approx(HALF_PI, rel=1e-9), n
+            t = first_perfect_time(canonical_chain(n), threshold=1.0, horizon=horizon)
+            assert t == horizon, n
+
     def test_returns_earliest_peak(self):
         # revivals repeat at odd multiples of t0; the first one must win
         t = first_perfect_time(canonical_chain(4), horizon=10.0 * HALF_PI)
@@ -565,8 +577,10 @@ class TestBatchedRefinement:
             a, b = slope_brackets(slope, np.linspace(horizon / n_steps, horizon, n_steps))
             peak = np.array([slope_root(slope, x, y) for x, y in zip(a, b)])
             f_peak = fidelity(peak[:, None])
-            ceiling = pst._peak_ceilings(lam, coeff, a, b, fidelity(a[:, None]) ** 2,
-                                         fidelity(b[:, None]) ** 2)
+            mag = np.abs(coeff)
+            ceiling = pst._peak_ceilings(pst._curvature(lam, mag, mag.sum()), a, b,
+                                         fidelity(a[:, None]) ** 2, fidelity(b[:, None]) ** 2,
+                                         pst._rounding_slack(lam.size, np.abs(lam).max(), b))
             assert (f_peak**2 <= ceiling).all()
             for threshold in pruned:
                 skip = ceiling < threshold**2
@@ -638,13 +652,34 @@ class TestGlobalCeiling:
                 first_perfect_time(self.ASYMMETRIC, horizon=horizon)
 
 
+def _direct_exp_scan(lam, coeff, spacing, block):
+    """_grid_scan with one exp per base row and per offset, in place of its
+    running products: the same samples, block shape and matrix product."""
+    phase = -1j * lam
+    shift = np.exp(np.multiply.outer(phase, np.arange(block) * spacing))
+    kernel = np.concatenate((shift, phase[:, None] * shift), axis=1)
+
+    def terms(start, count):
+        starts = start + np.arange(count) * (block * spacing)
+        z = (np.exp(np.multiply.outer(starts, phase)) * coeff) @ kernel
+        parts = z.view(float).reshape(count, 2, block, 2)
+        h = parts[:, 0, :, 0] * parts[:, 1, :, 0] + parts[:, 0, :, 1] * parts[:, 1, :, 1]
+        return h, z[:, :block]
+
+    return terms
+
+
 class TestGridScan:
-    """The scan's matrix-product kernel against the per-row sums."""
+    """The scan's running-product kernel against the per-row sums, and the
+    answers it gives against a direct-exp kernel."""
 
     @pytest.mark.parametrize("n", [2, 3, 16, 64])
     def test_matches_the_per_row_sums(self, n):
-        # at the scan's own step, from sample 1000 on; Q = 1, B = 1, partial
-        # last blocks and a chunk as large as the default's at N = 16.
+        # at the scan's own step, from sample 0, 1000, 10^6 and near
+        # MAX_GRID_SAMPLES; Q = 1, B = 1, partial last blocks, a chunk as
+        # large as the default's at N = 16, and the largest chunk shapes of
+        # _chunk_rows at this N: a full chunk, and Q = B' + 2 blocks of
+        # B' = isqrt(rows) - 1 on a grid of B'^2 + 2 B' < rows samples.
         # h = Re(conj(z) z') and the amplitude z come back, and f^2 = |z|^2
         # is taken from z; f^2 within _peak_ceilings' slack
         # 64 N eps (1 + t max|lambda|), and h, with |z'| <= max|lambda|,
@@ -655,18 +690,40 @@ class TestGridScan:
         lam, coeff = pst._transfer_terms(chain)
         spacing = math.pi / (8.0 * (lam[0] - lam[-1]))
         scale = np.abs(lam).max()
-        for q, block, count in ((1, 9, 9), (7, 1, 7), (1, 1, 1), (5, 8, 37), (103, 104, 10_700)):
-            offsets = np.arange(block) * spacing
-            starts = (1000 + np.arange(q) * block) * spacing
-            h, z = (v.ravel()[:count] for v in pst._grid_scan(lam, coeff, offsets)(starts))
-            f2 = np.abs(z) ** 2
-            times = np.add.outer(starts, offsets).ravel()[:count]
-            want_h, want_f2 = pst._phase_sums(
-                lam, coeff, times, 1, lambda z, dz: ((z.conj() * dz).real, np.abs(z) ** 2),
-                np.empty((2, count)))
-            slack = 64.0 * n * np.finfo(float).eps * (1.0 + times.max() * scale)
-            assert np.abs(f2 - want_f2).max() <= slack
-            assert np.abs(h - want_h).max() <= slack * scale
+        rows = pst._chunk_rows(n)
+        block = math.isqrt(rows)
+        full = max(1, (rows - block) // (block + 1))
+        shapes = [(1, 9, 9), (7, 1, 7), (1, 1, 1), (5, 8, 37), (103, 104, 10_700),
+                  (full, block, full * block), (block + 1, block - 1, (block - 1) * (block + 1))]
+        for q, width, count in shapes:
+            for first in (0, 1000, 10**6, pst.MAX_GRID_SAMPLES - q * width):
+                times = (first + np.arange(count)) * spacing + spacing
+                h, z = (v.ravel()[:count] for v in pst._grid_scan(lam, coeff, spacing, width)(
+                    times[0], q))
+                f2 = np.abs(z) ** 2
+                want_h, want_f2 = pst._phase_sums(
+                    lam, coeff, times, 1, lambda z, dz: ((z.conj() * dz).real, np.abs(z) ** 2),
+                    np.empty((2, count)))
+                slack = 64.0 * n * np.finfo(float).eps * (1.0 + times.max() * scale)
+                assert np.abs(f2 - want_f2).max() <= slack, (q, width, first)
+                assert np.abs(h - want_h).max() <= slack * scale, (q, width, first)
+
+    @pytest.mark.parametrize("budget", [pst.FIDELITY_BYTES, 64 * 2**10], ids=["4MiB", "64KiB"])
+    def test_direct_exps_return_the_same_times(self, budget, disorder_corpus, monkeypatch):
+        # every call, on both kernels, bit for bit: samples only choose and
+        # bound brackets, and each returned time comes from per-row sums
+        cases = [(c, f, h) for c, t0 in _certified_chains()
+                 for f, h in ((1.0 - 1e-8, 3.0 * t0), (0.5, 0.9 * t0))]
+        cases += [(p, f, 20.0 * cert.t0) for _, cert, p in disorder_corpus
+                  for f in (1.0 - 1e-3, 0.9)]
+        monkeypatch.setattr(pst, "FIDELITY_BYTES", budget)
+        tables = [first_perfect_time(c, threshold=f, horizon=h) for c, f, h in cases]
+        scans = []
+        monkeypatch.setattr(pst, "_grid_scan",
+                            lambda *args: scans.append(1) or _direct_exp_scan(*args))
+        direct = [first_perfect_time(c, threshold=f, horizon=h) for c, f, h in cases]
+        assert tables == direct
+        assert len(scans) >= 50 and sum(t is not None for t in tables) >= 40
 
 
 class TestPeakRegressions:
